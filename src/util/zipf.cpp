@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 
 #include "util/logging.hpp"
 
@@ -10,35 +11,41 @@ namespace artmem {
 
 namespace {
 
+/** Draws k range over [0, kDraws); kDraws also marks "no such k". */
+constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+
+/** Ranks covered by the table (capped by the item count). */
+constexpr std::uint64_t kMaxTableRanks = std::uint64_t{1} << 14;
+
+/** Guide buckets are capped at 2^15, a 64 KiB uint16 array. */
+constexpr int kMaxGuideBits = 15;
+
 /**
- * Positive finite doubles compare the same way their IEEE-754 bit
- * patterns do, so bisection over [0, 1) can walk uint64 bit patterns
- * and visit every representable double exactly once.
+ * Cost of the build per rank, in closed-form draws of the same
+ * generator. Measured at 3.5-8.3 on the (n, theta) the workloads build,
+ * varying with the host's load: 4.1-4.5 pow() calls (the inverse's
+ * start, the search's evaluations with both side checks, and the table
+ * check past the boundary's cell), and a search whose steps each wait
+ * on the last. 7 prices ycsb, whose closed-form draws are the cheapest,
+ * near its break-even point and the rest somewhat later; pricing lower
+ * buys tables that never pay back.
  */
+constexpr std::uint64_t kCostPerRank = 7;
+
+/**
+ * Random probes per unit of u the table covers. The other checks sit
+ * next to each boundary; the spray samples the draws between them.
+ */
+constexpr double kProbesPerUnitU = 24576.0;
+
+/** Correction steps one boundary search may take before giving up. */
+constexpr int kMaxSearchSteps = 16;
+
 std::uint64_t
-to_bits(double d)
+spray_probes(double covered_u)
 {
-    return std::bit_cast<std::uint64_t>(d);
+    return static_cast<std::uint64_t>(std::ceil(kProbesPerUnitU * covered_u));
 }
-
-double
-from_bits(std::uint64_t b)
-{
-    return std::bit_cast<double>(b);
-}
-
-/** Ranks covered by the fast-path table (capped by the item count). */
-constexpr std::size_t kTableRanks = 512;
-
-/**
- * Uniform buckets over [0, boundaries_.back()). Sized so that even in
- * the densest tail of the table a bucket spans only a boundary or two,
- * keeping the linear scan after the indexed lookup O(1).
- */
-constexpr std::size_t kBuckets = 4096;
-
-/** Random monotonicity probes per table rank during verification. */
-constexpr std::size_t kProbesPerRank = 32;
 
 }  // namespace
 
@@ -68,7 +75,26 @@ ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta)
     // arguments, so the cached double is bit-identical to the per-draw
     // recomputation the closed form used to do.
     threshold12_ = 1.0 + std::pow(0.5, theta_);
-    build_table();
+
+    // Rank n-1 has no upper boundary below u = 1.0, so at most n-1
+    // boundaries exist; n == 1 never builds a table.
+    const std::uint64_t target = std::min(n_ - 1, kMaxTableRanks);
+    if (target == 0)
+        return;
+    // A table reaching rank n-1 serves every draw.
+    rent_below_ = target == n_ - 1 ? n_ : target;
+    // The spray covers every u when the table reaches rank n-1, and up
+    // to its last boundary otherwise; the analytic inverse of the
+    // closed form places that boundary closely enough to price it.
+    double covered_u = 1.0;
+    if (target < n_ - 1) {
+        const double y = std::pow(static_cast<double>(target) /
+                                      static_cast<double>(n_),
+                                  1.0 - theta_);
+        covered_u = std::clamp((y - 1.0 + eta_) / eta_, 0.0, 1.0);
+    }
+    price_ = kCostPerRank * target + spray_probes(covered_u);
+    rent_left_ = price_;
 }
 
 std::uint64_t
@@ -80,114 +106,154 @@ ZipfianGenerator::rank_of(double u) const
     if (uz < threshold12_)
         return 1;
     const auto rank = static_cast<std::uint64_t>(
-        static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
+        static_cast<double>(n_) * std::pow(base_of(u), alpha_));
     return rank >= n_ ? n_ - 1 : rank;
+}
+
+std::uint64_t
+ZipfianGenerator::rent(std::uint64_t k)
+{
+    const std::uint64_t r = rank_of(unit(k));
+    if (r < rent_below_ && --rent_left_ == 0)
+        build_table();
+    return r;
 }
 
 void
 ZipfianGenerator::build_table()
 {
-    // Rank n-1 has no upper boundary below u = 1.0, so at most n-1
-    // boundaries exist; n == 1 keeps the closed form alone (its uz < 1
-    // branch already makes that case cheap).
-    const std::size_t ranks = static_cast<std::size_t>(
-        std::min<std::uint64_t>(n_ - 1, kTableRanks));
-    if (ranks == 0)
-        return;
+    const std::uint64_t target = std::min(n_ - 1, kMaxTableRanks);
+    rent_below_ = 0;  // Built once; a dropped table is not retried.
 
-    const std::uint64_t one_bits = to_bits(1.0);
-    boundaries_.reserve(ranks);
-    for (std::size_t r = 0; r < ranks; ++r) {
-        // Bisect for the smallest u with rank_of(u) > r. Assuming the
-        // closed form is weakly monotone in u (verified below), every
-        // u below the previous boundary already has rank <= r, so the
-        // search window starts there.
-        std::uint64_t lo = boundaries_.empty() ? 0
-                                               : to_bits(boundaries_.back());
-        std::uint64_t hi = one_bits;
-        while (lo < hi) {
-            const std::uint64_t mid = lo + (hi - lo) / 2;
-            if (rank_of(from_bits(mid)) > r)
-                hi = mid;
-            else
-                lo = mid + 1;
-        }
-        if (lo >= one_bits)
-            break;  // No drawable u reaches rank r+1; stop early.
-        boundaries_.push_back(from_bits(lo));
-    }
-    if (boundaries_.empty())
-        return;
+    // Smallest k with unit(k) * zeta(n) >= c, from the inverse and a
+    // short exact walk.
+    auto first_k_with_uz = [&](double c) {
+        std::uint64_t k = static_cast<std::uint64_t>(
+            std::min(c / zetan_, 1.0) * 0x1.0p53);
+        while (k > 0 && unit(k - 1) * zetan_ >= c)
+            --k;
+        while (k < kDraws && unit(k) * zetan_ < c)
+            ++k;
+        return k;
+    };
+    // Smallest k with base_of(unit(k)) >= x. The analytic inverse of
+    // base_of() aims about half an ulp below x, where rounding to
+    // nearest starts to yield x; the walks make the answer exact.
+    auto first_k_with_base = [&](double x) {
+        const double u = ((x - 1.0) - x * 0x1.0p-54 + eta_) / eta_;
+        std::uint64_t k =
+            u <= 0.0   ? 0
+            : u >= 1.0 ? kDraws
+                       : static_cast<std::uint64_t>(u * 0x1.0p53);
+        while (k > 0 && base_of(unit(k - 1)) >= x)
+            --k;
+        while (k < kDraws && base_of(unit(k)) < x)
+            ++k;
+        return k;
+    };
 
-    // boundaries_[r] is the smallest u with closed-form rank > r, so
-    // the rank of u is the first index whose boundary exceeds it: an
-    // upper-bound search. The bucket grid turns that search into an
-    // indexed jump: bucket_start_[b] holds the upper bound at the
-    // bucket's left edge, and rank_from_table() walks the final step.
-    // Equal adjacent boundaries (a rank the closed form skips over)
-    // fall out naturally: the scan steps past the empty interval.
-    bucket_scale_ = static_cast<double>(kBuckets) / boundaries_.back();
-    bucket_start_.resize(kBuckets);
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-        const double edge = static_cast<double>(b) / bucket_scale_;
-        bucket_start_[b] = static_cast<std::uint16_t>(
-            std::upper_bound(boundaries_.begin(), boundaries_.end(), edge) -
-            boundaries_.begin());
-    }
+    // Below k_pow the closed form compares u * zeta(n) with two
+    // cutoffs, so each k is its own run. From k_pow on it depends on k
+    // only through base_of(unit(k)), which rises weakly with k, so it
+    // is constant over each run of k sharing one base. The search moves
+    // from run to run and evaluates the closed form only at a run's
+    // first k and the k before it.
+    const std::uint64_t k_pow = first_k_with_uz(threshold12_);
+    auto run_start = [&](std::uint64_t k) {
+        return k <= k_pow
+                   ? k
+                   : std::max(k_pow, first_k_with_base(base_of(unit(k))));
+    };
+    auto next_run = [&](std::uint64_t k) {
+        return k < k_pow ? k + 1
+                         : first_k_with_base(
+                               std::nextafter(base_of(unit(k)), 2.0));
+    };
 
-    // Verify the table against the closed form. Bisection is only
-    // correct if rank_of() is weakly monotone over the double bit
-    // space — true for a correctly-rounded pow(), but not guaranteed
-    // by the standard — so probe each boundary's both sides plus a
-    // deterministic random spray of bit patterns under the table, and
-    // drop the whole table (falling back to the closed form, which is
-    // always correct) on any mismatch. tests/test_diff_model.cpp
-    // additionally cross-checks millions of live draws.
     bool ok = true;
-    for (std::size_t r = 0; r < boundaries_.size() && ok; ++r) {
-        const double b = boundaries_[r];
-        if (r > 0 && b < boundaries_[r - 1])
-            ok = false;
-        if (rank_of(b) <= r)
-            ok = false;
-        const std::uint64_t bb = to_bits(b);
-        if (bb > 0 && rank_of(from_bits(bb - 1)) > r)
-            ok = false;
-        if (ok && rank_from_table(b) != rank_of(b))
-            ok = false;
-    }
-    if (ok) {
-        std::uint64_t probe_state = 0x5a1fb00c0ffee123ull;
-        const std::uint64_t back_bits = to_bits(boundaries_.back());
-        const std::size_t probes = kProbesPerRank * boundaries_.size();
-        for (std::size_t i = 0; i < probes && ok; ++i) {
-            const double u = from_bits(splitmix64(probe_state) % back_bits);
-            if (rank_from_table(u) != rank_of(u))
-                ok = false;
+    std::uint64_t lo = 0;  // the last boundary found
+    cells_.reserve(target + 1);
+    for (std::uint64_t r = 0; r < target; ++r) {
+        // Start from the closed form's inverse: rank 0 ends where
+        // u * zeta(n) reaches 1, rank r >= 1 where n * base^alpha
+        // reaches r + 1. Boundaries never decrease.
+        std::uint64_t b =
+            r == 0 ? first_k_with_uz(1.0)
+                   : std::max(k_pow,
+                              first_k_with_base(std::pow(
+                                  static_cast<double>(r + 1) /
+                                      static_cast<double>(n_),
+                                  1.0 - theta_)));
+        b = std::max(lo, b);
+        // Exact local search. Its last two evaluations are the side
+        // checks rank_of(b) > r and rank_of(b - 1) <= r. b >= 1 holds
+        // throughout, because rank_of(0) == 0.
+        int steps = 0;
+        for (; b < kDraws && steps <= kMaxSearchSteps; ++steps) {
+            if (rank_of(unit(b)) <= r) {
+                b = next_run(b);
+                continue;
+            }
+            if (rank_of(unit(b - 1)) <= r)
+                break;
+            b = run_start(b - 1);
         }
+        if (b >= kDraws)
+            break;  // No drawable u reaches rank r+1; stop early.
+        if (steps > kMaxSearchSteps || b < lo) {
+            ok = false;
+            break;
+        }
+        cells_.push_back(static_cast<std::uint32_t>(b >> kCellShift));
+        lo = b;
+    }
+    const std::uint64_t ranks = cells_.size();
+    if (!ok || ranks == 0) {
+        cells_ = {};
+        return;
+    }
+
+    // A table reaching rank n-1 answers every draw; one stopping short
+    // leaves draws past its last boundary to the closed form.
+    closed_from_ = ranks == n_ - 1 ? n_ : ranks;
+    const std::uint64_t span = ranks == n_ - 1 ? kDraws : lo;
+    cells_.push_back(std::numeric_limits<std::uint32_t>::max());
+
+    // About two guide buckets per rank, so a bucket holds a handful of
+    // boundaries even where the tail packs them densest.
+    const int guide_bits =
+        std::min(kMaxGuideBits, static_cast<int>(std::bit_width(ranks)) + 1);
+    guide_shift_ = 53 - guide_bits;
+    guide_.resize(std::size_t{1} << guide_bits);
+    std::uint64_t r = 0;
+    for (std::size_t g = 0; g < guide_.size(); ++g) {
+        const std::uint64_t first_cell = std::uint64_t{g}
+                                         << (guide_shift_ - kCellShift);
+        while (cells_[r] < first_cell)
+            ++r;
+        guide_[g] = static_cast<std::uint16_t>(r);
+    }
+
+    // The closed form answers a draw in a boundary's own cell, so the
+    // table's answer is checked on the first draw past each boundary's
+    // cell, where it must count that boundary, and on a seeded random
+    // spray under its span. tests/test_diff_model.cpp additionally
+    // cross-checks millions of live draws.
+    for (std::uint64_t i = 0; i < ranks && ok; ++i) {
+        const std::uint64_t k = (std::uint64_t{cells_[i]} + 1) << kCellShift;
+        ok = k >= kDraws || lookup(k) == rank_of(unit(k));
+    }
+    Rng probe(0x5a1fb00c0ffee123ull);
+    const std::uint64_t probes = spray_probes(unit(span));
+    for (std::uint64_t i = 0; i < probes && ok; ++i) {
+        const std::uint64_t k = probe.next_below(span);
+        ok = lookup(k) == rank_of(unit(k));
     }
     if (!ok) {
-        boundaries_.clear();
-        bucket_start_.clear();
-        bucket_scale_ = 0.0;
+        cells_ = {};
+        guide_ = {};
+        closed_from_ = 0;
     }
-}
-
-ScrambledZipfianGenerator::ScrambledZipfianGenerator(std::uint64_t n,
-                                                     double theta)
-    : base_(n, theta), n_(n)
-{
-}
-
-std::uint64_t
-ScrambledZipfianGenerator::next(Rng& rng)
-{
-    std::uint64_t rank = base_.next(rng);
-    // FNV-1a style scramble of the rank, folded back into [0, n).
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    h = (h ^ rank) * 0x100000001b3ull;
-    h ^= h >> 33;
-    return h % n_;
 }
 
 }  // namespace artmem

@@ -7,18 +7,22 @@
  * Pareto distribution (ArtMem paper Section 4.3, citing [8, 10]).
  *
  * The sampler's semantics are the Gray et al. closed form (rank_of()).
- * Because that form costs one libm pow() per draw and workload
- * generation dominates simulator wall time (DESIGN.md §9), construction
- * additionally builds an inverse-CDF boundary table for the hottest
- * ranks: boundary[r] is the bitwise-smallest double u for which the
- * closed form returns a rank > r, found by bisection over the double
- * bit space and verified against the closed form at and around every
- * boundary. A draw that lands inside the table indexes a uniform
- * bucket grid for a start rank and linearly scans at most a couple of
- * boundaries; any other draw (and any table whose verification failed)
- * takes the closed form. Both paths return bit-identical ranks for
- * every representable u — enforced by tests/test_diff_model.cpp, which
- * cross-checks millions of draws.
+ * That form costs one libm pow() per draw, and workload generation
+ * dominates simulator wall time (DESIGN.md §9), so a generator that
+ * draws often enough switches to an exact rank table. A draw is the
+ * 53-bit integer k behind Rng::next_double() (u = k * 2^-53 exactly).
+ * Boundary r of the table is the smallest k whose closed-form rank
+ * exceeds r, so the rank of k is the number of boundaries <= k: one
+ * guide-array load and a short scan over the boundaries' top 32 bits.
+ * A draw that shares those bits with a boundary could fall on either
+ * side of it, so the closed form answers it. Building the table costs
+ * about as much as 7 closed-form draws per rank, so the generator pays
+ * the closed form per draw until the draws the table would have served
+ * add up to that cost, then builds it (ski rental). The build checks
+ * every boundary and a seeded random spray against the closed form and
+ * drops the table on any mismatch. Table and closed form return the same
+ * rank for every draw, enforced by tests/test_diff_model.cpp, so
+ * neither the table nor the moment it is built changes any output.
  */
 #ifndef ARTMEM_UTIL_ZIPF_HPP
 #define ARTMEM_UTIL_ZIPF_HPP
@@ -48,10 +52,10 @@ class ZipfianGenerator
     std::uint64_t
     next(Rng& rng)
     {
-        const double u = rng.next_double();
-        if (!boundaries_.empty() && u < boundaries_.back())
-            return rank_from_table(u);
-        return rank_of(u);
+        // The integer behind Rng::next_double(), which it consumes
+        // identically.
+        const std::uint64_t k = rng.next() >> 11;
+        return cells_.empty() ? rent(k) : lookup(k);
     }
 
     /**
@@ -67,33 +71,56 @@ class ZipfianGenerator
     /** Skew exponent. */
     double theta() const { return theta_; }
 
-    /** Ranks covered by the verified fast-path table (0 if disabled). */
-    std::size_t table_ranks() const { return boundaries_.size(); }
+    /** Ranks covered by the verified table (0 until it is built). */
+    std::size_t
+    table_ranks() const
+    {
+        return cells_.empty() ? 0 : cells_.size() - 1;
+    }
+
+    /**
+     * Closed-form draws the table would have served that this generator
+     * takes before building it: the build's cost, measured in such
+     * draws. Fixed at construction.
+     */
+    std::uint64_t table_price() const { return price_; }
 
   private:
+    /** A draw's cell is its top 32 bits: k >> kCellShift. */
+    static constexpr int kCellShift = 21;
+
     static double zeta(std::uint64_t n, double theta);
+
+    /** The unit draw of 53-bit integer @p k, as Rng::next_double(). */
+    static double
+    unit(std::uint64_t k)
+    {
+        return static_cast<double>(k) * 0x1.0p-53;
+    }
+
+    /** The closed form's pow() base for unit draw @p u. */
+    double base_of(double u) const { return eta_ * u - eta_ + 1.0; }
+
+    /** Closed-form draw before the table exists; pays toward it. */
+    std::uint64_t rent(std::uint64_t k);
 
     void build_table();
 
     /**
-     * Table lookup for u < boundaries_.back(). The bucket grid gives a
-     * start rank; the scan below is correct for any start hint (it
-     * walks to the exact upper bound in both directions), so floating
-     * rounding in the bucket index cannot change the result — only add
-     * a step to the scan.
+     * Table draw: the guide gives the rank at the left edge of k's
+     * bucket, and the scan counts the boundaries in cells below k's.
+     * The last entry of cells_ is a sentinel no cell exceeds. The closed
+     * form answers a draw in a boundary's own cell, and one past the
+     * last boundary of a table that stops short of rank n-1.
      */
     std::uint64_t
-    rank_from_table(double u) const
+    lookup(std::uint64_t k) const
     {
-        auto b = static_cast<std::size_t>(u * bucket_scale_);
-        if (b >= bucket_start_.size())
-            b = bucket_start_.size() - 1;
-        std::size_t r = bucket_start_[b];
-        while (r > 0 && boundaries_[r - 1] > u)
-            --r;
-        while (r < boundaries_.size() && boundaries_[r] <= u)
+        std::uint64_t r = guide_[k >> guide_shift_];
+        const auto cell = static_cast<std::uint32_t>(k >> kCellShift);
+        while (cells_[r] < cell)
             ++r;
-        return r;
+        return cells_[r] == cell || r >= closed_from_ ? rank_of(unit(k)) : r;
     }
 
     std::uint64_t n_;
@@ -104,30 +131,22 @@ class ZipfianGenerator
     double zeta2theta_;
     /** 1.0 + 0.5^theta, the rank-1 cutoff of the closed form. */
     double threshold12_;
-    /** boundaries_[r]: smallest u whose closed-form rank exceeds r. */
-    std::vector<double> boundaries_;
-    /** Per-bucket start rank over a uniform u grid covering the table. */
-    std::vector<std::uint16_t> bucket_start_;
-    /** Buckets per unit u: bucket_start_.size() / boundaries_.back(). */
-    double bucket_scale_ = 0.0;
-};
-
-/**
- * A "scrambled" Zipfian: Zipfian ranks hashed across the key space, so
- * the popular items are spread uniformly over the address range, as in
- * YCSB's ScrambledZipfianGenerator.
- */
-class ScrambledZipfianGenerator
-{
-  public:
-    ScrambledZipfianGenerator(std::uint64_t n, double theta = 0.99);
-
-    /** Draw the next item id in [0, n). */
-    std::uint64_t next(Rng& rng);
-
-  private:
-    ZipfianGenerator base_;
-    std::uint64_t n_;
+    /**
+     * Draws of a rank below this are ones the table would serve and
+     * pay toward it; 0 once the table is built or if it never will be.
+     */
+    std::uint64_t rent_below_ = 0;
+    /** Build cost in closed-form draws (see table_price()). */
+    std::uint64_t price_ = 0;
+    /** Closed-form draws left to pay before the table is built. */
+    std::uint64_t rent_left_ = 0;
+    /** cells_[r]: the cell of the smallest k whose rank exceeds r. */
+    std::vector<std::uint32_t> cells_;
+    /** guide_[g]: boundaries in cells below bucket g's first cell. */
+    std::vector<std::uint16_t> guide_;
+    int guide_shift_ = 0;
+    /** Table ranks at or above this are answered by the closed form. */
+    std::uint64_t closed_from_ = 0;
 };
 
 }  // namespace artmem

@@ -77,6 +77,20 @@ TraceReplay::TraceReplay(const std::string& path)
         fatal("TraceReplay: not an ArtMem trace: ", path);
     if (header.version != kVersion)
         fatal("TraceReplay: unsupported version ", header.version);
+    // Both fields size what follows, so check them against the file
+    // before shifting or allocating by them.
+    if (header.page_size_log2 >= 64)
+        fatal("TraceReplay: ", path, ": header page_size_log2 ",
+              header.page_size_log2, " is not below 64");
+    in.seekg(0, std::ios::end);
+    const auto payload =
+        static_cast<std::uint64_t>(in.tellg()) - sizeof(header);
+    in.seekg(sizeof(header), std::ios::beg);
+    if (payload % sizeof(PageId) != 0 ||
+        header.count != payload / sizeof(PageId))
+        fatal("TraceReplay: ", path, ": header count ", header.count,
+              " does not match the ", payload,
+              " bytes of accesses after the header");
     footprint_ = header.footprint;
     page_size_ = Bytes{1} << header.page_size_log2;
     accesses_.resize(header.count);

@@ -31,8 +31,8 @@
  *     histogram/std::list models while consuming a batched run's
  *     drained samples.
  *
- * Plus the Zipf fast path: the bucket-table rank lookup must agree with
- * the Gray et al. closed form on every draw.
+ * Plus the Zipf fast path: the rank-table lookup must agree with the
+ * Gray et al. closed form on every draw.
  */
 #include <gtest/gtest.h>
 
@@ -712,26 +712,30 @@ TEST(DiffModel, EmaBinsAndLruListsMatchNaiveModels)
 }
 
 // ---------------------------------------------------------------------
-// Zipf fast path: bucket-table lookup vs the closed form.
+// Zipf fast path: rank-table lookup vs the closed form.
 // ---------------------------------------------------------------------
 
 TEST(DiffModel, ZipfTableMatchesClosedFormOnEveryDraw)
 {
-    // Two generators' parameter spaces: small n (table covers all
-    // ranks) and the paper-scale skews. Two identically seeded RNGs
-    // consume the same uniform u: one feeds the table-backed next(),
-    // one the closed form directly.
+    // Small n (the table covers every rank), paper-scale skews, and the
+    // (n, theta) each workload builds at its default page size: ycsb,
+    // ycsb_w, btree, cc, sssp and pr. Two identically seeded RNGs
+    // consume the same uniform u: one feeds next(), which pays the
+    // closed form until it builds the table, one the closed form
+    // directly.
     const struct {
         std::uint64_t n;
         double theta;
     } cases[] = {
         {100, 0.99}, {4096, 0.99}, {4096, 0.5}, {1u << 20, 0.9},
+        // ycsb, ycsb_w, btree, cc, sssp, pr.
+        {14745, 0.99}, {13107, 0.999}, {65536, 0.2}, {35328, 0.9},
+        {11468, 0.55}, {12800, 0.75},
     };
     for (const auto& c : cases) {
         SCOPED_TRACE(testing::Message()
                      << "n=" << c.n << " theta=" << c.theta);
         ZipfianGenerator zipf(c.n, c.theta);
-        ASSERT_GT(zipf.table_ranks(), 0u);
         Rng fast(91);
         Rng oracle(91);
         for (int i = 0; i < 2000000; ++i) {
@@ -740,7 +744,23 @@ TEST(DiffModel, ZipfTableMatchesClosedFormOnEveryDraw)
             const std::uint64_t got = zipf.next(fast);
             ASSERT_EQ(got, want) << "draw " << i << " u=" << u;
         }
+        // The table was built partway through and served the rest.
+        ASSERT_GT(zipf.table_ranks(), 0u);
     }
+}
+
+TEST(DiffModel, ZipfTableNotBuiltBeforeItsPriceIsPaid)
+{
+    // ycsb's shape: every draw is one the table would serve, so the
+    // table appears on exactly the draw that pays its price.
+    ZipfianGenerator zipf(14745, 0.99);
+    ASSERT_GT(zipf.table_price(), 0u);
+    Rng rng(7);
+    for (std::uint64_t i = 0; i + 1 < zipf.table_price(); ++i)
+        (void)zipf.next(rng);
+    EXPECT_EQ(zipf.table_ranks(), 0u);
+    (void)zipf.next(rng);
+    EXPECT_EQ(zipf.table_ranks(), 14744u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <ostream>
 #include <vector>
 
 #include "workloads/btree.hpp"
@@ -57,6 +58,19 @@ struct SkewCase {
     /** ...and at most this much (sanity against degenerate spikes). */
     double max_top_decile_share;
 };
+
+/**
+ * Prints a case by value. gtest's default dump of the raw bytes would
+ * include the address of the workload string, which ASLR moves on
+ * every run, so the test names that ctest discovers would change with
+ * every build.
+ */
+void
+PrintTo(const SkewCase& c, std::ostream* os)
+{
+    *os << '{' << c.workload << ", " << c.min_top_decile_share << ", "
+        << c.max_top_decile_share << '}';
+}
 
 class WorkloadSkew : public ::testing::TestWithParam<SkewCase>
 {

@@ -413,6 +413,47 @@ TEST(Trace, ReplayRejectsGarbage)
     EXPECT_EXIT(TraceReplay{path}, ::testing::ExitedWithCode(1), "");
 }
 
+/**
+ * Writes a version-1 trace header with the given fields, followed by
+ * two u32 page ids, and returns its path.
+ */
+std::string
+write_trace_with_header(const char* name, std::uint32_t page_size_log2,
+                        std::uint64_t count)
+{
+    const std::string path = ::testing::TempDir() + "/" + name;
+    std::ofstream out(path, std::ios::binary);
+    const std::uint32_t version = 1;
+    const std::uint64_t footprint = 1ull << 30;
+    const std::uint32_t pages[2] = {0, 1};
+    out.write("ARTMEMTR", 8);
+    out.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    out.write(reinterpret_cast<const char*>(&page_size_log2),
+              sizeof(page_size_log2));
+    out.write(reinterpret_cast<const char*>(&footprint), sizeof(footprint));
+    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    out.write(reinterpret_cast<const char*>(pages), sizeof(pages));
+    return path;
+}
+
+TEST(Trace, ReplayRejectsPageSizeShiftOf64)
+{
+    const std::string path =
+        write_trace_with_header("artmem_shift64.bin", 64, 2);
+    EXPECT_EXIT(TraceReplay{path}, ::testing::ExitedWithCode(1),
+                "artmem_shift64.bin: header page_size_log2 64");
+}
+
+TEST(Trace, ReplayRejectsCountBeyondFile)
+{
+    // 2^61 accesses would ask for 8 EiB; the file holds two.
+    const std::string path =
+        write_trace_with_header("artmem_bigcount.bin", 21, 1ull << 61);
+    EXPECT_EXIT(TraceReplay{path}, ::testing::ExitedWithCode(1),
+                "artmem_bigcount.bin: header count 2305843009213693952 "
+                "does not match the 8 bytes");
+}
+
 TEST(Simple, UniformCoversSpace)
 {
     UniformRandom gen(16 * kPage, kPage, 16000, 3);
