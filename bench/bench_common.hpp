@@ -75,18 +75,17 @@ struct BenchOptions {
         }
         BenchOptions opt;
         if (args.has("accesses")) {
-            opt.accesses = static_cast<std::uint64_t>(args.get_int(
-                "accesses", static_cast<long long>(default_accesses)));
+            opt.accesses = args.get_uint("accesses", default_accesses);
         } else {
             opt.accesses = default_accesses;
             if (args.get_bool("quick", false))
                 opt.accesses /= 4;
         }
-        opt.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+        opt.seed = args.get_uint<std::uint64_t>("seed", 42);
         opt.csv = args.get_bool("csv", false);
         opt.json = args.get_bool("json", false);
-        opt.jobs = static_cast<unsigned>(args.get_int("jobs", 0));
-        opt.shards = static_cast<unsigned>(args.get_int("shards", 0));
+        opt.jobs = args.get_uint<unsigned>("jobs", 0);
+        opt.shards = args.get_uint<unsigned>("shards", 0);
         const std::string merge = args.get_string("merge", "parallel");
         if (merge == "parallel")
             opt.parallel_merge = true;

@@ -38,7 +38,7 @@ main(int argc, char** argv)
     const auto args = CliArgs::parse(argc, argv);
     const std::string workload = args.get_string("workload", "ycsb");
     const auto fault_seed =
-        static_cast<std::uint64_t>(args.get_int("fault-seed", 1));
+        args.get_uint<std::uint64_t>("fault-seed", 1);
     const bool with_tx = args.get_bool("tx", false);
 
     std::vector<std::string_view> scenarios;

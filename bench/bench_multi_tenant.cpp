@@ -73,11 +73,11 @@ main(int argc, char** argv)
     const std::string mix = args.get_string("mix", "s2,ycsb,s3,btree");
     const double quota_share = args.get_double("quota-share", 0.0);
     const auto admission_rate =
-        static_cast<std::uint64_t>(args.get_int("admission-rate", 8));
+        args.get_uint<std::uint64_t>("admission-rate", 8);
     const double admission_target =
         args.get_double("admission-target", 0.6);
     const auto admission_max =
-        static_cast<std::uint64_t>(args.get_int("admission-max", 64));
+        args.get_uint<std::uint64_t>("admission-max", 64);
 
     std::cout << "Multi-tenant serving: mix=" << mix
               << " ratio=1:4 accesses=" << opt.accesses

@@ -209,7 +209,9 @@ BM_SimTelemetry(benchmark::State& state)
 BENCHMARK(BM_SimTelemetry)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void
-BM_SimThroughput(benchmark::State& state, const char* workload)
+BM_SimThroughput(benchmark::State& state, const char* workload,
+                 const char* policy = "artmem",
+                 sim::RatioSpec ratio = {1, 4})
 {
     // End-to-end accesses/sec through the batched hot path (DESIGN.md
     // §9): workload generation, TieredMachine::access_batch, PEBS
@@ -218,8 +220,8 @@ BM_SimThroughput(benchmark::State& state, const char* workload)
     // scripts/check_perf.sh.
     sim::RunSpec spec;
     spec.workload = workload;
-    spec.policy = "artmem";
-    spec.ratio = {1, 4};
+    spec.policy = policy;
+    spec.ratio = ratio;
     spec.accesses = 2000000;
     spec.seed = 42;
     for (auto _ : state) {
@@ -232,6 +234,14 @@ BM_SimThroughput(benchmark::State& state, const char* workload)
 BENCHMARK_CAPTURE(BM_SimThroughput, ycsb, "ycsb")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SimThroughput, s2, "s2")
+    ->Unit(benchmark::kMillisecond);
+// A baseline policy at the smallest fast tier: AutoTiering's exchange
+// pass searches for a cold victim on every queued hint fault, and at
+// 1:16 only one page in 17 is fast, so a victim search that walks the
+// page ring instead of the fast-page index shows here (DESIGN.md,
+// "AutoTiering's fast-page index").
+BENCHMARK_CAPTURE(BM_SimThroughput, s2_autotiering_1_16, "s2",
+                  "autotiering", sim::RatioSpec{1, 16})
     ->Unit(benchmark::kMillisecond);
 
 void

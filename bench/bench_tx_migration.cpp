@@ -36,9 +36,9 @@ main(int argc, char** argv)
     const std::string workload = args.get_string("workload", "ycsb_w");
     const double write_ratio = args.get_double("write-ratio", 0.02);
     const auto tx_seed =
-        static_cast<std::uint64_t>(args.get_int("tx-seed", 1));
+        args.get_uint<std::uint64_t>("tx-seed", 1);
     const auto fault_seed =
-        static_cast<std::uint64_t>(args.get_int("fault-seed", 1));
+        args.get_uint<std::uint64_t>("fault-seed", 1);
 
     std::cout << "Transactional migration: workload=" << workload
               << " ratio=1:4 accesses=" << opt.accesses

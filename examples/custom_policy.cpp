@@ -84,9 +84,8 @@ main(int argc, char** argv)
     const auto args = CliArgs::parse(argc, argv);
     sim::RunSpec spec;
     spec.workload = args.get_string("workload", "s1");
-    spec.accesses = static_cast<std::uint64_t>(
-        args.get_int("accesses", 4000000));
-    spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+    spec.accesses = args.get_uint<std::uint64_t>("accesses", 4000000);
+    spec.seed = args.get_uint<std::uint64_t>("seed", 42);
     spec.ratio = {1, 2};
 
     std::cout << "Custom policy vs ArtMem on " << spec.workload

@@ -21,10 +21,9 @@ main(int argc, char** argv)
 {
     using namespace artmem;
     const auto args = CliArgs::parse(argc, argv);
-    const auto accesses = static_cast<std::uint64_t>(
-        args.get_int("accesses", 4000000));
+    const auto accesses = args.get_uint<std::uint64_t>("accesses", 4000000);
     const std::string baseline = args.get_string("baseline", "autonuma");
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+    const auto seed = args.get_uint<std::uint64_t>("seed", 42);
 
     const std::vector<sim::RatioSpec> ratios = {{1, 1}, {1, 4}, {1, 16}};
 

@@ -26,9 +26,8 @@ main(int argc, char** argv)
     sim::RunSpec spec;
     spec.workload = "ycsb";
     spec.policy = "artmem";
-    spec.accesses = static_cast<std::uint64_t>(
-        args.get_int("accesses", 6000000));
-    spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+    spec.accesses = args.get_uint<std::uint64_t>("accesses", 6000000);
+    spec.seed = args.get_uint<std::uint64_t>("seed", 42);
     spec.engine.record_timeline = true;
 
     const std::string ratio = args.get_string("ratio", "1:4");

@@ -41,7 +41,7 @@ main(int argc, char** argv)
 
     const auto cfg = KvConfig::load(args.positional()[0]);
     auto spec = workloads::Masim::parse_spec(cfg);
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+    const auto seed = args.get_uint<std::uint64_t>("seed", 42);
 
     constexpr Bytes kPage = 2ull << 20;
     workloads::Masim gen(spec, kPage, seed);

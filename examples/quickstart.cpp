@@ -19,9 +19,8 @@ main(int argc, char** argv)
 
     sim::RunSpec spec;
     spec.workload = args.get_string("workload", "ycsb");
-    spec.accesses = static_cast<std::uint64_t>(
-        args.get_int("accesses", 4000000));
-    spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+    spec.accesses = args.get_uint<std::uint64_t>("accesses", 4000000);
+    spec.seed = args.get_uint<std::uint64_t>("seed", 42);
 
     const std::string ratio = args.get_string("ratio", "1:4");
     const auto colon = ratio.find(':');

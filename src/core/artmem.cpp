@@ -364,8 +364,8 @@ ArtMem::demote_for_room(std::size_t need)
     std::size_t scanned = 0;
     while (demoted < need && scanned < pages) {
         const PageId page = cold_scan_cursor_;
-        cold_scan_cursor_ =
-            static_cast<PageId>((cold_scan_cursor_ + 1) % pages);
+        if (++cold_scan_cursor_ == pages)
+            cold_scan_cursor_ = 0;
         ++scanned;
         if (m.is_allocated(page) && m.tier_of_unchecked(page) == Tier::kFast &&
             lists_->where(page) == lru::ListId::kNone && !backed_off(page) &&

@@ -95,7 +95,9 @@ parse_fault_config(const KvConfig& config)
     FaultConfig fc;
     // Millisecond-denominated window keys are scaled to simulated ns.
     const auto ms = [&](const std::string& key) {
-        return static_cast<SimTimeNs>(config.get_int(key, 0)) * 1000000;
+        constexpr SimTimeNs kNsPerMs = 1000000;
+        return config.get_uint<SimTimeNs>(key, 0, ~SimTimeNs{0} / kNsPerMs) *
+               kNsPerMs;
     };
     static const char* kKnown[] = {
         "fault.seed",
@@ -125,7 +127,7 @@ parse_fault_config(const KvConfig& config)
         if (!known)
             fatal("fault config: unknown key '", key, "'");
     }
-    fc.seed = static_cast<std::uint64_t>(config.get_int("fault.seed", 1));
+    fc.seed = config.get_uint<std::uint64_t>("fault.seed", 1);
     fc.pinned_fraction = config.get_double("fault.pinned_fraction", 0.0);
     fc.transient_rate = config.get_double("fault.transient_rate", 0.0);
     fc.contended_rate = config.get_double("fault.contended_rate", 0.0);

@@ -44,10 +44,9 @@ parse_tx_config(const KvConfig& config)
             fatal("tx config: unknown key '", key, "'");
     }
     tc.enabled = config.get_bool("tx.enabled", false);
-    tc.seed = static_cast<std::uint64_t>(config.get_int("tx.seed", 1));
+    tc.seed = config.get_uint<std::uint64_t>("tx.seed", 1);
     tc.write_ratio = config.get_double("tx.write_ratio", 0.0);
-    tc.max_inflight = static_cast<std::size_t>(
-        config.get_int("tx.max_inflight", 64));
+    tc.max_inflight = config.get_uint<std::size_t>("tx.max_inflight", 64);
     tc.non_exclusive = config.get_bool("tx.non_exclusive", true);
     tc.validate();
     return tc;

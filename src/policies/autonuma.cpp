@@ -50,9 +50,10 @@ AutoNuma::on_tick(SimTimeNs now)
     window = std::max<std::size_t>(window, 1);
     for (std::size_t i = 0; i < window; ++i) {
         const PageId page = scan_cursor_;
-        scan_cursor_ = static_cast<PageId>((scan_cursor_ + 1) % pages);
-        if (scan_cursor_ == 0)
+        if (++scan_cursor_ == pages) {
+            scan_cursor_ = 0;
             ++sweep_;  // full pass completed
+        }
         if (m.is_allocated(page))
             m.set_trap(page);
     }
@@ -74,10 +75,11 @@ AutoNuma::demote_to_watermark()
     std::size_t scanned = 0;
     while (m.free_pages(memsim::Tier::kFast) < target && scanned < pages) {
         const PageId page = demote_cursor_;
-        demote_cursor_ = static_cast<PageId>((demote_cursor_ + 1) % pages);
+        if (++demote_cursor_ == pages)
+            demote_cursor_ = 0;
         ++scanned;
         if (!m.is_allocated(page) ||
-            m.tier_of(page) != memsim::Tier::kFast) {
+            m.tier_of_unchecked(page) != memsim::Tier::kFast) {
             continue;
         }
         if (!m.test_and_clear_accessed(page)) {

@@ -14,6 +14,8 @@ AutoTiering::init(memsim::TieredMachine& machine)
         ScanThrottle(config_.scan_fraction, config_.target_faults_per_tick);
     scan_cursor_ = 0;
     victim_cursor_ = 0;
+    fast_index_.clear();
+    fast_index_valid_ = false;
     machine.set_fault_handler(
         [this](PageId page, memsim::Tier tier) { on_hint_fault(page, tier); });
 }
@@ -51,7 +53,8 @@ AutoTiering::on_tick(SimTimeNs now)
                                     throttle_.tick()));
     for (std::size_t i = 0; i < window; ++i) {
         const PageId page = scan_cursor_;
-        scan_cursor_ = static_cast<PageId>((scan_cursor_ + 1) % pages);
+        if (++scan_cursor_ == pages)
+            scan_cursor_ = 0;
         if (m.is_allocated(page))
             m.set_trap(page);
     }
@@ -61,28 +64,85 @@ AutoTiering::on_tick(SimTimeNs now)
 PageId
 AutoTiering::find_cold_fast_page()
 {
-    // Sampled min-scan over fast-tier pages by fault count.
+    // Sampled min-scan over fast-tier pages by fault count: the first
+    // victim_scan fast pages in ring order from victim_cursor_, read
+    // from the index rather than walked page by page. Exactness
+    // contract (tests/test_diff_model.cpp): the victim is the first
+    // strict minimum in ring order; the cursor ends one past the last
+    // page examined, or where it started when the tier holds fewer than
+    // victim_scan pages (the walk went full circle); scan_cost_ns is
+    // charged per fast page examined.
     auto& m = machine();
-    const std::size_t pages = m.page_count();
+    if (!fast_index_valid_) {
+        fast_index_.clear();
+        const std::size_t pages = m.page_count();
+        for (PageId page = 0; page < pages; ++page) {
+            if (m.is_allocated(page) &&
+                m.tier_of_unchecked(page) == memsim::Tier::kFast) {
+                fast_index_.push_back(page);
+            }
+        }
+        fast_index_valid_ = true;
+    }
+    const std::size_t n = fast_index_.size();
+    const std::size_t examined = std::min(config_.victim_scan, n);
+    std::size_t at = static_cast<std::size_t>(
+        std::lower_bound(fast_index_.begin(), fast_index_.end(),
+                         victim_cursor_) -
+        fast_index_.begin());
     PageId coldest = kInvalidPage;
     std::uint32_t coldest_count = ~0u;
-    std::size_t examined = 0;
-    for (std::size_t i = 0; i < pages && examined < config_.victim_scan;
-         ++i) {
-        const PageId page = victim_cursor_;
-        victim_cursor_ = static_cast<PageId>((victim_cursor_ + 1) % pages);
-        if (!m.is_allocated(page) ||
-            m.tier_of(page) != memsim::Tier::kFast) {
-            continue;
+    PageId last = kInvalidPage;
+    for (std::size_t i = 0; i < examined; ++i) {
+        if (at == n)
+            at = 0;
+        last = fast_index_[at++];
+        if (fault_count_[last] < coldest_count) {
+            coldest_count = fault_count_[last];
+            coldest = last;
         }
-        ++examined;
-        if (fault_count_[page] < coldest_count) {
-            coldest_count = fault_count_[page];
-            coldest = page;
-        }
+    }
+    if (examined > 0 && examined == config_.victim_scan) {
+        victim_cursor_ = last + 1;
+        if (victim_cursor_ == m.page_count())
+            victim_cursor_ = 0;
     }
     m.charge_overhead(examined * config_.scan_cost_ns);
     return coldest;
+}
+
+memsim::MigrationResult
+AutoTiering::migrate_tracked(PageId page, memsim::Tier dst)
+{
+    const auto result = machine().migrate(page, dst);
+    resync(page);
+    return result;
+}
+
+memsim::MigrationResult
+AutoTiering::exchange_tracked(PageId a, PageId b)
+{
+    const auto result = machine().exchange(a, b);
+    resync(a);
+    resync(b);
+    return result;
+}
+
+void
+AutoTiering::resync(PageId page)
+{
+    if (!fast_index_valid_)
+        return;
+    const auto& m = machine();
+    const bool fast = m.is_allocated(page) &&
+                      m.tier_of_unchecked(page) == memsim::Tier::kFast;
+    const auto it =
+        std::lower_bound(fast_index_.begin(), fast_index_.end(), page);
+    const bool indexed = it != fast_index_.end() && *it == page;
+    if (fast && !indexed)
+        fast_index_.insert(it, page);
+    else if (!fast && indexed)
+        fast_index_.erase(it);
 }
 
 void
@@ -94,11 +154,11 @@ AutoTiering::on_interval(SimTimeNs now)
         if (exchanged >= config_.exchange_limit)
             break;
         if (!m.is_allocated(page) ||
-            m.tier_of(page) != memsim::Tier::kSlow) {
+            m.tier_of_unchecked(page) != memsim::Tier::kSlow) {
             continue;
         }
         if (m.free_pages(memsim::Tier::kFast) > 0) {
-            const auto result = m.migrate(page, memsim::Tier::kFast);
+            const auto result = migrate_tracked(page, memsim::Tier::kFast);
             if (result.ok() || result.pending())
                 ++exchanged;
             continue;
@@ -110,12 +170,13 @@ AutoTiering::on_interval(SimTimeNs now)
         // victim (a margin of one fault avoids ping-pong between pages
         // of equal heat).
         if (fault_count_[page] > fault_count_[victim] + 1) {
-            const auto result = m.exchange(page, victim);
+            const auto result = exchange_tracked(page, victim);
             if (result.ok() || result.pending())
                 ++exchanged;
         }
     }
     exchange_queue_.clear();
+    fast_index_valid_ = false;
 
     // Age fault counts periodically so ordering follows recent behaviour.
     if (++interval_count_ % config_.decay_every == 0) {

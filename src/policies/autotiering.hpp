@@ -10,6 +10,12 @@
  * by per-page fault counts. Fast at separating clearly hot from clearly
  * cold data; churns on warm data because single faults trigger moves
  * (Table 1: disadvantage "warm data").
+ *
+ * The exchange-victim search is a sampled ring walk over fast-tier
+ * pages. It reads a sorted index of the fast tier instead of visiting
+ * every page of the ring; the index is exact, so the victim, the cursor
+ * and the charged overhead match the walk (DESIGN.md, "AutoTiering's
+ * fast-page index").
  */
 #ifndef ARTMEM_POLICIES_AUTOTIERING_HPP
 #define ARTMEM_POLICIES_AUTOTIERING_HPP
@@ -52,7 +58,15 @@ class AutoTiering final : public Policy
     void on_interval(SimTimeNs now) override;
 
   private:
+    friend struct AutoTieringTestPeer;
+
     PageId find_cold_fast_page();
+    /** migrate() that keeps the fast-page index exact. */
+    memsim::MigrationResult migrate_tracked(PageId page, memsim::Tier dst);
+    /** exchange() that keeps the fast-page index exact. */
+    memsim::MigrationResult exchange_tracked(PageId a, PageId b);
+    /** Re-read @p page's residency into the index, if it is built. */
+    void resync(PageId page);
 
     Config config_;
     std::vector<std::uint32_t> fault_count_;
@@ -61,6 +75,14 @@ class AutoTiering final : public Policy
     PageId scan_cursor_ = 0;
     PageId victim_cursor_ = 0;
     unsigned interval_count_ = 0;
+    /**
+     * Allocated fast-tier pages in ascending order. Built from the
+     * machine at the first victim search of an interval and valid until
+     * the interval ends: inside on_interval only the policy's own
+     * migrate_tracked()/exchange_tracked() calls change a tier.
+     */
+    std::vector<PageId> fast_index_;
+    bool fast_index_valid_ = false;
 };
 
 }  // namespace artmem::policies

@@ -22,9 +22,10 @@ MultiClock::sweep_slow_hand(std::size_t budget)
     std::size_t examined = 0;
     for (std::size_t i = 0; i < pages && examined < budget; ++i) {
         const PageId page = slow_hand_;
-        slow_hand_ = static_cast<PageId>((slow_hand_ + 1) % pages);
+        if (++slow_hand_ == pages)
+            slow_hand_ = 0;
         if (!m.is_allocated(page) ||
-            m.tier_of(page) != memsim::Tier::kSlow) {
+            m.tier_of_unchecked(page) != memsim::Tier::kSlow) {
             continue;
         }
         ++examined;
@@ -63,9 +64,10 @@ MultiClock::sweep_fast_hand(std::size_t budget)
     std::size_t examined = 0;
     for (std::size_t i = 0; i < pages && examined < budget; ++i) {
         const PageId page = fast_hand_;
-        fast_hand_ = static_cast<PageId>((fast_hand_ + 1) % pages);
+        if (++fast_hand_ == pages)
+            fast_hand_ = 0;
         if (!m.is_allocated(page) ||
-            m.tier_of(page) != memsim::Tier::kFast) {
+            m.tier_of_unchecked(page) != memsim::Tier::kFast) {
             continue;
         }
         ++examined;

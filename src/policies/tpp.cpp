@@ -74,9 +74,10 @@ Tpp::feed_lru(std::size_t scan_count)
     const std::size_t pages = m.page_count();
     for (std::size_t i = 0; i < scan_count; ++i) {
         const PageId page = lru_cursor_;
-        lru_cursor_ = static_cast<PageId>((lru_cursor_ + 1) % pages);
+        if (++lru_cursor_ == pages)
+            lru_cursor_ = 0;
         if (!m.is_allocated(page) ||
-            m.tier_of(page) != memsim::Tier::kFast) {
+            m.tier_of_unchecked(page) != memsim::Tier::kFast) {
             continue;
         }
         if (m.test_and_clear_accessed(page)) {
@@ -166,10 +167,12 @@ Tpp::on_tick(SimTimeNs now)
                                     throttle_.tick()));
     for (std::size_t i = 0; i < window; ++i) {
         const PageId page = trap_cursor_;
-        trap_cursor_ = static_cast<PageId>((trap_cursor_ + 1) % pages);
-        if (trap_cursor_ == 0)
+        if (++trap_cursor_ == pages) {
+            trap_cursor_ = 0;
             ++sweep_;
-        if (m.is_allocated(page) && m.tier_of(page) == memsim::Tier::kSlow)
+        }
+        if (m.is_allocated(page) &&
+            m.tier_of_unchecked(page) == memsim::Tier::kSlow)
             m.set_trap(page);
     }
     m.charge_overhead(window * config_.scan_cost_ns);

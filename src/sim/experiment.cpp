@@ -61,11 +61,9 @@ parse_tx_cli(const CliArgs& args)
     }
     if (!tx.enabled)
         return tx;
-    tx.seed = static_cast<std::uint64_t>(
-        args.get_int("tx-seed", static_cast<long long>(tx.seed)));
+    tx.seed = args.get_uint("tx-seed", tx.seed);
     tx.write_ratio = args.get_double("tx-write-ratio", tx.write_ratio);
-    tx.max_inflight = static_cast<std::size_t>(args.get_int(
-        "tx-max-inflight", static_cast<long long>(tx.max_inflight)));
+    tx.max_inflight = args.get_uint("tx-max-inflight", tx.max_inflight);
     tx.non_exclusive = !args.get_bool("tx-exclusive", false);
     tx.validate();
     return tx;

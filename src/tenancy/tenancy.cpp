@@ -99,23 +99,20 @@ parse_tenancy_config(const KvConfig& config)
         if (!known)
             fatal("tenancy config: unknown key '", key, "'");
     }
-    tc.tenants =
-        static_cast<std::uint32_t>(config.get_int("tenancy.tenants", 1));
+    tc.tenants = config.get_uint<std::uint32_t>("tenancy.tenants", 1);
     tc.mix = split_list(config.get_string("tenancy.mix", ""));
     tc.weights = parse_weights(config.get_string("tenancy.weights", ""));
-    tc.quantum = static_cast<std::size_t>(
-        config.get_int("tenancy.quantum", 256));
-    tc.phase_stride = static_cast<std::uint64_t>(
-        config.get_int("tenancy.phase_stride", 0));
-    tc.quota_pages = static_cast<std::size_t>(
-        config.get_int("tenancy.quota_pages", 0));
+    tc.quantum = config.get_uint<std::size_t>("tenancy.quantum", 256);
+    tc.phase_stride =
+        config.get_uint<std::uint64_t>("tenancy.phase_stride", 0);
+    tc.quota_pages = config.get_uint<std::size_t>("tenancy.quota_pages", 0);
     tc.quota_share = config.get_double("tenancy.quota_share", 0.0);
     tc.admission = config.get_string("tenancy.admission", "none");
-    tc.admission_rate = static_cast<std::uint64_t>(
-        config.get_int("tenancy.admission_rate", 64));
+    tc.admission_rate =
+        config.get_uint<std::uint64_t>("tenancy.admission_rate", 64);
     tc.admission_target = config.get_double("tenancy.admission_target", 0.5);
-    tc.admission_max = static_cast<std::uint64_t>(
-        config.get_int("tenancy.admission_max", 256));
+    tc.admission_max =
+        config.get_uint<std::uint64_t>("tenancy.admission_max", 256);
     tc.validate();
     return tc;
 }
@@ -146,27 +143,21 @@ parse_tenancy_cli(const CliArgs& args)
     if (args.has("tenant-config"))
         tc = parse_tenancy_config(
             KvConfig::load(args.get_string("tenant-config", "")));
-    tc.tenants = static_cast<std::uint32_t>(
-        args.get_int("tenants", tc.tenants));
+    tc.tenants = args.get_uint("tenants", tc.tenants);
     if (args.has("tenant-mix"))
         tc.mix = split_list(args.get_string("tenant-mix", ""));
     if (args.has("tenant-weights"))
         tc.weights = parse_weights(args.get_string("tenant-weights", ""));
-    tc.quantum = static_cast<std::size_t>(
-        args.get_int("tenant-quantum", static_cast<long long>(tc.quantum)));
-    tc.phase_stride = static_cast<std::uint64_t>(args.get_int(
-        "tenant-phase-stride", static_cast<long long>(tc.phase_stride)));
-    tc.quota_pages = static_cast<std::size_t>(args.get_int(
-        "tenant-quota", static_cast<long long>(tc.quota_pages)));
+    tc.quantum = args.get_uint("tenant-quantum", tc.quantum);
+    tc.phase_stride = args.get_uint("tenant-phase-stride", tc.phase_stride);
+    tc.quota_pages = args.get_uint("tenant-quota", tc.quota_pages);
     tc.quota_share =
         args.get_double("tenant-quota-share", tc.quota_share);
     tc.admission = args.get_string("admission", tc.admission);
-    tc.admission_rate = static_cast<std::uint64_t>(args.get_int(
-        "admission-rate", static_cast<long long>(tc.admission_rate)));
+    tc.admission_rate = args.get_uint("admission-rate", tc.admission_rate);
     tc.admission_target =
         args.get_double("admission-target", tc.admission_target);
-    tc.admission_max = static_cast<std::uint64_t>(args.get_int(
-        "admission-max", static_cast<long long>(tc.admission_max)));
+    tc.admission_max = args.get_uint("admission-max", tc.admission_max);
     tc.validate();
     return tc;
 }

@@ -56,13 +56,8 @@ long long
 CliArgs::get_int(const std::string& name, long long fallback) const
 {
     auto it = flags_.find(name);
-    if (it == flags_.end())
-        return fallback;
-    char* end = nullptr;
-    const long long parsed = std::strtoll(it->second.c_str(), &end, 0);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("flag --", name, " expects an integer, got '", it->second, "'");
-    return parsed;
+    return it == flags_.end() ? fallback
+                              : parse_int(it->second, "flag --" + name);
 }
 
 double

@@ -6,9 +6,13 @@
 #ifndef ARTMEM_UTIL_CLI_HPP
 #define ARTMEM_UTIL_CLI_HPP
 
+#include <limits>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <vector>
+
+#include "util/config.hpp"
 
 namespace artmem {
 
@@ -26,8 +30,23 @@ class CliArgs
     std::string get_string(const std::string& name,
                            const std::string& fallback) const;
 
-    /** Integer flag with default; fatal if malformed. */
+    /** Integer flag with default; fatal if malformed or out of range. */
     long long get_int(const std::string& name, long long fallback) const;
+
+    /** Unsigned integer flag with default; fatal if malformed, negative
+     *  or above @p max (parse_uint). */
+    template <typename T>
+    T
+    get_uint(const std::string& name, T fallback,
+             T max = std::numeric_limits<T>::max()) const
+    {
+        static_assert(std::is_unsigned_v<T>);
+        auto it = flags_.find(name);
+        return it == flags_.end()
+                   ? fallback
+                   : static_cast<T>(parse_uint(it->second, max,
+                                               "flag --" + name));
+    }
 
     /** Double flag with default; fatal if malformed. */
     double get_double(const std::string& name, double fallback) const;

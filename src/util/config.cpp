@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -25,6 +26,35 @@ trim(std::string_view s)
 }
 
 }  // namespace
+
+long long
+parse_int(const std::string& text, std::string_view what)
+{
+    char* end = nullptr;
+    errno = 0;
+    const long long parsed = std::strtoll(text.c_str(), &end, 0);
+    if (end == text.c_str() || *end != '\0')
+        fatal(what, " expects an integer, got '", text, "'");
+    if (errno == ERANGE)
+        fatal(what, " is out of range: '", text, "'");
+    return parsed;
+}
+
+std::uint64_t
+parse_uint(const std::string& text, std::uint64_t max, std::string_view what)
+{
+    const std::size_t first = text.find_first_not_of(" \t\n\v\f\r");
+    if (first != std::string::npos && text[first] == '-')
+        fatal(what, " must not be negative, got '", text, "'");
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long parsed = std::strtoull(text.c_str(), &end, 0);
+    if (end == text.c_str() || *end != '\0')
+        fatal(what, " expects an unsigned integer, got '", text, "'");
+    if (errno == ERANGE || parsed > max)
+        fatal(what, " is out of range: '", text, "' (max ", max, ")");
+    return parsed;
+}
 
 KvConfig
 KvConfig::parse(std::string_view text)
@@ -102,13 +132,7 @@ long long
 KvConfig::get_int(const std::string& key, long long fallback) const
 {
     auto v = get(key);
-    if (!v)
-        return fallback;
-    char* end = nullptr;
-    const long long parsed = std::strtoll(v->c_str(), &end, 0);
-    if (end == v->c_str() || *end != '\0')
-        fatal("KvConfig: key '", key, "' is not an integer: ", *v);
-    return parsed;
+    return v ? parse_int(*v, "KvConfig: key '" + key + "'") : fallback;
 }
 
 double

@@ -7,13 +7,31 @@
 #ifndef ARTMEM_UTIL_CONFIG_HPP
 #define ARTMEM_UTIL_CONFIG_HPP
 
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace artmem {
+
+/**
+ * Parse all of @p text as an integer (base prefixes as strtoll). fatal()
+ * naming @p what if it is malformed or lies outside long long, which
+ * strtoll would clamp silently.
+ */
+long long parse_int(const std::string& text, std::string_view what);
+
+/**
+ * Parse all of @p text as an unsigned integer no larger than @p max.
+ * fatal() naming @p what if it is malformed, starts with '-' (strtoull
+ * would wrap "-1" to the largest value) or exceeds @p max.
+ */
+std::uint64_t parse_uint(const std::string& text, std::uint64_t max,
+                         std::string_view what);
 
 /** A flat string-to-string configuration map with typed accessors. */
 class KvConfig
@@ -40,8 +58,23 @@ class KvConfig
     std::string get_string(const std::string& key,
                            const std::string& fallback) const;
 
-    /** Integer with default; fatal if present but not parseable. */
+    /** Integer with default; fatal if present but malformed or out of
+     *  range. */
     long long get_int(const std::string& key, long long fallback) const;
+
+    /** Unsigned integer with default; fatal if present but malformed,
+     *  negative or above @p max (parse_uint). */
+    template <typename T>
+    T
+    get_uint(const std::string& key, T fallback,
+             T max = std::numeric_limits<T>::max()) const
+    {
+        static_assert(std::is_unsigned_v<T>);
+        auto v = get(key);
+        return v ? static_cast<T>(parse_uint(*v, max, "KvConfig: key '" +
+                                                           key + "'"))
+                 : fallback;
+    }
 
     /** Double with default; fatal if present but not parseable. */
     double get_double(const std::string& key, double fallback) const;

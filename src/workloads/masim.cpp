@@ -94,7 +94,7 @@ Masim::parse_spec(const KvConfig& config)
     MasimSpec spec;
     spec.name = config.get_string("name", "masim");
     spec.footprint =
-        static_cast<Bytes>(config.get_int("footprint_mib", 0)) << 20;
+        config.get_uint<Bytes>("footprint_mib", 0, ~Bytes{0} >> 20) << 20;
     const long long phase_count = config.get_int("phases", 0);
     if (phase_count <= 0)
         fatal("masim spec: 'phases' must be positive");
@@ -128,8 +128,8 @@ Masim::parse_spec(const KvConfig& config)
     for (long long i = 0; i < phase_count; ++i) {
         const std::string prefix = "phase" + std::to_string(i) + ".";
         MasimPhase phase;
-        phase.accesses = static_cast<std::uint64_t>(
-            config.get_int(prefix + "accesses", 0));
+        phase.accesses =
+            config.get_uint<std::uint64_t>(prefix + "accesses", 0);
         const long long regions = config.get_int(prefix + "regions", 0);
         for (long long r = 0; r < regions; ++r) {
             const auto key = prefix + "region" + std::to_string(r);

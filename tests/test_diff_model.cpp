@@ -31,8 +31,11 @@
  *     histogram/std::list models while consuming a batched run's
  *     drained samples.
  *
- * Plus the Zipf fast path: the rank-table lookup must agree with the
- * Gray et al. closed form on every draw.
+ * Plus two exact fast paths checked against the code they replaced:
+ * the Zipf rank-table lookup must agree with the Gray et al. closed form
+ * on every draw, and AutoTiering's fast-page index must pick the same
+ * exchange victim, leave the same cursor and charge the same scan cost
+ * as the page-ring walk it replaced.
  */
 #include <gtest/gtest.h>
 
@@ -41,6 +44,7 @@
 #include <list>
 #include <memory>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "lru/lru_lists.hpp"
@@ -48,11 +52,40 @@
 #include "memsim/pebs.hpp"
 #include "memsim/sharded_access.hpp"
 #include "memsim/tiered_machine.hpp"
+#include "memsim/tx_migration.hpp"
+#include "policies/autotiering.hpp"
 #include "stats/ema_bins.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
 
 namespace artmem {
+namespace policies {
+
+/** Reaches AutoTiering's victim search and its tracked migrations. */
+struct AutoTieringTestPeer {
+    static PageId find_victim(AutoTiering& p)
+    {
+        return p.find_cold_fast_page();
+    }
+    static memsim::MigrationResult
+    migrate(AutoTiering& p, PageId page, memsim::Tier dst)
+    {
+        return p.migrate_tracked(page, dst);
+    }
+    static memsim::MigrationResult exchange(AutoTiering& p, PageId a,
+                                            PageId b)
+    {
+        return p.exchange_tracked(a, b);
+    }
+    static PageId& cursor(AutoTiering& p) { return p.victim_cursor_; }
+    static std::vector<std::uint32_t>& fault_counts(AutoTiering& p)
+    {
+        return p.fault_count_;
+    }
+};
+
+}  // namespace policies
+
 namespace {
 
 using memsim::FaultConfig;
@@ -761,6 +794,263 @@ TEST(DiffModel, ZipfTableNotBuiltBeforeItsPriceIsPaid)
     EXPECT_EQ(zipf.table_ranks(), 0u);
     (void)zipf.next(rng);
     EXPECT_EQ(zipf.table_ranks(), 14744u);
+}
+
+// ---------------------------------------------------------------------
+// AutoTiering's exchange-victim search: fast-page index vs ring walk.
+// ---------------------------------------------------------------------
+
+/** Where a victim search ended: its pick, its cursor, pages examined. */
+struct VictimSearch {
+    PageId victim = kInvalidPage;
+    PageId cursor = 0;
+    std::size_t examined = 0;
+};
+
+/**
+ * AutoTiering's victim search before the fast-page index, kept verbatim
+ * as the reference: walk the page ring from @p cursor until
+ * @p victim_scan fast pages were seen or the ring went full circle,
+ * keeping the first strict minimum of @p fault_count.
+ */
+VictimSearch
+ring_walk_victim(const TieredMachine& m,
+                 const std::vector<std::uint32_t>& fault_count,
+                 PageId cursor, std::size_t victim_scan)
+{
+    const std::size_t pages = m.page_count();
+    VictimSearch out;
+    std::uint32_t coldest_count = ~0u;
+    for (std::size_t i = 0; i < pages && out.examined < victim_scan; ++i) {
+        const PageId page = cursor;
+        cursor = static_cast<PageId>((cursor + 1) % pages);
+        if (!m.is_allocated(page) || m.tier_of(page) != Tier::kFast)
+            continue;
+        ++out.examined;
+        if (fault_count[page] < coldest_count) {
+            coldest_count = fault_count[page];
+            out.victim = page;
+        }
+    }
+    out.cursor = cursor;
+    return out;
+}
+
+/** Allocated pages resident in @p tier, ascending. */
+std::vector<PageId>
+pages_in(const TieredMachine& m, Tier tier)
+{
+    std::vector<PageId> out;
+    for (PageId p = 0; p < m.page_count(); ++p) {
+        if (m.is_allocated(p) && m.tier_of(p) == tier)
+            out.push_back(p);
+    }
+    return out;
+}
+
+/** A uniformly drawn element of @p from, or kInvalidPage if empty. */
+PageId
+pick(const std::vector<PageId>& from, Rng& rng)
+{
+    return from.empty() ? kInvalidPage : from[rng.next_below(from.size())];
+}
+
+TEST(DiffModel, AutoTieringVictimIndexMatchesRingWalk)
+{
+    // Exactness contract of the index search, against the ring walk on
+    // seeded random residency and fault counts: the same victim (first
+    // strict minimum of the fault count in ring order); the cursor one
+    // past the last page examined, or unchanged when the fast tier
+    // holds fewer than victim_scan pages (the walk went full circle);
+    // scan_cost_ns charged per fast page examined. Residency changes
+    // between searches go through the policy's own migrate/exchange
+    // calls, so a stale index shows on the next search; the window is
+    // then searched again from where the last search started.
+    using policies::AutoTiering;
+    using Peer = policies::AutoTieringTestPeer;
+    enum class Mode { kAtomic, kAborts, kTx };
+    // Coverage: |fast| none / below / equal / above victim_scan, and
+    // each kind of residency change the resync must follow.
+    std::size_t by_size[4] = {};
+    std::size_t exchanged = 0, promoted = 0, demoted = 0, flipped = 0,
+                refused = 0, tx_opened = 0;
+    for (std::uint64_t seed = 1; seed <= 216; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        Rng rng(seed);
+        const auto mode = static_cast<Mode>(seed % 3);
+        static constexpr std::size_t kScans[] = {1, 7, 32};
+        AutoTiering::Config config;
+        config.victim_scan = kScans[(seed / 3) % 3];
+        const std::size_t scan = config.victim_scan;
+        const std::size_t fast_caps[] = {0, scan - 1, scan,
+                                         scan + 1 + rng.next_below(3 * scan)};
+        const std::size_t fast_cap = fast_caps[(seed / 9) % 4];
+        const std::size_t pages = fast_cap + 1 + rng.next_below(4 * scan + 64);
+        MachineConfig mc;
+        mc.page_size = 4096;
+        mc.address_space = pages * mc.page_size;
+        mc.tiers[0].capacity = fast_cap * mc.page_size;
+        mc.tiers[1].capacity = pages * mc.page_size;
+        TieredMachine m(mc);
+        if (mode == Mode::kAborts) {
+            FaultConfig faults;
+            faults.seed = seed;
+            faults.transient_rate = 0.3;
+            faults.pinned_fraction = 0.1;
+            m.install_faults(faults);
+        } else if (mode == Mode::kTx) {
+            memsim::TxConfig tx;
+            tx.enabled = true;
+            tx.seed = seed;
+            m.install_tx(tx);
+        }
+        AutoTiering policy(config);
+        policy.init(m);
+
+        // First touch of a random subset in random order: the first
+        // fast_cap pages touched land in the fast tier.
+        std::vector<PageId> order(pages);
+        for (std::size_t i = 0; i < pages; ++i)
+            order[i] = static_cast<PageId>(i);
+        for (std::size_t i = pages - 1; i > 0; --i)
+            std::swap(order[i], order[rng.next_below(i + 1)]);
+        const std::size_t touched = rng.next_below(pages + 1);
+        for (std::size_t i = 0; i < touched; ++i)
+            (void)m.access(order[i]);
+        auto& counts = Peer::fault_counts(policy);
+        for (auto& c : counts)
+            c = static_cast<std::uint32_t>(rng.next_below(4));
+        if (mode == Mode::kTx) {
+            // Committed demotions leave a clean fast copy behind: these
+            // dual pages promote back by a free flip.
+            for (const PageId p : pages_in(m, Tier::kFast)) {
+                if (rng.next_below(3) == 0)
+                    (void)m.migrate(p, Tier::kSlow);
+            }
+            m.advance(1000000000);
+            m.poll_tx();
+        }
+
+        PageId from = 0;
+        for (int step = 0; step < 48; ++step) {
+            // Place the cursor: at 0, at pages - 1, one past the last
+            // fast page, anywhere, or where the last search left it.
+            auto& cursor = Peer::cursor(policy);
+            const auto fast = pages_in(m, Tier::kFast);
+            switch (rng.next_below(6)) {
+            case 0:
+                cursor = 0;
+                break;
+            case 1:
+                cursor = static_cast<PageId>(pages - 1);
+                break;
+            case 2:
+                cursor = fast.empty() || fast.back() + 1 == pages
+                             ? 0
+                             : fast.back() + 1;
+                break;
+            case 3:
+                cursor = static_cast<PageId>(rng.next_below(pages));
+                break;
+            default:
+                break;
+            }
+            from = cursor;
+            const VictimSearch want =
+                ring_walk_victim(m, counts, from, scan);
+            const SimTimeNs overhead = m.totals().overhead_ns;
+            const PageId victim = Peer::find_victim(policy);
+            ASSERT_EQ(victim, want.victim)
+                << "step " << step << " from " << from;
+            ASSERT_EQ(cursor, want.cursor)
+                << "step " << step << " from " << from;
+            ASSERT_EQ(m.totals().overhead_ns - overhead,
+                      want.examined * config.scan_cost_ns)
+                << "step " << step;
+            if (fast.size() < scan) {
+                ASSERT_EQ(cursor, from) << "step " << step;
+            }
+            ++by_size[fast.empty() ? 0
+                      : fast.size() < scan ? 1
+                      : fast.size() == scan ? 2
+                                            : 3];
+
+            // Change residency through the policy, then search the same
+            // window again.
+            const auto slow = pages_in(m, Tier::kSlow);
+            switch (rng.next_below(5)) {
+            case 0:
+            case 1: {
+                const PageId hot = pick(slow, rng);
+                if (hot == kInvalidPage || victim == kInvalidPage)
+                    break;
+                const auto r = Peer::exchange(policy, hot, victim);
+                exchanged += r.ok();
+                tx_opened += r.pending();
+                refused += !r.ok() && !r.pending();
+                cursor = from;
+                break;
+            }
+            case 2: {
+                // Promote: a dual page flips back for free in tx mode.
+                std::vector<PageId> dual;
+                for (const PageId p : slow) {
+                    if (m.tx_page_dual(p))
+                        dual.push_back(p);
+                }
+                const PageId page = pick(dual.empty() ? slow : dual, rng);
+                if (page == kInvalidPage)
+                    break;
+                const bool was_dual = m.tx_page_dual(page);
+                const auto r = Peer::migrate(policy, page, Tier::kFast);
+                if (r.ok()) {
+                    flipped += was_dual;
+                    promoted += !was_dual;
+                    // Make the new fast page the first one examined.
+                    counts[page] = 0;
+                    cursor = page;
+                } else {
+                    tx_opened += r.pending();
+                    refused += !r.pending();
+                    cursor = from;
+                }
+                break;
+            }
+            case 3: {
+                const PageId page = pick(fast, rng);
+                if (page == kInvalidPage)
+                    break;
+                const auto r = Peer::migrate(policy, page, Tier::kSlow);
+                demoted += r.ok();
+                tx_opened += r.pending();
+                refused += !r.ok() && !r.pending();
+                cursor = from;
+                break;
+            }
+            default:
+                // Interval boundary: new first touches, due commits and
+                // hint faults change residency and counts behind the
+                // policy's back; the next interval indexes afresh.
+                for (int i = 0; i < 3; ++i)
+                    (void)m.access(
+                        static_cast<PageId>(rng.next_below(pages)));
+                m.advance(1000000000);
+                m.poll_tx();
+                for (int i = 0; i < 8; ++i)
+                    ++counts[rng.next_below(pages)];
+                policy.on_interval(m.now());
+                break;
+            }
+        }
+    }
+    for (int i = 0; i < 4; ++i)
+        EXPECT_GT(by_size[i], 0u) << "no search at |fast| class " << i;
+    EXPECT_GT(exchanged, 0u);
+    EXPECT_GT(promoted, 0u);
+    EXPECT_GT(demoted, 0u);
+    EXPECT_GT(flipped, 0u);
+    EXPECT_GT(refused, 0u);
+    EXPECT_GT(tx_opened, 0u);
 }
 
 }  // namespace

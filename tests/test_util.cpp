@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
+#include "memsim/fault_injector.hpp"
+#include "sim/experiment.hpp"
+#include "tenancy/tenancy.hpp"
 #include "util/cli.hpp"
 #include "util/config.hpp"
 #include "util/rng.hpp"
@@ -15,6 +20,7 @@
 #include "util/table.hpp"
 #include "util/types.hpp"
 #include "util/zipf.hpp"
+#include "workloads/masim.hpp"
 
 namespace artmem {
 namespace {
@@ -261,6 +267,110 @@ TEST(CliArgs, ParsesAllForms)
     EXPECT_EQ(args.positional()[0], "positional");
     EXPECT_FALSE(args.has("missing"));
     EXPECT_EQ(args.get_int("missing", 9), 9);
+}
+
+/** Parse a command line given as flags after the program name. */
+CliArgs
+cli(std::vector<const char*> flags)
+{
+    flags.insert(flags.begin(), "prog");
+    return CliArgs::parse(static_cast<int>(flags.size()),
+                          const_cast<char**>(flags.data()));
+}
+
+TEST(CliArgs, UnsignedFlagsParse)
+{
+    const auto args = cli({"--accesses=2000000", "--seed=0x10", "--jobs=+4"});
+    EXPECT_EQ(args.get_uint<std::uint64_t>("accesses", 0), 2000000u);
+    EXPECT_EQ(args.get_uint<std::uint64_t>("seed", 0), 16u);
+    EXPECT_EQ(args.get_uint<unsigned>("jobs", 0), 4u);
+    EXPECT_EQ(args.get_uint<unsigned>("missing", 7), 7u);
+    EXPECT_EQ(cli({"--n=18446744073709551615"})
+                  .get_uint<std::uint64_t>("n", 0),
+              ~std::uint64_t{0});
+}
+
+TEST(CliArgs, IntegerOutOfRangeIsFatal)
+{
+    // strtoll clamps to LLONG_MAX and sets ERANGE; the flag must not run
+    // as a 9.2e18-access simulation.
+    EXPECT_EXIT((void)cli({"--accesses=99999999999999999999"})
+                    .get_int("accesses", 0),
+                ::testing::ExitedWithCode(1), "--accesses is out of range");
+    EXPECT_EXIT((void)cli({"--n=-99999999999999999999"}).get_int("n", 0),
+                ::testing::ExitedWithCode(1), "--n is out of range");
+    EXPECT_EXIT((void)cli({"--accesses=99999999999999999999"})
+                    .get_uint<std::uint64_t>("accesses", 0),
+                ::testing::ExitedWithCode(1), "--accesses is out of range");
+    // Above the destination type: 2^32 would wrap an unsigned to 0.
+    EXPECT_EXIT((void)cli({"--jobs=4294967296"}).get_uint<unsigned>("jobs", 0),
+                ::testing::ExitedWithCode(1), "--jobs is out of range");
+}
+
+TEST(CliArgs, NegativeUnsignedFlagIsFatal)
+{
+    // strtoull would read "-1" as 2^64 - 1 and "-5" as 2^64 - 5.
+    EXPECT_EXIT((void)cli({"--accesses=-1"}).get_uint<std::uint64_t>(
+                    "accesses", 0),
+                ::testing::ExitedWithCode(1),
+                "--accesses must not be negative");
+    EXPECT_EXIT((void)cli({"--seed= -5"}).get_uint<std::uint64_t>("seed", 0),
+                ::testing::ExitedWithCode(1), "--seed must not be negative");
+    EXPECT_EXIT((void)cli({"--seed=x"}).get_uint<std::uint64_t>("seed", 0),
+                ::testing::ExitedWithCode(1), "--seed expects an unsigned");
+}
+
+TEST(CliArgs, LibraryFlagParsersRejectWrappedIntegers)
+{
+    EXPECT_EXIT((void)tenancy::parse_tenancy_cli(cli({"--tenants=-1"})),
+                ::testing::ExitedWithCode(1), "--tenants must not be negative");
+    EXPECT_EXIT((void)tenancy::parse_tenancy_cli(
+                    cli({"--tenants=2", "--tenant-quota=-4"})),
+                ::testing::ExitedWithCode(1),
+                "--tenant-quota must not be negative");
+    EXPECT_EXIT((void)sim::parse_tx_cli(
+                    cli({"--tx-migration", "--tx-max-inflight=-1"})),
+                ::testing::ExitedWithCode(1),
+                "--tx-max-inflight must not be negative");
+}
+
+TEST(KvConfig, IntegerOutOfRangeIsFatal)
+{
+    const auto cfg = KvConfig::parse("big = 99999999999999999999\n"
+                                     "neg = -1\n");
+    EXPECT_EXIT((void)cfg.get_int("big", 0), ::testing::ExitedWithCode(1),
+                "key 'big' is out of range");
+    EXPECT_EXIT((void)cfg.get_uint<std::uint64_t>("neg", 0),
+                ::testing::ExitedWithCode(1), "key 'neg' must not be negative");
+    EXPECT_EQ(cfg.get_int("neg", 0), -1);
+}
+
+TEST(KvConfig, MasimSpecRejectsWrappedIntegers)
+{
+    // phase0.accesses = -1 used to read as 2^64 - 1 accesses (a run
+    // that never ends); footprint_mib = -1 died later with an unrelated
+    // "empty address space".
+    const std::string phase = "phases = 1\n"
+                              "phase0.regions = 1\n"
+                              "phase0.region0 = 0 64 1.0\n";
+    EXPECT_EXIT((void)workloads::Masim::parse_spec(KvConfig::parse(
+                    "footprint_mib = 64\nphase0.accesses = -1\n" + phase)),
+                ::testing::ExitedWithCode(1),
+                "key 'phase0.accesses' must not be negative");
+    EXPECT_EXIT((void)workloads::Masim::parse_spec(KvConfig::parse(
+                    "footprint_mib = -1\nphase0.accesses = 100\n" + phase)),
+                ::testing::ExitedWithCode(1),
+                "key 'footprint_mib' must not be negative");
+    // 2^44 MiB overflows the byte count once shifted.
+    EXPECT_EXIT((void)workloads::Masim::parse_spec(KvConfig::parse(
+                    "footprint_mib = 17592186044416\n"
+                    "phase0.accesses = 100\n" + phase)),
+                ::testing::ExitedWithCode(1),
+                "key 'footprint_mib' is out of range");
+    EXPECT_EXIT((void)memsim::parse_fault_config(
+                    KvConfig::parse("fault.seed = -3\n")),
+                ::testing::ExitedWithCode(1),
+                "key 'fault.seed' must not be negative");
 }
 
 }  // namespace

@@ -61,15 +61,13 @@ parse_spec(const CliArgs& args)
     spec.workload = args.get_string("workload", "ycsb");
     spec.policy = args.get_string("policy", "artmem");
     spec.ratio = parse_ratio(args);
-    spec.accesses =
-        static_cast<std::uint64_t>(args.get_int("accesses", 6000000));
-    spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+    spec.accesses = args.get_uint<std::uint64_t>("accesses", 6000000);
+    spec.seed = args.get_uint<std::uint64_t>("seed", 42);
     spec.engine.check_invariants =
         args.get_bool("check-invariants", false);
     // Sharded access pipeline; 0 = legacy loop, N = N-shard epoch
     // pipeline. Byte-identical output for every value (DESIGN.md §12).
-    spec.engine.shards =
-        static_cast<unsigned>(args.get_int("shards", 0));
+    spec.engine.shards = args.get_uint<unsigned>("shards", 0);
     // Phase-2 merge flavour for sharded runs: "parallel" (default)
     // runs per-lane accumulators with a deterministic fold,
     // "serial" keeps the serial epoch walk as the oracle/escape
@@ -89,14 +87,13 @@ parse_spec(const CliArgs& args)
         fatal("--fault-scenario and --fault-config are mutually exclusive");
     if (!scenario.empty()) {
         spec.engine.faults = memsim::make_fault_scenario(
-            scenario,
-            static_cast<std::uint64_t>(args.get_int("fault-seed", 1)));
+            scenario, args.get_uint<std::uint64_t>("fault-seed", 1));
     } else if (!fault_file.empty()) {
         spec.engine.faults =
             memsim::parse_fault_config(KvConfig::load(fault_file));
         if (args.has("fault-seed")) {
             spec.engine.faults.seed =
-                static_cast<std::uint64_t>(args.get_int("fault-seed", 1));
+                args.get_uint<std::uint64_t>("fault-seed", 1);
         }
     }
 
@@ -334,7 +331,7 @@ cmd_sweep(const CliArgs& args)
         sweepspec.derive_seeds(spec.seed);
 
     sweep::SweepRunner runner(
-        {.jobs = static_cast<unsigned>(args.get_int("jobs", 0)),
+        {.jobs = args.get_uint<unsigned>("jobs", 0),
          .progress = true});
     const auto runs = runner.run(sweepspec);
 
