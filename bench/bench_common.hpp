@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared plumbing for the figure/table bench harnesses: common CLI
- * flags (--accesses, --seed, --quick, --csv, --json, --jobs,
- * --shards), the sweep-runner construction, result emission, and the
- * normalization helpers the figures share.
+ * flags (--accesses, --seed, --quick, --csv, --json, --jobs), the
+ * sweep-runner construction, result emission, and the normalization
+ * helpers the figures share.
  */
 #ifndef ARTMEM_BENCH_COMMON_HPP
 #define ARTMEM_BENCH_COMMON_HPP
@@ -38,14 +38,6 @@ struct BenchOptions {
     bool json = false;
     /** Sweep worker threads (--jobs); 0 = one per hardware thread. */
     unsigned jobs = 0;
-    /** Access-path shards per run (--shards); 0 = legacy loop.
-     *  Byte-identical output for every value, like --jobs
-     *  (scripts/ci.sh diffs a two-way fig7 run). */
-    unsigned shards = 0;
-    /** Phase-2 merge for sharded runs (--merge=parallel|serial);
-     *  parallel is the default, serial the oracle. Byte-identical
-     *  either way. */
-    bool parallel_merge = true;
 
     /**
      * Parse the shared flag set; @p extra_flags names any harness-
@@ -59,20 +51,12 @@ struct BenchOptions {
     {
         const auto args = CliArgs::parse(argc, argv);
         static constexpr std::string_view kShared[] = {
-            "accesses", "seed", "quick", "csv", "json", "jobs", "shards",
-            "merge"};
-        for (const auto& name : args.flag_names()) {
-            const bool known =
-                std::find(std::begin(kShared), std::end(kShared), name) !=
-                    std::end(kShared) ||
-                std::find(extra_flags.begin(), extra_flags.end(), name) !=
-                    extra_flags.end();
-            if (!known)
-                fatal("unknown flag --", name, " (known flags: --accesses ",
-                      "--seed --quick --csv --json --jobs --shards and ",
-                      "harness-specific ones; see the file header of this ",
-                      "bench)");
-        }
+            "accesses", "seed", "quick", "csv", "json", "jobs"};
+        args.reject_unknown(
+            {kShared, {extra_flags.begin(), extra_flags.size()}},
+            "known flags: --accesses --seed --quick --csv --json --jobs "
+            "and harness-specific ones; see the file header of this "
+            "bench");
         BenchOptions opt;
         if (args.has("accesses")) {
             opt.accesses = args.get_uint("accesses", default_accesses);
@@ -85,15 +69,6 @@ struct BenchOptions {
         opt.csv = args.get_bool("csv", false);
         opt.json = args.get_bool("json", false);
         opt.jobs = args.get_uint<unsigned>("jobs", 0);
-        opt.shards = args.get_uint<unsigned>("shards", 0);
-        const std::string merge = args.get_string("merge", "parallel");
-        if (merge == "parallel")
-            opt.parallel_merge = true;
-        else if (merge == "serial")
-            opt.parallel_merge = false;
-        else
-            fatal("--merge must be 'parallel' or 'serial', got '", merge,
-                  "'");
         return opt;
     }
 
@@ -134,8 +109,6 @@ make_spec(const BenchOptions& opt, std::string workload, std::string policy,
     spec.ratio = ratio;
     spec.accesses = opt.accesses;
     spec.seed = opt.seed;
-    spec.engine.shards = opt.shards;
-    spec.engine.parallel_merge = opt.parallel_merge;
     return spec;
 }
 

@@ -14,7 +14,7 @@
  * the issue: does ArtMem's single global Q-pair degrade as tenant
  * count grows, and does admission control recover the aggregate hit
  * ratio under contention? Every cell is invariant-audited; the
- * schedule is seeded and byte-identical across --jobs and --shards.
+ * schedule is seeded and byte-identical across --jobs.
  *
  * Usage: bench_multi_tenant [--tenants=16,64] [--mix=s2,ycsb,s3,btree]
  *                           [--quota-share=F] [--admission-rate=N]

@@ -269,36 +269,6 @@ BM_SimThroughputTxOff(benchmark::State& state)
 BENCHMARK(BM_SimThroughputTxOff)->Unit(benchmark::kMillisecond);
 
 void
-BM_SimThroughputSharded(benchmark::State& state, unsigned shards)
-{
-    // Sharded access pipeline (DESIGN.md §12): the same end-to-end run
-    // as BM_SimThroughput/ycsb but with the hot path partitioned
-    // across `shards` worker lanes plus the deterministic epoch merge.
-    // shards=1 measures the pipeline's fixed overhead (two-phase scan
-    // + merge, no extra threads); shards=4 adds the thread fan-out.
-    // Output is byte-identical to the legacy loop for every shard
-    // count, so the only thing these entries can regress is speed —
-    // both are gated in BENCH_hotpath.json.
-    sim::RunSpec spec;
-    spec.workload = "ycsb";
-    spec.policy = "artmem";
-    spec.ratio = {1, 4};
-    spec.accesses = 2000000;
-    spec.seed = 42;
-    spec.engine.shards = shards;
-    for (auto _ : state) {
-        const auto r = sim::run_experiment(spec);
-        benchmark::DoNotOptimize(r.fast_ratio);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(spec.accesses));
-}
-BENCHMARK_CAPTURE(BM_SimThroughputSharded, shards1, 1u)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SimThroughputSharded, shards4, 4u)
-    ->Unit(benchmark::kMillisecond);
-
-void
 BM_SimThroughputTenants(benchmark::State& state, std::uint32_t tenants)
 {
     // Multi-tenant serving (DESIGN.md §13): tenants=1 measures the

@@ -30,12 +30,7 @@ main(int argc, char** argv)
     spec.seed = args.get_uint<std::uint64_t>("seed", 42);
     spec.engine.record_timeline = true;
 
-    const std::string ratio = args.get_string("ratio", "1:4");
-    const auto colon = ratio.find(':');
-    if (colon != std::string::npos) {
-        spec.ratio.fast = std::stoi(ratio.substr(0, colon));
-        spec.ratio.slow = std::stoi(ratio.substr(colon + 1));
-    }
+    spec.ratio = sim::parse_ratio_cli(args, {1, 4});
 
     std::cout << "KV-store tiering: YCSB A-B-C-F-D under ArtMem, ratio "
               << spec.ratio.label() << "\n\n";

@@ -46,13 +46,7 @@ main(int argc, char** argv)
     constexpr Bytes kPage = 2ull << 20;
     workloads::Masim gen(spec, kPage, seed);
 
-    sim::RatioSpec ratio{1, 1};
-    const std::string ratio_text = args.get_string("ratio", "1:1");
-    const auto colon = ratio_text.find(':');
-    if (colon != std::string::npos) {
-        ratio.fast = std::stoi(ratio_text.substr(0, colon));
-        ratio.slow = std::stoi(ratio_text.substr(colon + 1));
-    }
+    const sim::RatioSpec ratio = sim::parse_ratio_cli(args, {1, 1});
 
     auto machine_config =
         sim::make_machine_config(gen.footprint(), ratio, kPage);

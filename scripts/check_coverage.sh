@@ -3,8 +3,10 @@
 #
 # Builds an instrumented tree (ARTMEM_COVERAGE=ON), runs the test
 # binaries that exercise the overhauled hot path (memsim, lru, sim,
-# plus the §9 differential-model and property suites), and enforces a
-# line-coverage floor on src/memsim and src/lru. Uses gcovr when
+# plus the §9 differential-model and property suites) and the suites
+# that alone reach the tenant ledger and the transactional engine
+# (tenancy, tx_migration, faults), and enforces a line-coverage floor
+# on src/memsim and src/lru. Uses gcovr when
 # installed; otherwise falls back to parsing raw `gcov` output, so the
 # gate runs even on minimal containers.
 #
@@ -16,7 +18,8 @@ build="${1:-build-cov}"
 jobs="$(nproc 2>/dev/null || echo 2)"
 floor=75  # percent, over src/memsim + src/lru combined
 
-targets=(test_memsim test_lru test_sim test_diff_model test_property)
+targets=(test_memsim test_lru test_sim test_diff_model test_property
+    test_tenancy test_tx_migration test_faults)
 
 echo "==> coverage build (${build})"
 cmake -B "${build}" -S . -DCMAKE_BUILD_TYPE=Debug \

@@ -9,10 +9,9 @@
 # real regressions — an accidental O(n) slip or a de-inlined hot
 # function — without flaking on scheduler jitter.
 #
-# The baseline also carries BM_SimThroughputSharded entries (the
-# --shards pipeline, DESIGN.md §12); bench_overheads --quick filters on
-# the "BM_SimThroughput" prefix, which matches them automatically, so
-# they are gated here with no extra plumbing.
+# bench_overheads --quick filters on the "BM_SimThroughput" prefix, so
+# every BM_SimThroughput* entry in the baseline (the tx-off and tenancy
+# variants included) is gated here with no extra plumbing.
 #
 #   scripts/check_perf.sh [build-dir]   (default: build)
 set -euo pipefail

@@ -4,8 +4,7 @@
 # differential-model (test_diff_model) and property (test_property)
 # harnesses — then every suite that spawns threads (ring buffer /
 # async sampler, sweep thread pool, telemetry merge, transactional
-# migration, sharded access pipeline) plus a real parallel --jobs 4
-# sweep and a --shards 2 sharded sweep under TSan. Any
+# migration) plus a real parallel --jobs 4 sweep under TSan. Any
 # sanitizer report fails the run (halt_on_error / abort_on_error
 # below). The TSan half is the runtime complement of the compile-time
 # Clang -Wthread-safety annotations (DESIGN.md §11): the annotations
@@ -39,7 +38,7 @@ cmake -B "${prefix}-tsan" -S . \
     -DARTMEM_SANITIZE=thread > /dev/null
 cmake --build "${prefix}-tsan" -j "${jobs}" \
     --target test_async test_memsim test_sweep test_telemetry \
-             test_tx_migration test_sharded test_diff_model \
+             test_tx_migration test_diff_model \
              test_property bench_fig7_main
 
 echo "==> TSan test run (threaded suites)"
@@ -49,7 +48,6 @@ TSAN_OPTIONS=halt_on_error=1 "${prefix}-tsan/tests/test_memsim" \
 TSAN_OPTIONS=halt_on_error=1 "${prefix}-tsan/tests/test_sweep"
 TSAN_OPTIONS=halt_on_error=1 "${prefix}-tsan/tests/test_telemetry"
 TSAN_OPTIONS=halt_on_error=1 "${prefix}-tsan/tests/test_tx_migration"
-TSAN_OPTIONS=halt_on_error=1 "${prefix}-tsan/tests/test_sharded"
 TSAN_OPTIONS=halt_on_error=1 "${prefix}-tsan/tests/test_diff_model"
 TSAN_OPTIONS=halt_on_error=1 "${prefix}-tsan/tests/test_property"
 
@@ -57,19 +55,5 @@ echo "==> TSan parallel sweep (--jobs 4, real thread-pool contention)"
 TSAN_OPTIONS=halt_on_error=1 \
     "${prefix}-tsan/bench/bench_fig7_main" --csv --accesses=50000 --jobs=4 \
     > "${prefix}-tsan/fig7_tsan.csv"
-
-echo "==> TSan sharded sweep (--shards 2, parallel + serial merge)"
-# The default parallel per-lane merge exercises concurrent lane walks;
-# the explicit --merge=serial run keeps the oracle path covered. Both
-# must also agree byte-for-byte even under TSan's scheduling jitter.
-TSAN_OPTIONS=halt_on_error=1 \
-    "${prefix}-tsan/bench/bench_fig7_main" --csv --accesses=50000 \
-    --shards=2 --merge=parallel > "${prefix}-tsan/fig7_tsan_shards.csv"
-TSAN_OPTIONS=halt_on_error=1 \
-    "${prefix}-tsan/bench/bench_fig7_main" --csv --accesses=50000 \
-    --shards=2 --merge=serial \
-    > "${prefix}-tsan/fig7_tsan_shards_serial.csv"
-cmp "${prefix}-tsan/fig7_tsan_shards.csv" \
-    "${prefix}-tsan/fig7_tsan_shards_serial.csv"
 
 echo "==> sanitizers clean"

@@ -12,41 +12,30 @@
 #   5. sweep determinism: bench_fig7_main --csv run twice, --jobs 1 vs
 #      --jobs 4, and the outputs diffed byte-for-byte (the parallel
 #      sweep runner must not change a single emitted number),
-#   6. shard determinism: the same fig7 sweep with --shards 1 vs
-#      --shards 4 diffed byte-for-byte against the --jobs baseline from
-#      step 5, plus a traced artmem abort-storm run at --shards=1 vs
-#      --shards=4 with stdout, metrics and both trace files compared
-#      (the sharded access pipeline must not change a single emitted
-#      byte, DESIGN.md §12),
-#   7. parallel-merge determinism: the default per-lane parallel merge
-#      at --shards=4 diffed byte-for-byte against the unsharded
-#      --shards=0 engine on a traced transactional abort-storm run and
-#      on an 8-tenant contention run, plus a --merge=serial cross-check
-#      (phase-2 parallel merge, DESIGN.md §12),
-#   8. telemetry smoke: a traced masim_runner run on
+#   6. telemetry smoke: a traced masim_runner run on
 #      configs/telemetry_smoke.cfg; the Chrome trace and metrics files
 #      must be valid JSON (python3 -m json.tool) and a second identical
 #      seeded run must reproduce the metrics and trace byte-for-byte,
-#   9. transactional-migration smoke: a traced --tx-migration run under
+#   7. transactional-migration smoke: a traced --tx-migration run under
 #      --fault-scenario=abort_storm with --check-invariants executed
 #      twice and diffed byte-for-byte (stdout + both trace files), plus
 #      a plain run diffed against an explicit --tx-migration=false run
 #      (the disabled engine must be a strict no-op through the whole
 #      CLI path),
-#  10. multi-tenant smoke: an explicit --tenants=1 run diffed
+#   8. multi-tenant smoke: an explicit --tenants=1 run diffed
 #      byte-for-byte against a plain run (the disabled tenancy layer
 #      must be a strict no-op through the whole CLI path), plus a
 #      traced --tenant-config=configs/tenancy_smoke.cfg run (8
 #      heterogeneous tenants, contending quotas, feedback admission,
 #      --check-invariants) executed twice with stdout, metrics and both
 #      trace files compared (DESIGN.md §13),
-#  11. perf-regression smoke: scripts/check_perf.sh runs the end-to-end
+#   9. perf-regression smoke: scripts/check_perf.sh runs the end-to-end
 #      hot-path throughput benchmarks (bench_overheads --quick) and
 #      compares accesses/sec against BENCH_hotpath.json with a 30%
 #      tolerance,
-#  12. (optional, slow) sanitizers: pass --sanitizers to append
+#  10. (optional, slow) sanitizers: pass --sanitizers to append
 #      scripts/check_sanitizers.sh,
-#  13. (optional, slow) coverage: pass --coverage to append
+#  11. (optional, slow) coverage: pass --coverage to append
 #      scripts/check_coverage.sh (instrumented build + line-coverage
 #      floor on src/memsim and src/lru).
 #
@@ -68,16 +57,16 @@ for arg in "$@"; do
     esac
 done
 
-echo "==> [1/11] default build + tests"
+echo "==> [1/9] default build + tests"
 cmake -B build -S . > /dev/null
 cmake --build build -j "${jobs}"
 ctest --test-dir build --output-on-failure -j "${jobs}"
 
-echo "==> [2/11] strict build (ARTMEM_STRICT=ON)"
+echo "==> [2/9] strict build (ARTMEM_STRICT=ON)"
 cmake -B build-strict -S . -DARTMEM_STRICT=ON > /dev/null
 cmake --build build-strict -j "${jobs}"
 
-echo "==> [3/11] lint"
+echo "==> [3/9] lint"
 # In CI (GitHub Actions sets CI=true) a missing clang-tidy is a
 # failure, not a silent skip; locally the detlint half alone passes.
 if [[ -n "${CI:-}" ]]; then
@@ -86,7 +75,7 @@ else
     scripts/check_lint.sh build
 fi
 
-echo "==> [4/11] invariant-checked fault sweep"
+echo "==> [4/9] invariant-checked fault sweep"
 for scenario in none migration degrade blackout pressure; do
     echo "--- scenario ${scenario}"
     ./build/tools/artmem run --workload=s2 --policy=artmem --ratio=1:4 \
@@ -94,7 +83,7 @@ for scenario in none migration degrade blackout pressure; do
         --check-invariants
 done
 
-echo "==> [5/11] sweep determinism (--jobs 1 vs --jobs 4, byte-for-byte)"
+echo "==> [5/9] sweep determinism (--jobs 1 vs --jobs 4, byte-for-byte)"
 ./build/bench/bench_fig7_main --csv --accesses=200000 --jobs=1 \
     > build/fig7_jobs1.csv
 ./build/bench/bench_fig7_main --csv --accesses=200000 --jobs=4 \
@@ -102,64 +91,7 @@ echo "==> [5/11] sweep determinism (--jobs 1 vs --jobs 4, byte-for-byte)"
 cmp build/fig7_jobs1.csv build/fig7_jobs4.csv
 echo "sweep output identical across --jobs 1 and --jobs 4"
 
-echo "==> [6/11] shard determinism (--shards 1 vs --shards 4, byte-for-byte)"
-# The sharded access pipeline (DESIGN.md §12) carries the same contract
-# as the parallel sweep runner: every shard count must reproduce the
-# legacy loop byte-for-byte. Diff the whole fig7 sweep across shard
-# counts AND against the unsharded baseline from step 5.
-./build/bench/bench_fig7_main --csv --accesses=200000 --shards=1 \
-    > build/fig7_shards1.csv
-./build/bench/bench_fig7_main --csv --accesses=200000 --shards=4 \
-    > build/fig7_shards4.csv
-cmp build/fig7_shards1.csv build/fig7_shards4.csv
-cmp build/fig7_jobs1.csv build/fig7_shards4.csv
-# A traced abort-storm run is the nastiest single-run case (faults,
-# transactions, handler-driven migrations, full telemetry): stdout,
-# metrics and both trace files must match across shard counts.
-shard_run=(./build/tools/artmem run --workload=ycsb --policy=artmem
-    --ratio=1:4 --accesses=800000 --check-invariants --tx-migration
-    --tx-write-ratio=0.05 --fault-scenario=abort_storm)
-"${shard_run[@]}" --shards=1 --metrics-out=build/shards_a.metrics.json \
-    --trace-out=build/shards_a > build/shards_a.out
-"${shard_run[@]}" --shards=4 --metrics-out=build/shards_b.metrics.json \
-    --trace-out=build/shards_b > build/shards_b.out
-cmp build/shards_a.out build/shards_b.out
-cmp build/shards_a.metrics.json build/shards_b.metrics.json
-cmp build/shards_a.jsonl build/shards_b.jsonl
-cmp build/shards_a.json build/shards_b.json
-echo "output identical across --shards 1 and --shards 4"
-
-echo "==> [7/11] parallel-merge determinism (--shards 4 vs --shards 0, byte-for-byte)"
-# Phase 2 of all-plain sharded batches runs as per-lane parallel work
-# (per-lane latency accumulators, per-shard PEBS streams, per-shard LRU
-# segments) merged deterministically at decision boundaries (DESIGN.md
-# §12). The parallel merge is the default; its output must match the
-# unsharded engine byte-for-byte on the nastiest cases: the traced
-# transactional abort storm from step 6 and an 8-tenant contention run.
-# --merge=serial is the oracle escape hatch and must agree too.
-pm_run=(./build/tools/artmem run --workload=ycsb --policy=artmem
-    --ratio=1:4 --accesses=800000 --check-invariants --tx-migration
-    --tx-write-ratio=0.05 --fault-scenario=abort_storm)
-"${pm_run[@]}" --shards=0 --metrics-out=build/pm_a.metrics.json \
-    --trace-out=build/pm_a > build/pm_a.out
-"${pm_run[@]}" --shards=4 --merge=parallel \
-    --metrics-out=build/pm_b.metrics.json \
-    --trace-out=build/pm_b > build/pm_b.out
-"${pm_run[@]}" --shards=4 --merge=serial > build/pm_c.out
-cmp build/pm_a.out build/pm_b.out
-cmp build/pm_a.metrics.json build/pm_b.metrics.json
-cmp build/pm_a.jsonl build/pm_b.jsonl
-cmp build/pm_a.json build/pm_b.json
-cmp build/pm_a.out build/pm_c.out
-mt8_run=(./build/tools/artmem run --workload=s2 --policy=artmem
-    --ratio=1:4 --accesses=800000 --check-invariants
-    --tenant-config=configs/tenancy_smoke.cfg)
-"${mt8_run[@]}" --shards=0 > build/pm_mt0.out
-"${mt8_run[@]}" --shards=4 --merge=parallel > build/pm_mt4.out
-cmp build/pm_mt0.out build/pm_mt4.out
-echo "parallel merge byte-identical to --shards 0 (abort storm + 8 tenants)"
-
-echo "==> [8/11] telemetry smoke (traced run, JSON validity, byte-identity)"
+echo "==> [6/9] telemetry smoke (traced run, JSON validity, byte-identity)"
 ./build/examples/masim_runner configs/telemetry_smoke.cfg \
     --policy=artmem --ratio=1:4 \
     --metrics-out=build/telemetry_a.metrics.json \
@@ -175,7 +107,7 @@ cmp build/telemetry_a.jsonl build/telemetry_b.jsonl
 cmp build/telemetry_a.json build/telemetry_b.json
 echo "telemetry outputs valid JSON and byte-identical across reruns"
 
-echo "==> [9/11] transactional-migration smoke (abort storm, byte-identity)"
+echo "==> [7/9] transactional-migration smoke (abort storm, byte-identity)"
 tx_run=(./build/tools/artmem run --workload=ycsb --policy=artmem
     --ratio=1:4 --accesses=800000 --check-invariants)
 "${tx_run[@]}" --tx-migration --tx-write-ratio=0.05 \
@@ -190,7 +122,7 @@ cmp build/tx_a.json build/tx_b.json
 cmp build/tx_off_a.out build/tx_off_b.out
 echo "abort-storm reruns byte-identical; disabled engine is a no-op"
 
-echo "==> [10/11] multi-tenant smoke (no-op diff, traced run, byte-identity)"
+echo "==> [8/9] multi-tenant smoke (no-op diff, traced run, byte-identity)"
 # --tenants=1 must be a strict no-op through the whole CLI path: the
 # single-tenant run takes the plain engine loop and every tenancy hook
 # is a never-taken null branch (DESIGN.md §13).
@@ -217,7 +149,7 @@ cmp build/mt_a.jsonl build/mt_b.jsonl
 cmp build/mt_a.json build/mt_b.json
 echo "--tenants=1 is a no-op; tenancy smoke byte-identical across reruns"
 
-echo "==> [11/11] perf-regression smoke (hot-path throughput)"
+echo "==> [9/9] perf-regression smoke (hot-path throughput)"
 scripts/check_perf.sh build
 
 if [[ "${run_sanitizers}" -eq 1 ]]; then

@@ -1,7 +1,5 @@
 #include "lru/lru_lists.hpp"
 
-#include <algorithm>
-
 #include "util/logging.hpp"
 
 namespace artmem::lru {
@@ -25,26 +23,6 @@ LruLists::LruLists(std::size_t page_count)
         heads_[i] = kInvalidPage;
         tails_[i] = kInvalidPage;
     }
-}
-
-void
-LruLists::clear()
-{
-    for (int l = 0; l < 4; ++l) {
-        PageId page = heads_[l];
-        while (page != kInvalidPage) {
-            const PageId n = next_[page];
-            next_[page] = kInvalidPage;
-            prev_[page] = kInvalidPage;
-            where_[page] = ListId::kNone;
-            page = n;
-        }
-        heads_[l] = kInvalidPage;
-        tails_[l] = kInvalidPage;
-        sizes_[l] = 0;
-    }
-    std::fill(referenced_.begin(), referenced_.end(),
-              static_cast<std::uint8_t>(0));
 }
 
 void

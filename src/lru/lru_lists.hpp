@@ -197,13 +197,6 @@ class LruLists
     std::size_t scan_inactive(memsim::Tier tier, std::size_t scan_count,
                               std::vector<PageId>& candidates);
 
-    /**
-     * Unlink every page and clear every referenced bit, returning the
-     * lists to the freshly constructed state. Used by ShardedLru to
-     * rebuild its merged view at each decision-boundary splice.
-     */
-    void clear();
-
     /** Page id space size. */
     std::size_t page_count() const { return where_.size(); }
 

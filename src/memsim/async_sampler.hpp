@@ -58,23 +58,6 @@ class AsyncSampler
     }
 
     /**
-     * Publish a pre-merged batch in order, e.g. one decision epoch's
-     * per-shard sampler streams after the sharded engine's boundary
-     * merge (DESIGN.md §12): the merge interleaves per-lane records
-     * back into global access order, and this push preserves that
-     * order into the ring the drainer consumes.
-     * @return number of samples accepted (the rest dropped full).
-     */
-    std::size_t
-    publish_batch(std::span<const PebsSample> samples)
-    {
-        std::size_t accepted = 0;
-        for (const PebsSample& s : samples)
-            accepted += buffer_.push(s) ? 1 : 0;
-        return accepted;
-    }
-
-    /**
      * Stop accepting work, drain the backlog, and join. Idempotent and
      * safe to race: every caller — including the destructor — blocks
      * until the worker has actually exited, so no caller can observe

@@ -52,79 +52,6 @@ class PebsSampler
         }
     }
 
-    /**
-     * Which batch offsets a run of @p observations plain observations
-     * would record: offset i records iff i >= first and
-     * (i - first) % stride == 0 (first == observations when none do).
-     * Returned by plan() so sharded lanes can test membership for
-     * their own offsets without touching the countdown.
-     */
-    struct RecordPlan {
-        std::uint64_t first;
-        std::uint64_t stride;
-    };
-
-    /**
-     * Advance the countdown as if @p observations consecutive
-     * observe() calls happened, without recording anything, and return
-     * the offsets that WOULD have recorded. The sharded engine's
-     * parallel merge uses this to turn the global countdown — a serial
-     * dependency through the interleaved access stream — into pure
-     * per-offset arithmetic each lane evaluates independently; the
-     * records themselves are published later via push_record() in
-     * merge order, so the cumulative (record, drop) sequence at every
-     * drain point is identical to the serial observe() chain. Assumes
-     * the period does not change inside the run (set_period() is only
-     * reachable between batches, from tick/interval callbacks).
-     */
-    RecordPlan
-    plan(std::uint64_t observations)
-    {
-        RecordPlan p{observations, period_};
-        if (observations >= countdown_) {
-            p.first = countdown_ - 1;
-            const std::uint64_t m = (observations - countdown_) % period_;
-            countdown_ = static_cast<std::uint32_t>(period_ - m);
-        } else {
-            countdown_ -= static_cast<std::uint32_t>(observations);
-        }
-        return p;
-    }
-
-    /**
-     * Advance the countdown by one observation; true if that
-     * observation records. The faulted parallel merge runs this inside
-     * its serial timebase scan (suppression consumes draws in stream
-     * order, so the faulted countdown cannot be batch-planned) and
-     * defers the actual record via push_record().
-     */
-    bool
-    step_countdown()
-    {
-        if (--countdown_ == 0) {
-            countdown_ = period_;
-            return true;
-        }
-        return false;
-    }
-
-    /**
-     * Publish one record whose countdown slot was already consumed by
-     * plan() / step_countdown(). Exactly observe()'s record half:
-     * bumps recorded() and pushes into the ring (dropping if full), so
-     * a deferred stream pushed in serial order is indistinguishable
-     * from inline observation.
-     */
-    void
-    push_record(PageId page, Tier tier)
-    {
-        ++recorded_;
-        buffer_.push(PebsSample{page, tier});
-    }
-
-    /** Observations until the next record (test/audit visibility). */
-    std::uint32_t countdown() const { return countdown_; }
-
     /** Drain up to @p max_items pending samples into @p out (appended). */
     std::size_t drain(std::vector<PebsSample>& out, std::size_t max_items);
 

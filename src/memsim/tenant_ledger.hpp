@@ -198,19 +198,6 @@ class TenantLedger
         ++totals_[owner_[page]].accesses[t];
     }
 
-    /**
-     * Fold @p count accesses for @p tenant on tier index @p t in one
-     * add — the batch form of note_access() used by the sharded
-     * engine's parallel merge: lanes count per-tenant accesses into
-     * private accumulators and the fold applies them in fixed shard
-     * order, producing totals identical to per-access increments
-     * (integer addition is order-free).
-     */
-    void fold_accesses(std::uint32_t tenant, int t, std::uint64_t count)
-    {
-        totals_[tenant].accesses[t] += count;
-    }
-
     /** Attribute one drained PEBS sample. */
     void note_sample(PageId page) { ++totals_[owner_[page]].samples; }
 

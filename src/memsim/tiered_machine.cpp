@@ -156,20 +156,72 @@ TieredMachine::batch_loop(const PageId* pages, std::size_t n,
                           std::uint64_t* pebs_suppressed)
 {
     // Hoisted per-batch invariants: the flags base pointer, the two
-    // tier latencies, and — shadowed in BatchCtx — the clock and the
-    // per-tier access counters. The context is flushed back before any
+    // tier latencies, and — shadowed in locals — the clock and the
+    // per-tier access counters. The locals are flushed back before any
     // code that can observe machine state runs (trap handlers may
     // re-enter via migrate()/exchange()), which keeps every
     // intermediate state bit-identical to per-access access() calls.
-    // The per-access body lives in access_step() (header) so the
-    // sharded epoch walk replays the identical sequence.
     std::uint8_t* const flags = flags_.data();
     const SimTimeNs lat[kTierCount] = {latency_[0], latency_[1]};
-    BatchCtx ctx{now_, {0, 0}, false};
-    for (std::size_t i = 0; i < n; ++i)
-        access_step<kFaulted>(pages[i], flags, lat, ctx, sampler,
-                              pebs_suppressed);
-    flush_batch_ctx(ctx);
+    SimTimeNs now = now_;
+    std::uint64_t acc[kTierCount] = {0, 0};
+    const auto flush = [&] {
+        now_ = now;
+        totals_.accesses[0] += acc[0];
+        totals_.accesses[1] += acc[1];
+        window_.accesses[0] += acc[0];
+        window_.accesses[1] += acc[1];
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+        const PageId page = pages[i];
+        std::uint8_t f = flags[page];
+        if (!(f & kAllocatedBit)) [[unlikely]] {
+            // allocate() touches only used_ and flags_, neither of
+            // which is shadowed, so no flush is needed.
+            allocate(page);
+            f = flags[page];
+        }
+        const int t = f & kTierBit;  // kTierBit == 0x1: 0 fast, 1 slow
+        const Tier tier = t != 0 ? Tier::kSlow : Tier::kFast;
+        flags[page] = static_cast<std::uint8_t>(f | kAccessedBit);
+        if constexpr (kFaulted)
+            now += faults_->effective_latency(tier, lat[t], now);
+        else
+            now += lat[t];
+        ++acc[t];
+        if (tenants_ != nullptr) [[unlikely]]
+            tenants_->note_access(page, t);
+        if (f & kTxAccessMask) [[unlikely]] {
+            // tx_on_access touches only used_/flags_/tx_ state and the
+            // tx counters — nothing shadowed in locals — and returns
+            // any time charge, so no flush is needed.
+            now += tx_on_access(page, now);
+        }
+        if (f & kTrapBit) [[unlikely]] {
+            flags[page] &= static_cast<std::uint8_t>(~kTrapBit);
+            now += config_.hint_fault_cost_ns;
+            ++totals_.hint_faults;
+            ++window_.hint_faults;
+            if (fault_handler_) {
+                flush();
+                acc[0] = acc[1] = 0;
+                fault_handler_(page, tier);
+                now = now_;
+            }
+        }
+        if constexpr (kFaulted) {
+            // Same draw order as the engine's scalar loop: the
+            // suppression draw happens after the access, at the
+            // post-access (and post-trap) timestamp.
+            if (faults_->sample_suppressed(now)) [[unlikely]]
+                ++*pebs_suppressed;
+            else
+                sampler.observe(page, tier);
+        } else {
+            sampler.observe(page, tier);
+        }
+    }
+    flush();
 }
 
 void

@@ -602,17 +602,6 @@ class TieredMachine
      *  (tests/test_verify.cpp). Never defined in the library. */
     friend struct MachineTestPeer;
 
-    /** The sharded access engine (memsim/sharded_access.hpp) is the
-     *  machine's parallel front end: its ownership scan writes owned
-     *  pages' flag bytes, its serial epoch walk replays the exact
-     *  access_step() sequence, and its parallel per-lane merge charges
-     *  each lane's latency into a private accumulator before folding
-     *  the lanes into these counters in fixed shard order at batch and
-     *  decision boundaries — so it needs the same view of the flag
-     *  word, clock, and counters the batch loop has. Either path is
-     *  byte-identical to the unsharded loop. */
-    friend class ShardedAccessEngine;
-
     static constexpr std::uint8_t kTierBit = 0x1;       // 0 fast, 1 slow
     static constexpr std::uint8_t kAllocatedBit = 0x2;
     static constexpr std::uint8_t kAccessedBit = 0x4;
@@ -626,99 +615,6 @@ class TieredMachine
     static constexpr std::uint8_t kTxAccessMask = kInFlightBit | kDualBit;
 
     void allocate(PageId page);
-
-    /**
-     * Clock and per-tier access counters shadowed in locals across a
-     * batch (DESIGN.md §9). Flushed back to the machine before any
-     * re-entrant code (trap handlers) runs and at batch end, so every
-     * observable intermediate state matches per-access access() calls.
-     */
-    struct BatchCtx {
-        SimTimeNs now;
-        std::uint64_t acc[kTierCount];
-        /** Set when a trap handler was actually invoked; the sharded
-         *  epoch walk switches to the legacy per-access tail because
-         *  the handler may have migrated pages mid-batch. */
-        bool handler_ran;
-    };
-
-    /**
-     * One access of the engine's scalar sequence: allocate on first
-     * touch, charge latency, set the accessed bit, run the tx hook,
-     * fire a trap, then sample. This is the single source of truth for
-     * per-access semantics — batch_loop() iterates it and the sharded
-     * epoch walk (memsim/sharded_access.cpp) replays it for special
-     * accesses and legacy tails — so the scalar oracle, the batched
-     * path, and the sharded path cannot drift apart.
-     *
-     * @p flags and @p lat are the caller-hoisted flags base pointer and
-     * tier-latency pair (hot-path shape; see batch_loop).
-     */
-    template <bool kFaulted>
-    void
-    access_step(PageId page, std::uint8_t* flags, const SimTimeNs* lat,
-                BatchCtx& ctx, PebsSampler& sampler,
-                std::uint64_t* pebs_suppressed)
-    {
-        std::uint8_t f = flags[page];
-        if (!(f & kAllocatedBit)) [[unlikely]] {
-            // allocate() touches only used_ and flags_, neither of
-            // which is shadowed, so no flush is needed.
-            allocate(page);
-            f = flags[page];
-        }
-        const int t = f & kTierBit;  // kTierBit == 0x1: 0 fast, 1 slow
-        const Tier tier = t != 0 ? Tier::kSlow : Tier::kFast;
-        flags[page] = static_cast<std::uint8_t>(f | kAccessedBit);
-        if constexpr (kFaulted)
-            ctx.now += faults_->effective_latency(tier, lat[t], ctx.now);
-        else
-            ctx.now += lat[t];
-        ++ctx.acc[t];
-        if (tenants_ != nullptr) [[unlikely]]
-            tenants_->note_access(page, t);
-        if (f & kTxAccessMask) [[unlikely]] {
-            // tx_on_access touches only used_/flags_/tx_ state and the
-            // tx counters — nothing shadowed in locals — and returns
-            // any time charge, so no flush is needed.
-            ctx.now += tx_on_access(page, ctx.now);
-        }
-        if (f & kTrapBit) [[unlikely]] {
-            flags[page] &= static_cast<std::uint8_t>(~kTrapBit);
-            ctx.now += config_.hint_fault_cost_ns;
-            ++totals_.hint_faults;
-            ++window_.hint_faults;
-            if (fault_handler_) {
-                flush_batch_ctx(ctx);
-                ctx.acc[0] = ctx.acc[1] = 0;
-                fault_handler_(page, tier);
-                ctx.now = now_;
-                ctx.handler_ran = true;
-            }
-        }
-        if constexpr (kFaulted) {
-            // Same draw order as the engine's scalar loop: the
-            // suppression draw happens after the access, at the
-            // post-access (and post-trap) timestamp.
-            if (faults_->sample_suppressed(ctx.now)) [[unlikely]]
-                ++*pebs_suppressed;
-            else
-                sampler.observe(page, tier);
-        } else {
-            sampler.observe(page, tier);
-        }
-    }
-
-    /** Flush shadowed clock/counters back into machine state. */
-    void
-    flush_batch_ctx(const BatchCtx& ctx)
-    {
-        now_ = ctx.now;
-        totals_.accesses[0] += ctx.acc[0];
-        totals_.accesses[1] += ctx.acc[1];
-        window_.accesses[0] += ctx.acc[0];
-        window_.accesses[1] += ctx.acc[1];
-    }
 
     /** Shared fused loop behind the two access_batch() overloads. */
     template <bool kFaulted>

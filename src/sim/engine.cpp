@@ -1,6 +1,5 @@
 #include "sim/engine.hpp"
 
-#include "memsim/sharded_access.hpp"
 #include "util/logging.hpp"
 
 #if ARTMEM_CHECK_INVARIANTS
@@ -70,19 +69,6 @@ run_simulation(workloads::AccessGenerator& gen, policies::Policy& policy,
     memsim::PebsSampler sampler(config.pebs);
     std::uint64_t pebs_suppressed = 0;
 
-    // Sharded access pipeline (config.shards >= 1). Constructed once so
-    // its lanes and worker pool persist across batches; null on the
-    // legacy path. Byte-identical output either way — the sharded walk
-    // replays the exact batch-loop sequence (memsim/sharded_access.hpp).
-    std::unique_ptr<memsim::ShardedAccessEngine> sharded;
-    if (config.shards > 0) {
-        sharded = std::make_unique<memsim::ShardedAccessEngine>(
-            machine, memsim::ShardedAccessEngine::Config{
-                         config.shards, config.shard_seed,
-                         config.check_invariants, config.parallel_merge,
-                         config.lane_delay_hook});
-    }
-
 #if ARTMEM_CHECK_INVARIANTS
     verify::InvariantChecker checker;
     const bool check_invariants = config.check_invariants;
@@ -106,15 +92,6 @@ run_simulation(workloads::AccessGenerator& gen, policies::Policy& policy,
     std::uint64_t interval_start_accesses = 0;
 
     auto flush_tick = [&]() {
-        // Publish the per-shard sampler streams into the ring in global
-        // access order BEFORE draining, so the ring's cumulative push
-        // sequence at this drain point matches the serial path's
-        // (identical records and identical full-buffer drops).
-        if (sharded != nullptr) {
-            telemetry::PhaseTimer merge_timer(
-                profiler, telemetry::Phase::kShardMerge);
-            sharded->merge_boundary(sampler);
-        }
         telemetry::PhaseTimer timer(profiler, telemetry::Phase::kTick);
         if (sink != nullptr)
             sink->set_sim_time(machine.now());
@@ -150,15 +127,6 @@ run_simulation(workloads::AccessGenerator& gen, policies::Policy& policy,
     };
 
     auto flush_decision = [&]() {
-        // Decision-boundary shard merge: flush pending per-shard sampler
-        // records (so the audit below sees a merged stream) and splice
-        // the per-shard LRU segments into the merged recency view.
-        if (sharded != nullptr) {
-            telemetry::PhaseTimer merge_timer(
-                profiler, telemetry::Phase::kShardMerge);
-            sharded->merge_boundary(sampler);
-            sharded->splice_recency();
-        }
         if (sink != nullptr)
             sink->set_sim_time(machine.now());
         const SimTimeNs decision_start = machine.now();
@@ -214,8 +182,7 @@ run_simulation(workloads::AccessGenerator& gen, policies::Policy& policy,
         if (check_invariants) {
             telemetry::PhaseTimer audit_timer(profiler,
                                               telemetry::Phase::kAudit);
-            if (checker.audit(machine, policy, pebs_suppressed,
-                              sharded.get()) == 0)
+            if (checker.audit(machine, policy, pebs_suppressed) == 0)
                 warn("run_simulation: invariant audit examined no state");
             result.invariant_audits = checker.audits();
         }
@@ -239,13 +206,7 @@ run_simulation(workloads::AccessGenerator& gen, policies::Policy& policy,
             // One fused dispatch loop per batch; semantically identical
             // to per-access access() + observe() calls (the scalar
             // sequence lives on as the oracle in tests/test_diff_model).
-            if (sharded != nullptr) {
-                if (faults == nullptr)
-                    sharded->process(batch.data(), n, sampler);
-                else
-                    sharded->process_faulted(batch.data(), n, sampler,
-                                             pebs_suppressed);
-            } else if (faults == nullptr) {
+            if (faults == nullptr) {
                 machine.access_batch(batch.data(), n, sampler);
             } else {
                 machine.access_batch_faulted(batch.data(), n, sampler,

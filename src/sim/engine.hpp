@@ -13,7 +13,6 @@
 #ifndef ARTMEM_SIM_ENGINE_HPP
 #define ARTMEM_SIM_ENGINE_HPP
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -39,41 +38,6 @@ struct EngineConfig {
                                      .buffer_capacity = 1 << 14};
     /** Accesses pulled from the generator per engine iteration. */
     std::size_t batch_size = 512;
-    /**
-     * Shard the access hot path (memsim/sharded_access.hpp): split page
-     * ownership into fixed slices, classify each batch's accesses on N
-     * threads, then merge serially in deterministic epoch order. 0 (the
-     * default) runs the legacy unsharded batch loop; 1 runs the sharded
-     * pipeline on the calling thread only (the determinism baseline);
-     * N in [2, 64] adds N-1 workers. Results, telemetry, and goldens
-     * are byte-identical across every value — scripts/ci.sh diffs
-     * --shards 1 vs --shards 4 runs byte-for-byte, like --jobs.
-     */
-    unsigned shards = 0;
-    /**
-     * Base seed for per-shard audit streams. 0 means "derive from the
-     * run seed": run_experiment() fills it with RunSpec::seed. Streams
-     * are namespaced under SeedDomain::kShard, so they can never
-     * collide with sweep-job seeds (util/rng.hpp).
-     */
-    std::uint64_t shard_seed = 0;
-    /**
-     * Run phase 2 of all-plain sharded batches as per-lane parallel
-     * work with a deterministic decision-boundary merge (per-lane
-     * latency accumulators, per-shard PEBS streams, per-shard LRU
-     * segments; memsim/sharded_access.hpp). Meaningful only when
-     * shards > 0. Byte-identical to the serial epoch merge — and to
-     * shards = 0 — for every shard count, policy, tx mode, and fault
-     * scenario; false keeps the serial merge as the oracle/escape
-     * hatch (--merge=serial).
-     */
-    bool parallel_merge = true;
-    /**
-     * Test-only lane scheduling hook, forwarded to
-     * ShardedAccessEngine::Config::lane_delay_hook (tests force lane
-     * completion orders with it). Must not touch simulation state.
-     */
-    std::function<void(unsigned)> lane_delay_hook = nullptr;
     /** Record a per-interval timeline (Figures 12 and 17). */
     bool record_timeline = false;
     /**

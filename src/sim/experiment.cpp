@@ -1,5 +1,8 @@
 #include "sim/experiment.hpp"
 
+#include <limits>
+
+#include "util/config.hpp"
 #include "util/logging.hpp"
 
 namespace artmem::sim {
@@ -37,19 +40,37 @@ make_machine_config(Bytes footprint, const RatioSpec& ratio, Bytes page_size)
     return make_machine_config(footprint, fast_bytes, page_size);
 }
 
+RatioSpec
+parse_ratio_cli(const CliArgs& args, RatioSpec fallback)
+{
+    if (!args.has("ratio"))
+        return fallback;
+    const std::string text = args.get_string("ratio", "");
+    const auto colon = text.find(':');
+    if (colon == std::string::npos)
+        fatal("--ratio expects fast:slow, got '", text, "'");
+    // Half of INT_MAX per part keeps fast + slow (fast_fraction, the
+    // machine sizing) inside int.
+    constexpr auto kMax =
+        static_cast<std::uint64_t>(std::numeric_limits<int>::max() / 2);
+    const std::string what = "--ratio '" + text + "'";
+    const auto fast = parse_uint(text.substr(0, colon), kMax, what);
+    const auto slow = parse_uint(text.substr(colon + 1), kMax, what);
+    if (fast == 0 || slow == 0)
+        fatal(what, " parts must be positive");
+    return {static_cast<int>(fast), static_cast<int>(slow)};
+}
+
 memsim::TxConfig
 parse_tx_cli(const CliArgs& args)
 {
     memsim::TxConfig tx;
     tx.enabled = args.get_bool("tx-migration", false);
-    static constexpr std::string_view kKnown[] = {
-        "tx-migration", "tx-seed", "tx-write-ratio", "tx-max-inflight",
-        "tx-exclusive"};
     for (const auto& name : args.flag_names()) {
         if (name.rfind("tx-", 0) != 0)
             continue;
         bool known = false;
-        for (const auto k : kKnown)
+        for (const auto k : kTxFlags)
             known = known || name == k;
         if (!known) {
             fatal("unknown transactional-migration flag --", name,
@@ -102,10 +123,7 @@ run_experiment(const RunSpec& spec, policies::Policy& policy)
             spec.tenancy, *set, machine.page_count(),
             machine_config.fast_capacity_pages()));
     }
-    sim::EngineConfig engine = spec.engine;
-    if (engine.shards > 0 && engine.shard_seed == 0)
-        engine.shard_seed = spec.seed;
-    return run_simulation(workload, policy, machine, engine);
+    return run_simulation(workload, policy, machine, spec.engine);
 }
 
 }  // namespace artmem::sim

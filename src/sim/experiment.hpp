@@ -76,6 +76,19 @@ struct RunSpec {
 };
 
 /**
+ * Parse --ratio=F:S, or return @p fallback when the flag is absent.
+ * Both parts must be positive integers (parse_uint) no larger than
+ * INT_MAX / 2, so fast + slow cannot overflow; anything else fatal()s
+ * naming --ratio and the text.
+ */
+RatioSpec parse_ratio_cli(const CliArgs& args, RatioSpec fallback);
+
+/** The transactional-migration flags parse_tx_cli() reads. */
+inline constexpr std::string_view kTxFlags[] = {
+    "tx-migration", "tx-seed", "tx-write-ratio", "tx-max-inflight",
+    "tx-exclusive"};
+
+/**
  * Parse the transactional-migration flags shared by the CLI and the
  * bench harnesses: --tx-migration plus the --tx-seed, --tx-write-ratio,
  * --tx-max-inflight and --tx-exclusive knobs. Validation is strict:

@@ -112,9 +112,9 @@ struct SweepSpec {
      * Reseed every job with derive_seed(base_seed, SeedDomain::kJob,
      * index): independent per-job streams that depend only on the
      * job's position in the spec. The kJob domain is the legacy
-     * two-argument stream, so existing goldens are unchanged; in-run
-     * shard lanes derive from the disjoint kShard domain, so job i and
-     * shard i of any job can never share a stream (util/rng.hpp). Off
+     * two-argument stream, so existing goldens are unchanged; tenant
+     * streams derive from the disjoint kTenant domain, so job i and
+     * tenant i of any job can never share a stream (util/rng.hpp). Off
      * by default — the paper convention runs every cell at one shared
      * seed — and therefore opt-in (artmem sweep --derive-seeds).
      */

@@ -22,7 +22,7 @@ wall_ns()
 }
 
 constexpr std::array<std::string_view, kPhaseCount> kPhaseNames = {
-    "generate", "access", "tick", "decision", "audit", "shard_merge"};
+    "generate", "access", "tick", "decision", "audit"};
 
 }  // namespace
 

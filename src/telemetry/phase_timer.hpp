@@ -24,10 +24,9 @@ enum class Phase : std::uint8_t {
     kTick,      ///< Sampler drain + policy on_samples/on_tick.
     kDecision,  ///< Policy on_interval + window bookkeeping.
     kAudit,     ///< Invariant checker sweeps.
-    kShardMerge,  ///< Sharded boundary merge + recency splice.
 };
 
-inline constexpr std::size_t kPhaseCount = 6;
+inline constexpr std::size_t kPhaseCount = 5;
 
 std::string_view phase_name(Phase phase);
 

@@ -18,7 +18,7 @@
  *
  * All three are pure functions of the call sequence and the ledger's
  * deterministic counters (no clocks, no unseeded draws), so a
- * multi-tenant run stays byte-identical across --jobs and --shards.
+ * multi-tenant run stays byte-identical across --jobs.
  */
 #ifndef ARTMEM_TENANCY_ADMISSION_HPP
 #define ARTMEM_TENANCY_ADMISSION_HPP

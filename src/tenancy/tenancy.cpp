@@ -120,17 +120,12 @@ parse_tenancy_config(const KvConfig& config)
 TenancyConfig
 parse_tenancy_cli(const CliArgs& args)
 {
-    static constexpr std::string_view kKnown[] = {
-        "tenants",         "tenant-config",       "tenant-quota",
-        "tenant-quota-share", "tenant-mix",       "tenant-weights",
-        "tenant-quantum",  "tenant-phase-stride", "admission",
-        "admission-rate",  "admission-target",    "admission-max"};
     for (const auto& name : args.flag_names()) {
         if (name.rfind("tenant", 0) != 0 &&
             name.rfind("admission", 0) != 0)
             continue;
         bool known = false;
-        for (const auto k : kKnown)
+        for (const auto k : kTenancyFlags)
             known = known || name == k;
         if (!known)
             fatal("unknown tenancy flag --", name,

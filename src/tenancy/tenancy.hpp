@@ -14,6 +14,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "memsim/tenant_ledger.hpp"
@@ -77,6 +78,13 @@ struct TenancyConfig {
  * with fault.* / tx.* sections.
  */
 TenancyConfig parse_tenancy_config(const KvConfig& config);
+
+/** The multi-tenant flags parse_tenancy_cli() reads. */
+inline constexpr std::string_view kTenancyFlags[] = {
+    "tenants",         "tenant-config",       "tenant-quota",
+    "tenant-quota-share", "tenant-mix",       "tenant-weights",
+    "tenant-quantum",  "tenant-phase-stride", "admission",
+    "admission-rate",  "admission-target",    "admission-max"};
 
 /**
  * Parse the multi-tenant flags shared by the CLI and the bench

@@ -5,7 +5,7 @@
  * A TenantSet models N tenants sharing one tiered machine: each tenant
  * is an independent workloads::* generator with its own tagged seed
  * stream (SeedDomain::kTenant, so tenant 3 never collides with sweep
- * job 3 or shard 3) and an optional phase offset, stacked onto disjoint
+ * job 3) and an optional phase offset, stacked onto disjoint
  * contiguous spans of the simulated address space and scheduled by a
  * deterministic weighted round-robin (a time-sliced multi-tenant host's
  * view of its guests).

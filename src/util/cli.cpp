@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "util/logging.hpp"
@@ -43,6 +44,22 @@ CliArgs::flag_names() const
     for (const auto& [name, value] : flags_)
         out.push_back(name);
     return out;
+}
+
+void
+CliArgs::reject_unknown(
+    std::initializer_list<std::span<const std::string_view>> known,
+    std::string_view hint) const
+{
+    for (const auto& [name, value] : flags_) {
+        const bool listed =
+            std::any_of(known.begin(), known.end(), [&](auto names) {
+                return std::find(names.begin(), names.end(), name) !=
+                       names.end();
+            });
+        if (!listed)
+            fatal("unknown flag --", name, " (", hint, ")");
+    }
 }
 
 std::string

@@ -6,9 +6,12 @@
 #ifndef ARTMEM_UTIL_CLI_HPP
 #define ARTMEM_UTIL_CLI_HPP
 
+#include <initializer_list>
 #include <limits>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -59,6 +62,16 @@ class CliArgs
 
     /** All flag names given, sorted (allowlist validation). */
     std::vector<std::string> flag_names() const;
+
+    /**
+     * fatal() on the first flag given that is in none of the @p known
+     * name lists, naming it and then @p hint (where the valid flags are
+     * listed). A typo must fail, not silently run the default
+     * configuration.
+     */
+    void reject_unknown(
+        std::initializer_list<std::span<const std::string_view>> known,
+        std::string_view hint) const;
 
     /** Program name (argv[0]). */
     const std::string& program() const { return program_; }

@@ -46,13 +46,13 @@ splitmix64(std::uint64_t& state)
 std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t index);
 
 /**
- * Derivation namespace for nested parallelism (DESIGN.md §12).
+ * Derivation namespace for nested seed streams (DESIGN.md §13).
  *
- * A sweep derives per-job seeds, and a sharded run derives per-shard
- * streams from its job seed. Without namespacing, "job 3 of the sweep"
- * and "shard 3 of a run" would collide whenever a run seed equals the
- * sweep base seed (e.g. job 0 with --derive-seeds off). Each domain
- * salts the derivation so the index spaces cannot overlap.
+ * A sweep derives per-job seeds, and a multi-tenant run derives
+ * per-tenant streams from its run seed. Without namespacing, "job 3 of
+ * the sweep" and "tenant 3 of a run" would collide whenever a run seed
+ * equals the sweep base seed (e.g. job 0 with --derive-seeds off). Each
+ * domain salts the derivation so the index spaces cannot overlap.
  *
  * The enum values are the salts. kJob is 0 and is special-cased to the
  * legacy two-argument formula so every existing sweep golden stays
@@ -60,7 +60,6 @@ std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t index);
  */
 enum class SeedDomain : std::uint64_t {
     kJob = 0,                          ///< Sweep jobs (legacy stream).
-    kShard = 0x9d5c7f2b3a61e845ull,    ///< In-run shard lanes.
     kTenant = 0xc2b2ae3d27d4eb4full,   ///< Per-tenant workload streams.
 };
 
@@ -68,7 +67,7 @@ enum class SeedDomain : std::uint64_t {
  * Seed for @p index within @p domain, derived from @p base_seed.
  * derive_seed(b, SeedDomain::kJob, i) == derive_seed(b, i) exactly;
  * any other domain yields a stream disjoint from the job stream
- * (tests/test_sharded.cpp proves job 3 and shard 3 never collide).
+ * (tests/test_tenancy.cpp checks tenant i never meets job i).
  */
 std::uint64_t derive_seed(std::uint64_t base_seed, SeedDomain domain,
                           std::uint64_t index);

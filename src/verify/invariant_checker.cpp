@@ -31,8 +31,6 @@ invariant_name(Invariant invariant)
         return "qtable_value";
     case Invariant::kTxAccounting:
         return "tx_accounting";
-    case Invariant::kShardPartition:
-        return "shard_partition";
     case Invariant::kTenantQuota:
         return "tenant_quota";
     }
@@ -367,205 +365,6 @@ InvariantChecker::check_tx_accounting(const memsim::TieredMachine& machine)
 }
 
 std::uint64_t
-InvariantChecker::check_shard_partition(
-    const memsim::TieredMachine& machine,
-    const memsim::ShardedAccessEngine& sharded)
-{
-    using memsim::ShardedAccessEngine;
-    const unsigned shards = sharded.shards();
-    // The owner map must be a partition: every slice owned by exactly
-    // the shard its block-cyclic formula names, and never a shard index
-    // outside [0, shards).
-    for (unsigned sl = 0; sl < ShardedAccessEngine::kNumSlices; ++sl) {
-        const unsigned owner = sharded.slice_owner(sl);
-        if (owner >= shards || owner != sl % shards) {
-            std::ostringstream os;
-            os << "slice " << sl << " owned by shard " << owner
-               << " under " << shards << " shards (expected "
-               << sl % shards << ")";
-            violate(Invariant::kShardPartition, os.str());
-        }
-    }
-    // Cross-shard residency census: bucket every allocated page by its
-    // owner and charge tiers exactly like check_machine() (primary copy
-    // plus any transactional shadow/dual secondary). The per-shard
-    // sums must add back up to the machine's own used counters — a
-    // shard mutating foreign pages (or dropping owned ones) shows up
-    // here as a sum mismatch attributable to a shard.
-    std::size_t census[ShardedAccessEngine::kNumSlices]
-                      [memsim::kTierCount] = {};
-    const std::size_t pages = machine.page_count();
-    for (PageId page = 0; page < pages; ++page) {
-        if (!machine.is_allocated(page))
-            continue;
-        const unsigned owner = sharded.owner_of(page);
-        const Tier primary = machine.tier_of(page);
-        ++census[owner][static_cast<std::size_t>(primary)];
-        if (machine.tx_page_shadow(page) || machine.tx_page_dual(page))
-            ++census[owner][static_cast<std::size_t>(
-                memsim::other_tier(primary))];
-    }
-    for (int t = 0; t < memsim::kTierCount; ++t) {
-        const Tier tier = static_cast<Tier>(t);
-        std::size_t total = 0;
-        for (unsigned s = 0; s < shards; ++s)
-            total += census[s][static_cast<std::size_t>(t)];
-        if (total != machine.used_pages(tier)) {
-            std::ostringstream os;
-            os << "per-shard census of tier " << memsim::tier_name(tier)
-               << " sums to " << total << " across " << shards
-               << " shards but the machine tracks "
-               << machine.used_pages(tier) << " resident pages";
-            violate(Invariant::kShardPartition, os.str());
-        }
-    }
-    std::uint64_t examined =
-        static_cast<std::uint64_t>(ShardedAccessEngine::kNumSlices) +
-        static_cast<std::uint64_t>(pages) + memsim::kTierCount;
-    if (!sharded.parallel_merge())
-        return examined;
-
-    // --- parallel-merge audits (DESIGN.md §12) ----------------------
-
-    // (a) Lane latency reconciliation. The cumulative per-lane folded
-    // accumulators must add back up to the engine's independently
-    // recomputed totals: parallel_charged_ns() comes from the faulted
-    // timebase scan's clock delta (or per-tier counts x latencies
-    // unfaulted), never from the lane sums themselves, so a single
-    // off-by-one in any lane's private accumulator surfaces here.
-    std::uint64_t folded_accesses = 0;
-    SimTimeNs folded_lat = 0;
-    for (unsigned s = 0; s < shards; ++s) {
-        folded_accesses += sharded.lane_folded_accesses(s);
-        folded_lat += sharded.lane_folded_latency_ns(s);
-    }
-    if (folded_accesses != sharded.parallel_accesses()) {
-        std::ostringstream os;
-        os << "lane folded access counters sum to " << folded_accesses
-           << " across " << shards << " shards but the parallel merge "
-           << "processed " << sharded.parallel_accesses() << " accesses";
-        violate(Invariant::kShardPartition, os.str());
-    }
-    if (folded_lat != sharded.parallel_charged_ns()) {
-        std::ostringstream os;
-        os << "lane latency accumulators sum to " << folded_lat
-           << " ns across " << shards << " shards but parallel-merged "
-           << "batches charged " << sharded.parallel_charged_ns()
-           << " ns";
-        violate(Invariant::kShardPartition, os.str());
-    }
-    examined += static_cast<std::uint64_t>(shards) * 2;
-
-    // (b) Pending per-shard sampler records awaiting the boundary
-    // merge: each record must carry the index of the lane holding it,
-    // that lane must own the record's page, and each lane's stream
-    // must be strictly seq-sorted below the engine's next global
-    // sequence number (the merge relies on per-lane sortedness).
-    const std::uint64_t next_seq = sharded.next_seq();
-    for (unsigned s = 0; s < shards; ++s) {
-        const auto& pending = sharded.lane_pending(s);
-        std::uint64_t prev_seq = 0;
-        bool have_prev = false;
-        for (const auto& ps : pending) {
-            if (ps.shard != s || sharded.owner_of(ps.page) != s) {
-                std::ostringstream os;
-                os << "pending sampler record for page " << ps.page
-                   << " (seq " << ps.seq << ") sits on lane " << s
-                   << " but is attributed to shard " << ps.shard
-                   << " and the page is owned by shard "
-                   << sharded.owner_of(ps.page);
-                violate(Invariant::kShardPartition, os.str());
-            }
-            if (ps.seq >= next_seq || (have_prev && ps.seq <= prev_seq)) {
-                std::ostringstream os;
-                os << "pending sampler record on lane " << s
-                   << " carries seq " << ps.seq << " (previous "
-                   << (have_prev ? prev_seq : 0)
-                   << ", engine next_seq " << next_seq
-                   << "): per-lane streams must be strictly "
-                   << "seq-sorted below next_seq";
-                violate(Invariant::kShardPartition, os.str());
-            }
-            prev_seq = ps.seq;
-            have_prev = true;
-            ++examined;
-        }
-    }
-
-    // (c) Per-shard LRU segments: every linked page must belong to the
-    // segment's shard, be allocated, and carry a stamp below next_seq;
-    // along each list stamps must strictly descend (every touch moves
-    // the page to a head with a fresh globally-unique stamp — the
-    // property the decision-boundary splice's k-way merge relies on).
-    // Deliberately NO tier-residency check: a page touched and then
-    // migrated by the policy stays on its old tier's list until its
-    // next touch, exactly like the serial LruLists oracle.
-    const lru::ShardedLru* recency = sharded.recency();
-    if (recency == nullptr || recency->shards() != shards ||
-        recency->page_count() != pages) {
-        std::ostringstream os;
-        os << "parallel merge is active but the recency view is "
-           << (recency == nullptr ? "missing" : "mis-shaped");
-        violate(Invariant::kShardPartition, os.str());
-    }
-    for (unsigned s = 0; s < shards; ++s) {
-        const lru::LruLists& seg = recency->segment(s);
-        for (int l = 0; l < 4; ++l) {
-            const auto list = static_cast<lru::ListId>(l);
-            std::uint64_t prev_stamp = 0;
-            bool first = true;
-            std::size_t walked = 0;
-            for (PageId page = seg.head(list); page != kInvalidPage;
-                 page = seg.next(page)) {
-                if (sharded.owner_of(page) != s) {
-                    std::ostringstream os;
-                    os << "page " << page << " is linked on shard " << s
-                       << "'s LRU segment but is owned by shard "
-                       << sharded.owner_of(page);
-                    violate(Invariant::kShardPartition, os.str());
-                }
-                if (!machine.is_allocated(page)) {
-                    std::ostringstream os;
-                    os << "unallocated page " << page
-                       << " is linked on shard " << s
-                       << "'s LRU segment";
-                    violate(Invariant::kShardPartition, os.str());
-                }
-                const std::uint64_t stamp = recency->stamp_of(page);
-                if (stamp >= next_seq ||
-                    (!first && stamp >= prev_stamp)) {
-                    std::ostringstream os;
-                    os << "page " << page << " on shard " << s
-                       << "'s LRU segment carries stamp " << stamp
-                       << " (previous " << (first ? 0 : prev_stamp)
-                       << ", engine next_seq " << next_seq
-                       << "): list stamps must strictly descend below "
-                       << "next_seq";
-                    violate(Invariant::kShardPartition, os.str());
-                }
-                prev_stamp = stamp;
-                first = false;
-                if (++walked > pages) {
-                    std::ostringstream os;
-                    os << "shard " << s << "'s LRU segment list " << l
-                       << " walks more pages than exist (cycle?)";
-                    violate(Invariant::kShardPartition, os.str());
-                }
-                ++examined;
-            }
-            if (walked != seg.size(list)) {
-                std::ostringstream os;
-                os << "shard " << s << "'s LRU segment list " << l
-                   << " links " << walked << " pages but tracks "
-                   << seg.size(list);
-                violate(Invariant::kShardPartition, os.str());
-            }
-        }
-    }
-    return examined;
-}
-
-std::uint64_t
 InvariantChecker::check_tenant_quota(const memsim::TieredMachine& machine)
 {
     const memsim::TenantLedger* ledger = machine.tenants();
@@ -715,16 +514,13 @@ InvariantChecker::check_artmem(const core::ArtMem& artmem,
 std::uint64_t
 InvariantChecker::audit(const memsim::TieredMachine& machine,
                         const policies::Policy& policy,
-                        std::optional<std::uint64_t> expected_suppressed,
-                        const memsim::ShardedAccessEngine* sharded)
+                        std::optional<std::uint64_t> expected_suppressed)
 {
     ++audits_;
     std::uint64_t examined = 0;
     examined += check_machine(machine);
     examined += check_fault_accounting(machine, expected_suppressed);
     examined += check_tx_accounting(machine);
-    if (sharded != nullptr)
-        examined += check_shard_partition(machine, *sharded);
     if (machine.tenants() != nullptr)
         examined += check_tenant_quota(machine);
     if (const auto* artmem =

@@ -49,7 +49,6 @@
 
 #include "core/artmem.hpp"
 #include "lru/lru_lists.hpp"
-#include "memsim/sharded_access.hpp"
 #include "memsim/tiered_machine.hpp"
 #include "policies/policy.hpp"
 #include "rl/qtable.hpp"
@@ -67,7 +66,6 @@ enum class Invariant : std::uint8_t {
     kFaultAccounting,     ///< Failure counters vs. injector bookkeeping.
     kQTableValue,         ///< Non-finite or out-of-bound action value.
     kTxAccounting,        ///< Transaction counters vs. draw bookkeeping.
-    kShardPartition,      ///< Shard ownership map / per-shard census drift.
     kTenantQuota,         ///< Tenant ledger census / quota violation.
 };
 
@@ -167,22 +165,6 @@ class InvariantChecker
     check_tx_accounting(const memsim::TieredMachine& machine);
 
     /**
-     * Sharded ownership partition and cross-shard residency census
-     * (memsim/sharded_access.hpp). The slice->shard owner map must be a
-     * partition (every slice owned by exactly one shard below the shard
-     * count), and a per-shard per-tier census of owned pages — charging
-     * transactional shadow/dual secondary copies exactly like
-     * check_machine() — must sum across shards to the machine's
-     * used_pages(). A shard scanning pages it does not own, or losing
-     * pages it does, breaks the sum.
-     * @returns slices examined plus pages censused plus per-tier
-     *          counters reconciled.
-     */
-    [[nodiscard]] static std::uint64_t
-    check_shard_partition(const memsim::TieredMachine& machine,
-                          const memsim::ShardedAccessEngine& sharded);
-
-    /**
      * Tenant-ledger accounting (memsim/tenant_ledger.hpp; DESIGN.md
      * §13). A per-tenant per-tier census of the machine's residency map
      * — bucketing every allocated page by its ledger owner and charging
@@ -225,16 +207,13 @@ class InvariantChecker
 
     /**
      * Full per-interval audit: machine residency + fault accounting
-     * always, ArtMem internals when @p policy is an ArtMem instance,
-     * shard partition + census when @p sharded is non-null (the engine
-     * passes its sharded front end on --shards runs).
+     * always, ArtMem internals when @p policy is an ArtMem instance.
      * @returns the summed item counts of every check performed.
      */
     [[nodiscard]] std::uint64_t
     audit(const memsim::TieredMachine& machine,
           const policies::Policy& policy,
-          std::optional<std::uint64_t> expected_suppressed = std::nullopt,
-          const memsim::ShardedAccessEngine* sharded = nullptr);
+          std::optional<std::uint64_t> expected_suppressed = std::nullopt);
 
     /** Audits performed so far. */
     std::uint64_t audits() const { return audits_; }

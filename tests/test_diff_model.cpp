@@ -10,14 +10,10 @@
  * injector's draw schedule — must match the old scalar semantics
  * exactly. This file enforces the contract three ways:
  *
- *  1. Lockstep oracle: four identically configured machines run the
+ *  1. Lockstep oracle: two identically configured machines run the
  *     same seeded access stream — one through the retained scalar
  *     access() sequence (the pre-overhaul engine loop, kept verbatim
- *     below), one through access_batch(), one through the sharded
- *     pipeline with the serial epoch merge, and one through the
- *     sharded pipeline with the parallel per-lane merge (per-lane
- *     latency accumulators, per-shard PEBS streams, per-shard LRU,
- *     deterministic boundary merge); full state is compared every
+ *     below), one through access_batch(); full state is compared every
  *     decision interval, across all built-in fault scenarios, with
  *     trap storms and a re-entrant promotion fault handler thrown in.
  *
@@ -50,7 +46,6 @@
 #include "lru/lru_lists.hpp"
 #include "memsim/fault_injector.hpp"
 #include "memsim/pebs.hpp"
-#include "memsim/sharded_access.hpp"
 #include "memsim/tiered_machine.hpp"
 #include "memsim/tx_migration.hpp"
 #include "policies/autotiering.hpp"
@@ -93,7 +88,6 @@ using memsim::FaultInjector;
 using memsim::MachineConfig;
 using memsim::PebsSample;
 using memsim::PebsSampler;
-using memsim::ShardedAccessEngine;
 using memsim::Tier;
 using memsim::TieredMachine;
 
@@ -204,42 +198,25 @@ struct TrapEvent {
 };
 
 /**
- * Drives the scalar oracle, the batched machine, a third machine fed
- * through the sharded epoch pipeline with the serial merge (3 shards,
- * audit on), AND a fourth fed through the same pipeline with the
- * parallel per-lane merge, in lockstep over one fault scenario,
- * interleaving migrations, exchanges, trap arming, and accessed-bit
- * scans between intervals, and comparing complete state at every
- * interval boundary. The parallel engine's boundary merge runs right
- * before each drain, exactly as the engine loop orders it.
+ * Drives the scalar oracle and the batched machine in lockstep over one
+ * fault scenario, interleaving migrations, exchanges, trap arming, and
+ * accessed-bit scans between intervals, and comparing complete state
+ * at every interval boundary.
  */
 void
 run_lockstep_scenario(std::string_view scenario, std::uint64_t seed)
 {
     TieredMachine scalar(small_machine());
     TieredMachine batched(small_machine());
-    TieredMachine sharded(small_machine());
-    TieredMachine parallel(small_machine());
     const FaultConfig faults = memsim::make_fault_scenario(scenario, 7);
     scalar.install_faults(faults);
     batched.install_faults(faults);
-    sharded.install_faults(faults);
-    parallel.install_faults(faults);
-    ShardedAccessEngine shard_engine(
-        sharded, {.shards = 3, .seed = seed, .audit = true});
-    ShardedAccessEngine parallel_engine(parallel, {.shards = 3,
-                                                   .seed = seed,
-                                                   .audit = true,
-                                                   .parallel_merge = true});
 
     // Re-entrant handler, as AutoNUMA-style policies install: promote
     // the faulting page on the spot. Inside access_batch() this forces
-    // the local clock/counter flush-and-reload protocol (and flips the
-    // sharded walk into its legacy tail).
+    // the local clock/counter flush-and-reload protocol.
     std::vector<TrapEvent> scalar_traps;
     std::vector<TrapEvent> batched_traps;
-    std::vector<TrapEvent> sharded_traps;
-    std::vector<TrapEvent> parallel_traps;
     scalar.set_fault_handler([&](PageId page, Tier tier) {
         scalar_traps.push_back({page, tier, scalar.now()});
         if (tier == Tier::kSlow)
@@ -250,36 +227,20 @@ run_lockstep_scenario(std::string_view scenario, std::uint64_t seed)
         if (tier == Tier::kSlow)
             (void)batched.migrate(page, Tier::kFast);
     });
-    sharded.set_fault_handler([&](PageId page, Tier tier) {
-        sharded_traps.push_back({page, tier, sharded.now()});
-        if (tier == Tier::kSlow)
-            (void)sharded.migrate(page, Tier::kFast);
-    });
-    parallel.set_fault_handler([&](PageId page, Tier tier) {
-        parallel_traps.push_back({page, tier, parallel.now()});
-        if (tier == Tier::kSlow)
-            (void)parallel.migrate(page, Tier::kFast);
-    });
 
     // Small buffer so overflow drops are exercised too.
     const PebsSampler::Config sampler_cfg{.period = 7,
                                           .buffer_capacity = 1 << 8};
     PebsSampler scalar_sampler(sampler_cfg);
     PebsSampler batched_sampler(sampler_cfg);
-    PebsSampler sharded_sampler(sampler_cfg);
-    PebsSampler parallel_sampler(sampler_cfg);
     std::uint64_t scalar_suppressed = 0;
     std::uint64_t batched_suppressed = 0;
-    std::uint64_t sharded_suppressed = 0;
-    std::uint64_t parallel_suppressed = 0;
 
     Rng stream(seed);
     Rng ops(derive_seed(seed, 1));
     std::vector<PageId> batch;
     std::vector<PebsSample> scalar_drained;
     std::vector<PebsSample> batched_drained;
-    std::vector<PebsSample> sharded_drained;
-    std::vector<PebsSample> parallel_drained;
 
     for (int interval = 0; interval < 64; ++interval) {
         SCOPED_TRACE(testing::Message()
@@ -302,21 +263,12 @@ run_lockstep_scenario(std::string_view scenario, std::uint64_t seed)
                 batched.access_batch_faulted(batch.data(), n,
                                              batched_sampler,
                                              batched_suppressed);
-                shard_engine.process_faulted(batch.data(), n,
-                                             sharded_sampler,
-                                             sharded_suppressed);
-                parallel_engine.process_faulted(batch.data(), n,
-                                                parallel_sampler,
-                                                parallel_suppressed);
             } else {
                 batched.access_batch(batch.data(), n, batched_sampler);
-                shard_engine.process(batch.data(), n, sharded_sampler);
-                parallel_engine.process(batch.data(), n,
-                                        parallel_sampler);
             }
         }
 
-        // Decision-interval work, applied identically to all machines.
+        // Decision-interval work, applied identically to both machines.
         for (int i = 0; i < 8; ++i) {
             const auto page =
                 static_cast<PageId>(ops.next_below(kPages));
@@ -325,92 +277,45 @@ run_lockstep_scenario(std::string_view scenario, std::uint64_t seed)
             const Tier dst = scalar.tier_of(page) == Tier::kFast
                                  ? Tier::kSlow
                                  : Tier::kFast;
-            const auto status = scalar.migrate(page, dst).status;
-            EXPECT_EQ(status, batched.migrate(page, dst).status);
-            EXPECT_EQ(status, sharded.migrate(page, dst).status);
-            EXPECT_EQ(status, parallel.migrate(page, dst).status);
+            EXPECT_EQ(scalar.migrate(page, dst).status,
+                      batched.migrate(page, dst).status);
         }
         const auto a = static_cast<PageId>(ops.next_below(kPages));
         const auto b = static_cast<PageId>(ops.next_below(kPages));
         if (scalar.is_allocated(a) && scalar.is_allocated(b)) {
             EXPECT_EQ(scalar.exchange(a, b).status,
                       batched.exchange(a, b).status);
-            (void)sharded.exchange(a, b);
-            (void)parallel.exchange(a, b);
         }
         for (int i = 0; i < 16; ++i) {
             const auto page =
                 static_cast<PageId>(ops.next_below(kPages));
             scalar.set_trap(page);
             batched.set_trap(page);
-            sharded.set_trap(page);
-            parallel.set_trap(page);
         }
         for (int i = 0; i < 16; ++i) {
             const auto page =
                 static_cast<PageId>(ops.next_below(kPages));
             EXPECT_EQ(scalar.test_and_clear_accessed(page),
                       batched.test_and_clear_accessed(page));
-            (void)sharded.test_and_clear_accessed(page);
-            (void)parallel.test_and_clear_accessed(page);
         }
 
-        // Full-state comparison at the interval boundary. The parallel
-        // engine's per-lane sampler records flow into its ring only at
-        // merge_boundary(), which the engine loop runs before every
-        // drain — mirrored here.
-        parallel_engine.merge_boundary(parallel_sampler);
-        parallel_engine.splice_recency();
+        // Full-state comparison at the interval boundary.
         scalar_drained.clear();
         batched_drained.clear();
-        sharded_drained.clear();
-        parallel_drained.clear();
         scalar_sampler.drain(scalar_drained, 1 << 12);
         batched_sampler.drain(batched_drained, 1 << 12);
-        sharded_sampler.drain(sharded_drained, 1 << 12);
-        parallel_sampler.drain(parallel_drained, 1 << 12);
         expect_samples_equal(scalar_drained, batched_drained);
-        expect_samples_equal(scalar_drained, sharded_drained);
-        expect_samples_equal(scalar_drained, parallel_drained);
         EXPECT_EQ(scalar_sampler.recorded(), batched_sampler.recorded());
         EXPECT_EQ(scalar_sampler.dropped(), batched_sampler.dropped());
-        EXPECT_EQ(scalar_sampler.recorded(), sharded_sampler.recorded());
-        EXPECT_EQ(scalar_sampler.dropped(), sharded_sampler.dropped());
-        EXPECT_EQ(scalar_sampler.recorded(),
-                  parallel_sampler.recorded());
-        EXPECT_EQ(scalar_sampler.dropped(), parallel_sampler.dropped());
         EXPECT_EQ(scalar_suppressed, batched_suppressed);
-        EXPECT_EQ(scalar_suppressed, sharded_suppressed);
-        EXPECT_EQ(scalar_suppressed, parallel_suppressed);
         ASSERT_EQ(scalar_traps, batched_traps);
-        ASSERT_EQ(scalar_traps, sharded_traps);
-        ASSERT_EQ(scalar_traps, parallel_traps);
         expect_machines_equal(scalar, batched);
-        expect_machines_equal(scalar, sharded);
-        expect_machines_equal(scalar, parallel);
-        if (interval % 4 == 3) {
-            const auto window = scalar.take_window();
-            expect_counters_equal(window, batched.take_window());
-            expect_counters_equal(window, sharded.take_window());
-            expect_counters_equal(window, parallel.take_window());
-        }
+        if (interval % 4 == 3)
+            expect_counters_equal(scalar.take_window(),
+                                  batched.take_window());
         if (testing::Test::HasFailure())
             return;  // one divergence floods everything downstream
     }
-    // The randomized phase-1 self-checks must actually have sampled
-    // (audit is on and the run covers tens of thousands of accesses).
-    EXPECT_GT(shard_engine.audited_accesses(), 0u);
-    EXPECT_GT(parallel_engine.audited_accesses(), 0u);
-    // Trap storms under a re-entrant handler must have exercised the
-    // legacy-tail fallback at least once.
-    EXPECT_GT(shard_engine.legacy_tails(), 0u);
-    // The parallel engine must have taken both merge paths: parallel
-    // folds on all-plain batches, serial fallbacks (and their legacy
-    // tails) whenever an armed trap or injected fault made a batch
-    // special.
-    EXPECT_GT(parallel_engine.parallel_merges(), 0u);
-    EXPECT_GT(parallel_engine.serial_merges(), 0u);
-    EXPECT_EQ(shard_engine.parallel_merges(), 0u);
 }
 
 TEST(DiffModel, BatchMatchesScalarOracleAcrossFaultScenarios)

@@ -6,34 +6,20 @@
  * and were inlined for the hot-path overhaul, so they get randomized
  * operation sequences checked against trivially correct standard-
  * library models: four std::lists (+ a referenced-bit map) for
- * LruLists, a bounded std::deque for RingBuffer. The sharded access
- * pipeline (DESIGN.md §12) gets the same treatment: random batches,
- * trap storms, and transactional abort storms against the batched
- * machine as the model, fuzzed over shard counts and both merge
- * flavours (serial epoch merge vs parallel per-lane merge), plus a
- * full-run golden diff: shard-count × decision-interval draws whose
- * CSV-serialized results must match the unsharded (--shards 0) run
- * byte for byte. Each trial prints its seed via SCOPED_TRACE so any
- * failure is replayable by pinning kBaseSeed to the reported value.
+ * LruLists, a bounded std::deque for RingBuffer. Each trial prints its
+ * seed via SCOPED_TRACE so any failure is replayable by pinning
+ * kBaseSeed to the reported value.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <deque>
 #include <list>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "lru/lru_lists.hpp"
-#include "memsim/fault_injector.hpp"
-#include "memsim/pebs.hpp"
 #include "memsim/ring_buffer.hpp"
-#include "memsim/sharded_access.hpp"
-#include "memsim/tiered_machine.hpp"
-#include "sim/experiment.hpp"
 #include "util/rng.hpp"
-#include "verify/invariant_checker.hpp"
 
 namespace artmem {
 namespace {
@@ -313,310 +299,6 @@ TEST(Property, RingBufferMatchesDequeModel)
             if (testing::Test::HasFailure())
                 return;
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sharded access pipeline vs the batched machine, fuzzed over shard
-// counts (DESIGN.md §12).
-// ---------------------------------------------------------------------
-
-TEST(Property, ShardedPipelineMatchesBatchedMachineAcrossShardCounts)
-{
-    // Each trial: one batched reference machine and one machine fed
-    // through ShardedAccessEngine with a randomly drawn shard count
-    // and merge flavour (serial epoch merge or parallel per-lane
-    // merge), random batch shapes, random trap arming (with a
-    // re-entrant promoting handler, forcing legacy tails), and — on
-    // half the trials — the transactional engine under an abort-storm
-    // fault scenario. Full observable state must match after every
-    // batch; parallel trials publish their per-shard sampler streams
-    // via merge_boundary() before each drain, as the engine loop does.
-    constexpr std::size_t kPages = 768;
-    memsim::MachineConfig cfg;
-    cfg.page_size = 2ull << 20;
-    cfg.address_space = kPages * cfg.page_size;
-    cfg.tiers[0].capacity = 192 * cfg.page_size;
-    cfg.tiers[1].capacity = kPages * cfg.page_size;
-
-    const unsigned shard_counts[] = {1, 2, 3, 8};
-    for (int trial = 0; trial < 12; ++trial) {
-        const std::uint64_t seed = derive_seed(kBaseSeed, 7000 + trial);
-        SCOPED_TRACE(testing::Message()
-                     << "trial=" << trial << " seed=" << seed);
-        Rng rng(seed);
-        const unsigned shards =
-            shard_counts[rng.next_below(std::size(shard_counts))];
-        const bool storm = rng.next_bool(0.5);
-        const bool parallel = rng.next_bool(0.5);
-        SCOPED_TRACE(testing::Message()
-                     << "shards=" << shards << " storm=" << storm
-                     << " parallel=" << parallel);
-
-        memsim::TieredMachine reference(cfg);
-        memsim::TieredMachine machine(cfg);
-        if (storm) {
-            const auto faults =
-                memsim::make_fault_scenario("abort_storm", seed);
-            reference.install_faults(faults);
-            machine.install_faults(faults);
-            memsim::TxConfig tx;
-            tx.enabled = true;
-            reference.install_tx(tx);
-            machine.install_tx(tx);
-        }
-        reference.set_fault_handler([&](PageId page, memsim::Tier tier) {
-            if (tier == memsim::Tier::kSlow)
-                (void)reference.migrate(page, memsim::Tier::kFast);
-        });
-        machine.set_fault_handler([&](PageId page, memsim::Tier tier) {
-            if (tier == memsim::Tier::kSlow)
-                (void)machine.migrate(page, memsim::Tier::kFast);
-        });
-        memsim::ShardedAccessEngine engine(machine,
-                                           {.shards = shards,
-                                            .seed = seed,
-                                            .audit = true,
-                                            .parallel_merge = parallel});
-
-        const memsim::PebsSampler::Config sampler_cfg{
-            .period = 5, .buffer_capacity = 1 << 8};
-        memsim::PebsSampler ref_sampler(sampler_cfg);
-        memsim::PebsSampler sh_sampler(sampler_cfg);
-        std::uint64_t ref_suppressed = 0;
-        std::uint64_t sh_suppressed = 0;
-
-        std::vector<PageId> batch;
-        std::vector<memsim::PebsSample> ref_drained;
-        std::vector<memsim::PebsSample> sh_drained;
-        for (int round = 0; round < 48; ++round) {
-            SCOPED_TRACE(testing::Message() << "round=" << round);
-            const std::size_t n = 1 + rng.next_below(513);
-            // Every fourth round draws only from already-allocated,
-            // untrapped pages: with no first touches and no armed
-            // traps in the batch, parallel trials take the per-lane
-            // merge instead of the serial fallback (tx-marked pages
-            // under a storm can still force the fallback — also worth
-            // fuzzing). Both machines are identical, so querying the
-            // reference is query-order neutral.
-            const bool clean = round > 0 && round % 4 == 0;
-            batch.clear();
-            for (std::size_t i = 0; i < n; ++i) {
-                const bool hot = rng.next_bool(0.6);
-                auto page = static_cast<PageId>(
-                    hot ? rng.next_below(96) : rng.next_below(kPages));
-                if (clean) {
-                    for (int tries = 0;
-                         tries < 64 && (!reference.is_allocated(page) ||
-                                        reference.has_trap(page));
-                         ++tries)
-                        page = static_cast<PageId>(rng.next_below(96));
-                }
-                batch.push_back(page);
-            }
-            if (reference.faults_enabled()) {
-                reference.access_batch_faulted(batch.data(), n,
-                                               ref_sampler,
-                                               ref_suppressed);
-                engine.process_faulted(batch.data(), n, sh_sampler,
-                                       sh_suppressed);
-            } else {
-                reference.access_batch(batch.data(), n, ref_sampler);
-                engine.process(batch.data(), n, sh_sampler);
-            }
-
-            // Inter-batch churn: migrations, trap storms, tx polls.
-            for (int i = 0; i < 6; ++i) {
-                const auto page =
-                    static_cast<PageId>(rng.next_below(kPages));
-                if (!reference.is_allocated(page))
-                    continue;
-                const auto dst =
-                    reference.tier_of(page) == memsim::Tier::kFast
-                        ? memsim::Tier::kSlow
-                        : memsim::Tier::kFast;
-                ASSERT_EQ(reference.migrate(page, dst).status,
-                          machine.migrate(page, dst).status);
-            }
-            for (int i = 0; i < 12; ++i) {
-                const auto page =
-                    static_cast<PageId>(rng.next_below(kPages));
-                reference.set_trap(page);
-                machine.set_trap(page);
-            }
-            if (storm && round % 4 == 3) {
-                ASSERT_EQ(reference.poll_tx(), machine.poll_tx());
-            }
-
-            // Boundary: publish the parallel trials' pending per-shard
-            // records before any sampler accounting is compared (no-op
-            // for serial trials).
-            engine.merge_boundary(sh_sampler);
-            ASSERT_EQ(reference.now(), machine.now());
-            ASSERT_EQ(ref_suppressed, sh_suppressed);
-            ASSERT_EQ(ref_sampler.recorded(), sh_sampler.recorded());
-            ASSERT_EQ(ref_sampler.dropped(), sh_sampler.dropped());
-            const auto& rt = reference.totals();
-            const auto& mt = machine.totals();
-            ASSERT_EQ(rt.accesses[0], mt.accesses[0]);
-            ASSERT_EQ(rt.accesses[1], mt.accesses[1]);
-            ASSERT_EQ(rt.hint_faults, mt.hint_faults);
-            ASSERT_EQ(rt.tx_opened, mt.tx_opened);
-            ASSERT_EQ(rt.tx_committed, mt.tx_committed);
-            ASSERT_EQ(rt.tx_aborted, mt.tx_aborted);
-            ASSERT_EQ(rt.tx_dual_drops, mt.tx_dual_drops);
-            for (PageId p = 0; p < kPages; ++p) {
-                ASSERT_EQ(reference.is_allocated(p),
-                          machine.is_allocated(p))
-                    << "page " << p;
-                ASSERT_EQ(reference.accessed(p), machine.accessed(p))
-                    << "page " << p;
-                ASSERT_EQ(reference.has_trap(p), machine.has_trap(p))
-                    << "page " << p;
-                if (reference.is_allocated(p)) {
-                    ASSERT_EQ(reference.tier_of(p), machine.tier_of(p))
-                        << "page " << p;
-                }
-            }
-            ref_drained.clear();
-            sh_drained.clear();
-            ref_sampler.drain(ref_drained, 1 << 12);
-            sh_sampler.drain(sh_drained, 1 << 12);
-            ASSERT_EQ(ref_drained.size(), sh_drained.size());
-            for (std::size_t i = 0; i < ref_drained.size(); ++i) {
-                ASSERT_EQ(ref_drained[i].page, sh_drained[i].page);
-                ASSERT_EQ(ref_drained[i].tier, sh_drained[i].tier);
-            }
-            // The cross-shard partition/census invariant must hold at
-            // every boundary, tx shadow/dual charges included.
-            ASSERT_GT(verify::InvariantChecker::check_shard_partition(
-                          machine, engine),
-                      0u);
-            if (testing::Test::HasFailure())
-                return;
-        }
-        // Clean rounds guarantee all-plain batches when no tx engine
-        // can mark pages, so storm-free parallel trials must have
-        // exercised the per-lane merge.
-        if (parallel && !storm) {
-            ASSERT_GT(engine.parallel_merges(), 0u);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Full-run golden diff: shard-count × decision-interval fuzz whose
-// CSV-serialized results must match --shards 0 byte for byte.
-// ---------------------------------------------------------------------
-
-/**
- * Serialize a RunResult into one CSV blob — every field the sharding
- * contract pins (runtime, counters, PEBS accounting, the per-interval
- * timeline, per-tenant summaries) — so two runs can be compared as
- * bytes, the same way scripts/ci.sh diffs whole `artmem run` outputs.
- */
-std::string
-result_csv(const sim::RunResult& r)
-{
-    std::ostringstream os;
-    os.precision(17);
-    const auto& t = r.totals;
-    os << "runtime_ns,accesses,fast_ratio,acc_fast,acc_slow,hint_faults,"
-          "promoted,demoted,exchanges,migration_busy_ns,overhead_ns,"
-          "failed_no_slot,failed_pinned,failed_transient,failed_contended,"
-          "aborted_migration_ns,tx_opened,tx_committed,tx_aborted,"
-          "tx_retries,tx_free_flips,tx_dual_drops,tx_dual_reclaims,"
-          "failed_tx_busy,pebs_recorded,pebs_dropped,pebs_suppressed\n";
-    os << r.runtime_ns << ',' << r.accesses << ',' << r.fast_ratio << ','
-       << t.accesses[0] << ',' << t.accesses[1] << ',' << t.hint_faults
-       << ',' << t.promoted_pages << ',' << t.demoted_pages << ','
-       << t.exchanges << ',' << t.migration_busy_ns << ','
-       << t.overhead_ns << ',' << t.failed_no_slot << ','
-       << t.failed_pinned << ',' << t.failed_transient << ','
-       << t.failed_contended << ',' << t.aborted_migration_ns << ','
-       << t.tx_opened << ',' << t.tx_committed << ',' << t.tx_aborted
-       << ',' << t.tx_retries << ',' << t.tx_free_flips << ','
-       << t.tx_dual_drops << ',' << t.tx_dual_reclaims << ','
-       << t.failed_tx_busy << ',' << r.pebs_recorded << ','
-       << r.pebs_dropped << ',' << r.pebs_suppressed << '\n';
-    for (const auto& iv : r.timeline) {
-        os << "interval," << iv.end_time << ',' << iv.accesses << ','
-           << iv.fast_ratio << ',' << iv.promoted << ',' << iv.demoted
-           << ',' << iv.exchanges << ',' << iv.failed_migrations << ','
-           << (iv.sampling_blackout ? 1 : 0) << '\n';
-    }
-    for (const auto& ten : r.tenants) {
-        os << "tenant," << ten.accesses[0] << ',' << ten.accesses[1]
-           << ',' << ten.fast_ratio << ',' << ten.samples << ','
-           << ten.promoted << ',' << ten.demoted << ','
-           << ten.quota_denied << ',' << ten.admission_denied << ','
-           << ten.admission_grants << ',' << ten.over_quota_allocs << ','
-           << ten.used_fast << ',' << ten.quota << '\n';
-    }
-    return os.str();
-}
-
-TEST(Property, ShardedGoldenCsvMatchesUnshardedAcrossIntervals)
-{
-    // Fuzz the shard count × decision interval plane under the
-    // parallel merge: each trial draws a shard count, a decision
-    // interval (which moves the merge/splice boundaries relative to
-    // the batch stream), and a policy, cycles through the fault
-    // scenarios the merge must survive — none, a transactional abort
-    // storm, a PEBS blackout — and requires the CSV-serialized result
-    // to match the unsharded (--shards 0) run byte for byte.
-    const unsigned shard_counts[] = {1, 2, 3, 5, 8};
-    const SimTimeNs intervals[] = {2000000, 5000000, 10000000, 20000000};
-    const char* const policies[] = {"artmem", "memtis", "tpp"};
-    for (int trial = 0; trial < 9; ++trial) {
-        const std::uint64_t seed = derive_seed(kBaseSeed, 9100 + trial);
-        Rng rng(seed);
-        const unsigned shards =
-            shard_counts[rng.next_below(std::size(shard_counts))];
-        const SimTimeNs interval =
-            intervals[rng.next_below(std::size(intervals))];
-        const char* policy = policies[rng.next_below(std::size(policies))];
-        const int scenario = trial % 3;  // cycle: every scenario covered
-        SCOPED_TRACE(testing::Message()
-                     << "trial=" << trial << " seed=" << seed
-                     << " shards=" << shards << " interval=" << interval
-                     << " policy=" << policy << " scenario=" << scenario);
-
-        sim::RunSpec spec;
-        spec.workload = "ycsb";
-        spec.policy = policy;
-        spec.ratio = {1, 4};
-        spec.accesses = 150000;
-        spec.seed = seed;
-        spec.engine.decision_interval = interval;
-        spec.engine.record_timeline = true;
-        spec.engine.check_invariants = true;
-        if (scenario == 1) {
-            spec.engine.faults =
-                memsim::make_fault_scenario("abort_storm", seed);
-            spec.engine.tx.enabled = true;
-        } else if (scenario == 2) {
-            spec.engine.faults =
-                memsim::make_fault_scenario("blackout", seed);
-        }
-
-        auto baseline = spec;
-        baseline.engine.shards = 0;
-        const auto base_result = sim::run_experiment(baseline);
-        if (scenario == 1) {
-            ASSERT_GT(base_result.totals.tx_opened, 0u);
-        }
-        if (scenario == 2) {
-            ASSERT_GT(base_result.pebs_suppressed, 0u);
-        }
-
-        auto sharded = spec;
-        sharded.engine.shards = shards;
-        sharded.engine.parallel_merge = true;
-        ASSERT_EQ(result_csv(base_result),
-                  result_csv(sim::run_experiment(sharded)));
-        if (testing::Test::HasFailure())
-            return;
     }
 }
 

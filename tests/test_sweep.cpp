@@ -60,6 +60,19 @@ TEST(DeriveSeed, IndependentOfGridShape)
     }
 }
 
+TEST(SeedDomains, JobDomainIsTheLegacyStreamExactly)
+{
+    // Sweep goldens pin the legacy two-argument stream; the namespaced
+    // overload must reproduce it bit-for-bit under kJob.
+    for (const std::uint64_t base : {0ull, 42ull, 0xdeadbeefull,
+                                     0x9e3779b97f4a7c15ull}) {
+        for (std::uint64_t i = 0; i < 256; ++i)
+            ASSERT_EQ(derive_seed(base, SeedDomain::kJob, i),
+                      derive_seed(base, i))
+                << "base=" << base << " i=" << i;
+    }
+}
+
 // ----------------------------------------------------------- ThreadPool
 
 TEST(ThreadPool, RunsEveryTask)

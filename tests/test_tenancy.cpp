@@ -3,8 +3,8 @@
  * Multi-tenant serving tests (DESIGN.md §13): seed-domain isolation,
  * TenantSet layout and scheduling, quota enforcement at the boundary,
  * admission-controller decisions under a seeded hit-ratio drop,
- * per-tenant metric reconciliation against the machine's global
- * totals, and byte-level determinism across --shards.
+ * and per-tenant metric reconciliation against the machine's global
+ * totals.
  */
 #include <gtest/gtest.h>
 
@@ -70,7 +70,6 @@ TEST(TenantSeeds, DomainDisjointFromJobsAndShards)
     for (std::uint64_t i = 0; i < 64; ++i) {
         const auto tenant = derive_seed(base, SeedDomain::kTenant, i);
         EXPECT_NE(tenant, derive_seed(base, SeedDomain::kJob, i));
-        EXPECT_NE(tenant, derive_seed(base, SeedDomain::kShard, i));
         seen.insert(tenant);
     }
     EXPECT_EQ(seen.size(), 64u);  // no collisions inside the domain
@@ -356,7 +355,7 @@ TEST(TenancyConfigParse, KnobsWithoutTenantsAreFatal)
 }
 
 sim::RunSpec
-tenant_run_spec(unsigned shards)
+tenant_run_spec()
 {
     sim::RunSpec spec;
     spec.workload = "s2";
@@ -364,7 +363,6 @@ tenant_run_spec(unsigned shards)
     spec.ratio = {1, 4};
     spec.accesses = 200000;
     spec.seed = 42;
-    spec.engine.shards = shards;
     spec.engine.check_invariants = true;
     spec.tenancy.tenants = 4;
     spec.tenancy.mix = {"s2", "ycsb"};
@@ -376,7 +374,7 @@ tenant_run_spec(unsigned shards)
 
 TEST(TenantIntegration, PerTenantTotalsReconcileWithMachine)
 {
-    const auto result = sim::run_experiment(tenant_run_spec(0));
+    const auto result = sim::run_experiment(tenant_run_spec());
     ASSERT_EQ(result.tenants.size(), 4u);
     std::uint64_t fast = 0;
     std::uint64_t slow = 0;
@@ -404,35 +402,9 @@ TEST(TenantIntegration, PerTenantTotalsReconcileWithMachine)
     EXPECT_GT(result.invariant_audits, 0u);
 }
 
-TEST(TenantIntegration, ByteIdenticalAcrossShards)
-{
-    const auto serial = sim::run_experiment(tenant_run_spec(0));
-    const auto sharded = sim::run_experiment(tenant_run_spec(4));
-    EXPECT_EQ(serial.runtime_ns, sharded.runtime_ns);
-    EXPECT_EQ(serial.accesses, sharded.accesses);
-    EXPECT_DOUBLE_EQ(serial.fast_ratio, sharded.fast_ratio);
-    EXPECT_EQ(serial.totals.promoted_pages, sharded.totals.promoted_pages);
-    EXPECT_EQ(serial.totals.demoted_pages, sharded.totals.demoted_pages);
-    EXPECT_EQ(serial.totals.failed_quota, sharded.totals.failed_quota);
-    EXPECT_EQ(serial.totals.failed_admission,
-              sharded.totals.failed_admission);
-    ASSERT_EQ(serial.tenants.size(), sharded.tenants.size());
-    for (std::size_t t = 0; t < serial.tenants.size(); ++t) {
-        EXPECT_EQ(serial.tenants[t].accesses[0],
-                  sharded.tenants[t].accesses[0]);
-        EXPECT_EQ(serial.tenants[t].accesses[1],
-                  sharded.tenants[t].accesses[1]);
-        EXPECT_EQ(serial.tenants[t].samples, sharded.tenants[t].samples);
-        EXPECT_EQ(serial.tenants[t].promoted, sharded.tenants[t].promoted);
-        EXPECT_EQ(serial.tenants[t].demoted, sharded.tenants[t].demoted);
-        EXPECT_EQ(serial.tenants[t].used_fast,
-                  sharded.tenants[t].used_fast);
-    }
-}
-
 TEST(TenantIntegration, SingleTenantSpecMatchesPlainRun)
 {
-    auto plain = tenant_run_spec(0);
+    auto plain = tenant_run_spec();
     plain.tenancy = tenancy::TenancyConfig{};  // tenants = 1, all knobs off
     const auto a = sim::run_experiment(plain);
     const auto b = sim::run_experiment(plain);
@@ -447,7 +419,7 @@ TEST(TenantIntegration, FeedbackChangesGrantCountsUnderContention)
     // contended multi-tenant load, the feedback controller must arrive
     // at a different migration-grant schedule than the static limiter
     // (it reacts to the observed hit-ratio drop; the limiter cannot).
-    auto spec = tenant_run_spec(0);
+    auto spec = tenant_run_spec();
     spec.accesses = 2000000;  // enough decision intervals for ArtMem to act
     spec.engine.check_invariants = false;
     spec.tenancy.admission = "static";

@@ -334,6 +334,38 @@ TEST(CliArgs, LibraryFlagParsersRejectWrappedIntegers)
                 "--tx-max-inflight must not be negative");
 }
 
+TEST(CliArgs, RatioParsesFastSlowOrFallsBack)
+{
+    const auto ratio = sim::parse_ratio_cli(cli({"--ratio=2:16"}), {1, 1});
+    EXPECT_EQ(ratio.fast, 2);
+    EXPECT_EQ(ratio.slow, 16);
+    const auto fallback = sim::parse_ratio_cli(cli({}), {1, 4});
+    EXPECT_EQ(fallback.fast, 1);
+    EXPECT_EQ(fallback.slow, 4);
+}
+
+TEST(CliArgs, MalformedRatioIsFatalAndNamed)
+{
+    // None of these may throw, run as some other ratio, or size a tier
+    // from a non-positive part.
+    const auto dies = [](const std::string& text, const char* message) {
+        const std::string flag = "--ratio=" + text;
+        EXPECT_EXIT((void)sim::parse_ratio_cli(cli({flag.c_str()}), {1, 1}),
+                    ::testing::ExitedWithCode(1), message)
+            << text;
+    };
+    dies("a:4", "--ratio 'a:4' expects an unsigned integer");
+    dies("1:b", "--ratio '1:b' expects an unsigned integer");
+    dies("99999999999:4", "--ratio '99999999999:4' is out of range");
+    dies("1.5:4", "--ratio '1.5:4' expects an unsigned integer");
+    dies("1:4x", "--ratio '1:4x' expects an unsigned integer");
+    dies("-1:4", "--ratio '-1:4' must not be negative");
+    dies("0:4", "--ratio '0:4' parts must be positive");
+    dies("14", "--ratio expects fast:slow, got '14'");
+    // fast + slow must still fit in an int.
+    dies("1073741824:1", "--ratio '1073741824:1' is out of range");
+}
+
 TEST(KvConfig, IntegerOutOfRangeIsFatal)
 {
     const auto cfg = KvConfig::parse("big = 99999999999999999999\n"

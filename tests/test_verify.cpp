@@ -3,26 +3,19 @@
  * Invariant-checker tests: a healthy simulator passes every audit, and
  * each deliberately seeded corruption triggers exactly the typed
  * InvariantViolation that names it. The corruption back doors are the
- * TestPeer friends declared by TieredMachine, EmaBins, and the sharded
- * access pipeline (tests/sharded_peers.hpp); they exist only in the
- * test tree.
+ * TestPeer friends declared by TieredMachine, EmaBins, and
+ * TenantLedger; they exist only here.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
-#include <string_view>
-#include <vector>
 
 #include "core/artmem.hpp"
 #include "memsim/fault_injector.hpp"
-#include "memsim/pebs.hpp"
-#include "memsim/sharded_access.hpp"
 #include "memsim/tenant_ledger.hpp"
 #include "memsim/tiered_machine.hpp"
-#include "sharded_peers.hpp"
 #include "sim/experiment.hpp"
-#include "util/rng.hpp"
 #include "verify/invariant_checker.hpp"
 
 namespace artmem::memsim {
@@ -555,149 +548,6 @@ TEST(CheckTenantQuotaOff, SingleTenantMachineIsRejected)
     machine.prefault_range(0, 40);
     EXPECT_THROW((void)InvariantChecker::check_tenant_quota(machine),
                  InvariantViolation);
-}
-
-// --- kShardPartition: parallel-merge corruption detection --------------
-
-/**
- * Fixture driving a parallel-merge sharded engine far enough that every
- * audited structure is populated: lanes hold pending sampler records
- * (no boundary merge has run), the folded accumulators are non-zero,
- * and the per-shard LRU segments link touched pages.
- */
-class CheckShardParallel : public ::testing::Test
-{
-  protected:
-    static constexpr std::size_t kPages = 1024;
-    static constexpr unsigned kShards = 4;
-
-    CheckShardParallel()
-        : machine_(shard_machine_config()),
-          engine_(machine_, {.shards = kShards,
-                             .seed = 3,
-                             .audit = false,
-                             .parallel_merge = true}),
-          sampler_({.period = 5, .buffer_capacity = 1 << 10})
-    {
-        machine_.prefault_range(0, kPages);
-        Rng rng(17);
-        std::vector<PageId> batch;
-        for (int round = 0; round < 8; ++round) {
-            batch.clear();
-            for (int i = 0; i < 512; ++i)
-                batch.push_back(
-                    static_cast<PageId>(rng.next_below(kPages)));
-            engine_.process(batch.data(), batch.size(), sampler_);
-        }
-    }
-
-    static MachineConfig shard_machine_config()
-    {
-        MachineConfig config;
-        config.page_size = 1ull << 20;
-        config.address_space = kPages * config.page_size;
-        config.tiers[0].capacity = (kPages / 4) * config.page_size;
-        config.tiers[1].capacity = kPages * config.page_size;
-        return config;
-    }
-
-    void expect_fires(std::string_view needle)
-    {
-        try {
-            (void)InvariantChecker::check_shard_partition(machine_,
-                                                          engine_);
-            FAIL() << "expected InvariantViolation containing '" << needle
-                   << "'";
-        } catch (const InvariantViolation& violation) {
-            EXPECT_EQ(violation.which(), Invariant::kShardPartition);
-            EXPECT_NE(std::string(violation.what()).find(needle),
-                      std::string::npos)
-                << violation.what();
-        }
-    }
-
-    TieredMachine machine_;
-    memsim::ShardedAccessEngine engine_;
-    memsim::PebsSampler sampler_;
-};
-
-TEST_F(CheckShardParallel, HealthyParallelEnginePasses)
-{
-    ASSERT_GT(engine_.parallel_merges(), 0u);
-    ASSERT_GT(engine_.pending_samples(), 0u);
-    ASSERT_GT(engine_.parallel_charged_ns(), 0u);
-    EXPECT_GT(InvariantChecker::check_shard_partition(machine_, engine_),
-              0u);
-}
-
-TEST_F(CheckShardParallel, PageOnWrongShardsLruSegmentFires)
-{
-    // Move a page lane 0 touched from shard 0's private LRU segment
-    // onto shard 1's: the segment walk must attribute it to the wrong
-    // owner and fire.
-    auto& recency = memsim::ShardedEngineTestPeer::recency(engine_);
-    auto& seg0 = lru::ShardedLruTestPeer::segment(recency, 0);
-    PageId moved = kInvalidPage;
-    for (PageId p = 0; p < kPages; ++p) {
-        if (engine_.owner_of(p) == 0 &&
-            seg0.where(p) != lru::ListId::kNone) {
-            moved = p;
-            break;
-        }
-    }
-    ASSERT_NE(moved, kInvalidPage);
-    const lru::ListId list = seg0.where(moved);
-    seg0.remove(moved);
-    lru::ShardedLruTestPeer::segment(recency, 1).insert_head(moved, list);
-    expect_fires("LRU segment");
-}
-
-TEST_F(CheckShardParallel, LaneLatencyAccumulatorOffByOneFires)
-{
-    // One nanosecond of drift in a single lane's private accumulator
-    // must break the reconciliation against the independently
-    // recomputed batch charge.
-    ASSERT_GT(engine_.lane_folded_latency_ns(2), 0u);
-    memsim::ShardedEngineTestPeer::folded_lat_ns(engine_, 2) += 1;
-    expect_fires("lane latency accumulators");
-}
-
-TEST_F(CheckShardParallel, LaneAccessCounterDriftFires)
-{
-    memsim::ShardedEngineTestPeer::folded_accesses(engine_, 1) += 1;
-    expect_fires("folded access counters");
-}
-
-TEST_F(CheckShardParallel, SamplerRecordOnWrongShardFires)
-{
-    // Re-attribute one pending sampler record to a shard that does not
-    // own its page: the boundary-merge audit must flag the attribution.
-    unsigned lane = kShards;
-    for (unsigned s = 0; s < kShards; ++s) {
-        if (!engine_.lane_pending(s).empty()) {
-            lane = s;
-            break;
-        }
-    }
-    ASSERT_LT(lane, kShards);
-    auto& pending = memsim::ShardedEngineTestPeer::pending(engine_, lane);
-    pending.front().shard = (lane + 1) % kShards;
-    expect_fires("attributed to shard");
-}
-
-TEST_F(CheckShardParallel, PendingSeqFromTheFutureFires)
-{
-    unsigned lane = kShards;
-    for (unsigned s = 0; s < kShards; ++s) {
-        if (!engine_.lane_pending(s).empty()) {
-            lane = s;
-            break;
-        }
-    }
-    ASSERT_LT(lane, kShards);
-    auto& pending = memsim::ShardedEngineTestPeer::pending(engine_, lane);
-    pending.back().seq = engine_.next_seq() + 1;
-    expect_fires("next_seq");
 }
 
 // --- integration: full fault-scenario runs under per-interval audit ----

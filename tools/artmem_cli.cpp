@@ -39,20 +39,12 @@ using namespace artmem;
 
 constexpr Bytes kPage = 2ull << 20;
 
-sim::RatioSpec
-parse_ratio(const CliArgs& args)
-{
-    sim::RatioSpec ratio{1, 1};
-    const std::string text = args.get_string("ratio", "1:1");
-    const auto colon = text.find(':');
-    if (colon == std::string::npos)
-        fatal("--ratio expects fast:slow, got '", text, "'");
-    ratio.fast = std::stoi(text.substr(0, colon));
-    ratio.slow = std::stoi(text.substr(colon + 1));
-    if (ratio.fast <= 0 || ratio.slow <= 0)
-        fatal("--ratio parts must be positive");
-    return ratio;
-}
+/** Every flag some subcommand reads, besides the tx and tenancy sets. */
+constexpr std::string_view kFlags[] = {
+    "workload", "policy", "ratio", "accesses", "seed", "check-invariants",
+    "fault-scenario", "fault-config", "fault-seed", "timeline", "qtables",
+    "jobs", "derive-seeds", "csv", "json", "out", "trace", "metrics-out",
+    "trace-out", "trace-categories", "profile"};
 
 sim::RunSpec
 parse_spec(const CliArgs& args)
@@ -60,25 +52,11 @@ parse_spec(const CliArgs& args)
     sim::RunSpec spec;
     spec.workload = args.get_string("workload", "ycsb");
     spec.policy = args.get_string("policy", "artmem");
-    spec.ratio = parse_ratio(args);
+    spec.ratio = sim::parse_ratio_cli(args, {1, 1});
     spec.accesses = args.get_uint<std::uint64_t>("accesses", 6000000);
     spec.seed = args.get_uint<std::uint64_t>("seed", 42);
     spec.engine.check_invariants =
         args.get_bool("check-invariants", false);
-    // Sharded access pipeline; 0 = legacy loop, N = N-shard epoch
-    // pipeline. Byte-identical output for every value (DESIGN.md §12).
-    spec.engine.shards = args.get_uint<unsigned>("shards", 0);
-    // Phase-2 merge flavour for sharded runs: "parallel" (default)
-    // runs per-lane accumulators with a deterministic fold,
-    // "serial" keeps the serial epoch walk as the oracle/escape
-    // hatch. Byte-identical either way (CI diffs them).
-    const std::string merge = args.get_string("merge", "parallel");
-    if (merge == "parallel")
-        spec.engine.parallel_merge = true;
-    else if (merge == "serial")
-        spec.engine.parallel_merge = false;
-    else
-        fatal("--merge must be 'parallel' or 'serial', got '", merge, "'");
 
     // Fault model: a built-in scenario or a fault.* config file.
     const std::string scenario = args.get_string("fault-scenario", "");
@@ -405,10 +383,6 @@ cmd_trace_run(const CliArgs& args)
     auto policy = sim::make_policy(spec.policy, spec.seed);
     sim::EngineConfig engine;
     engine.tx = spec.engine.tx;
-    engine.shards = spec.engine.shards;
-    engine.parallel_merge = spec.engine.parallel_merge;
-    if (engine.shards > 0)
-        engine.shard_seed = spec.seed;
     const auto r = sim::run_simulation(replay, *policy, machine, engine);
     spec.workload = "trace:" + path;
     print_result(r, spec);
@@ -430,11 +404,6 @@ main(int argc, char** argv)
                "--json\n"
                "       --jobs=N --derive-seeds (sweep: parallel workers / "
                "per-job seed streams)\n"
-               "       --shards=N (shard the access hot path across N "
-               "threads; byte-identical for every N, like --jobs)\n"
-               "       --merge=<parallel|serial> (phase-2 merge for "
-               "sharded runs; parallel is default, serial is the "
-               "oracle; byte-identical either way)\n"
                "       --fault-scenario=<none|migration|degrade|blackout|"
                "pressure|abort_storm> --fault-config=<file> --fault-seed=N\n"
                "       --tx-migration (transactional copy-then-commit "
@@ -457,6 +426,8 @@ main(int argc, char** argv)
                "rl,threshold> (default all; needs --trace-out)\n";
         return 1;
     }
+    args.reject_unknown({kFlags, sim::kTxFlags, tenancy::kTenancyFlags},
+                        "run artmem with no arguments for the flag list");
     const std::string& command = args.positional()[0];
     if (command == "list")
         return cmd_list();
