@@ -140,6 +140,45 @@ BM_MigrationPlanning(benchmark::State& state)
 BENCHMARK(BM_MigrationPlanning);
 
 void
+BM_MigrationPlanningSparse(benchmark::State& state)
+{
+    // One ArtMem decision interval with nothing to promote: 262,144
+    // prefaulted pages, each sampled once, so no count is near the
+    // minimum threshold, and the RL scope control off so every interval
+    // asks for 2048 MiB. A candidate search that walked the slow lists
+    // instead of reading the hot-page index would visit every slow page
+    // here (DESIGN.md, "ArtMem's promotion-candidate index"). Gated in
+    // BENCH_hotpath.json; items_per_second is intervals per second.
+    constexpr std::size_t kPages = 262144;
+    constexpr Bytes kPage = 2ull << 20;
+    memsim::MachineConfig mc;
+    mc.page_size = kPage;
+    mc.address_space = kPages * kPage;
+    mc.tiers[0].capacity = kPages / 4 * kPage;
+    mc.tiers[1].capacity = kPages * kPage;
+    memsim::TieredMachine machine(mc);
+    machine.prefault_range(0, kPages);
+    core::ArtMemConfig config;
+    config.use_rl = false;
+    config.cooling_period = 0;
+    core::ArtMem policy(config);
+    policy.init(machine);
+    std::vector<memsim::PebsSample> samples(kPages);
+    for (std::size_t i = 0; i < kPages; ++i) {
+        samples[i].page = static_cast<PageId>(i);
+        samples[i].tier = machine.tier_of(samples[i].page);
+    }
+    policy.on_samples(samples);
+    SimTimeNs now = 0;
+    for (auto _ : state) {
+        now += 10000000;
+        policy.on_interval(now);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MigrationPlanningSparse);
+
+void
 BM_ThreadPoolDispatch(benchmark::State& state)
 {
     // Raw submit+wait cost per task on the sweep subsystem's pool.
@@ -332,13 +371,15 @@ class OverheadReporter : public benchmark::ConsoleReporter
 int
 main(int argc, char** argv)
 {
-    // --quick (scripts/check_perf.sh): restrict the run to the
-    // end-to-end throughput benchmarks at one iteration each, mirroring
-    // the fig-harness --quick convention. Expanded into native
+    // --quick (scripts/check_perf.sh): restrict the run to the gated
+    // benchmarks — the end-to-end throughput runs and the sparse ArtMem
+    // decision interval — at a short minimum time, mirroring the
+    // fig-harness --quick convention. Expanded into native
     // google-benchmark flags so the library still does all the timing.
     std::vector<char*> args;
     // lint:allow(DL006) argv storage google-benchmark mutates in place
-    static char filter[] = "--benchmark_filter=BM_SimThroughput";
+    static char filter[] =
+        "--benchmark_filter=BM_SimThroughput|BM_MigrationPlanningSparse";
     // lint:allow(DL006) argv storage google-benchmark mutates in place
     static char min_time[] = "--benchmark_min_time=0.01";
     bool quick = false;

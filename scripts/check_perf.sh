@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
 # Perf-regression smoke for the batched hot path (DESIGN.md §9).
 #
-# Runs the end-to-end throughput benchmarks (bench_overheads --quick,
-# i.e. BM_SimThroughput at one short google-benchmark repetition) and
-# compares accesses/sec per workload against the committed baseline in
-# BENCH_hotpath.json. The tolerance is deliberately generous (a 30%
+# Runs the gated benchmarks (bench_overheads --quick: BM_SimThroughput
+# and BM_MigrationPlanningSparse at one short google-benchmark
+# repetition) and compares items/sec per entry — simulated accesses for
+# the throughput runs, decision intervals for the sparse ArtMem case —
+# against the committed baseline in BENCH_hotpath.json. The tolerance is deliberately generous (a 30%
 # drop fails): CI machines are noisy, and this gate exists to catch
 # real regressions — an accidental O(n) slip or a de-inlined hot
 # function — without flaking on scheduler jitter.
 #
-# bench_overheads --quick filters on the "BM_SimThroughput" prefix, so
-# every BM_SimThroughput* entry in the baseline (the tx-off and tenancy
-# variants included) is gated here with no extra plumbing.
+# bench_overheads --quick filters on the "BM_SimThroughput" prefix and
+# on BM_MigrationPlanningSparse, so every BM_SimThroughput* entry in the
+# baseline (the tx-off and tenancy variants included) is gated here with
+# no extra plumbing.
 #
 #   scripts/check_perf.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -55,8 +57,8 @@ for name, base in sorted(baseline.items()):
         continue
     floor = base * (1.0 - TOLERANCE)
     verdict = "ok" if now >= floor else "FAIL"
-    print(f"check_perf: {verdict} {name}: {now / 1e6:.1f}M acc/s "
-          f"(baseline {base / 1e6:.1f}M, floor {floor / 1e6:.1f}M)")
+    print(f"check_perf: {verdict} {name}: {now / 1e6:.3g}M items/s "
+          f"(baseline {base / 1e6:.3g}M, floor {floor / 1e6:.3g}M)")
     if now < floor:
         failed = True
 

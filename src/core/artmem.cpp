@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <istream>
+#include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <string>
 
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -12,6 +15,22 @@
 namespace artmem::core {
 
 using memsim::Tier;
+
+namespace {
+
+/** The longest failure backoff, in periods: a pinned page's, and a
+ *  denied page's at its capped streak. */
+constexpr std::uint64_t kLongestBackoff = 256;
+
+/** Period @p backoff periods after @p now, as retry_after_ stores it
+ *  (on_interval() keeps it from wrapping). */
+std::uint32_t
+retry_period(std::uint64_t now, std::uint64_t backoff)
+{
+    return static_cast<std::uint32_t>(now + backoff);
+}
+
+}  // namespace
 
 ArtMem::ArtMem() : ArtMem(ArtMemConfig{}) {}
 
@@ -36,7 +55,10 @@ ArtMem::init(memsim::TieredMachine& machine)
 {
     Policy::init(machine);
     const std::size_t pages = machine.page_count();
-    bins_ = std::make_unique<stats::EmaBins>(pages, config_.cooling_period);
+    // threshold_ never falls below min_threshold, so the bins' hot
+    // index at that floor holds every page a candidate search can keep.
+    bins_ = std::make_unique<stats::EmaBins>(pages, config_.cooling_period,
+                                             config_.min_threshold);
     lists_ = std::make_unique<lru::LruLists>(pages);
     tracker_ = std::make_unique<stats::AccessRatioTracker>(config_.k);
 
@@ -200,11 +222,19 @@ ArtMem::apply_threshold_action(int action)
     }
 }
 
+bool
+ArtMem::promotable(PageId page) const
+{
+    const auto& m = machine();
+    return bins_->count(page) >= threshold_ && m.is_allocated(page) &&
+           m.tier_of_unchecked(page) == Tier::kSlow && !backed_off(page) &&
+           !m.tx_page_inflight(page);
+}
+
 std::size_t
 ArtMem::collect_promotion_candidates(std::size_t want,
                                      std::vector<PageId>& out)
 {
-    auto& m = machine();
     if (!config_.use_sorting) {
         // Ablation: frequency-only selection, hottest first.
         candidate_scratch_.clear();
@@ -216,11 +246,8 @@ ArtMem::collect_promotion_candidates(std::size_t want,
         for (PageId page : candidate_scratch_) {
             if (out.size() >= want)
                 break;
-            if (m.is_allocated(page) &&
-                m.tier_of_unchecked(page) == Tier::kSlow &&
-                !backed_off(page) && !m.tx_page_inflight(page)) {
+            if (promotable(page))
                 out.push_back(page);
-            }
         }
         return out.size();
     }
@@ -229,20 +256,61 @@ ArtMem::collect_promotion_candidates(std::size_t want,
     // the inactive list (Section 4.3, step V). Pages inside their
     // failure backoff window are skipped: retrying a pinned or
     // recently-aborted page burns budget for nothing.
+    //
+    // Every page the walk keeps is in the bins' hot index (threshold_ is
+    // at least its floor), so a walk longer than the index is mostly
+    // passing over cold pages: stop it there and pick the same pages,
+    // in the same order, from the index instead (DESIGN.md §9).
+    const std::size_t first = out.size();
+    std::size_t budget = bins_->hot_pages().size();
     for (lru::ListId list :
          {lru::ListId::kSlowActive, lru::ListId::kSlowInactive}) {
         for (PageId page = lists_->head(list);
              page != kInvalidPage && out.size() < want;
              page = lists_->next(page)) {
-            if (bins_->count(page) >= threshold_ && m.is_allocated(page) &&
-                m.tier_of_unchecked(page) == Tier::kSlow &&
-                !backed_off(page) && !m.tx_page_inflight(page)) {
+            if (budget-- == 0)
+                return collect_indexed_candidates(want, first, out);
+            if (promotable(page))
                 out.push_back(page);
-            }
         }
         if (out.size() >= want)
             break;
     }
+    return out.size();
+}
+
+std::size_t
+ArtMem::collect_indexed_candidates(std::size_t want, std::size_t first,
+                                   std::vector<PageId>& out)
+{
+    out.resize(first);
+    candidate_scratch_.clear();
+    for (PageId page : bins_->hot_pages()) {
+        const lru::ListId at = lists_->where(page);
+        if ((at == lru::ListId::kSlowActive ||
+             at == lru::ListId::kSlowInactive) &&
+            promotable(page)) {
+            candidate_scratch_.push_back(page);
+        }
+    }
+    // The walk's order: the active list before the inactive one, each
+    // from the head, which is descending position stamp.
+    const auto walk_order = [this](PageId a, PageId b) {
+        const bool a_active = lists_->where(a) == lru::ListId::kSlowActive;
+        const bool b_active = lists_->where(b) == lru::ListId::kSlowActive;
+        if (a_active != b_active)
+            return a_active;
+        return lists_->stamp(a) > lists_->stamp(b);
+    };
+    auto end = candidate_scratch_.end();
+    if (candidate_scratch_.size() > want - first) {
+        end = candidate_scratch_.begin() +
+              static_cast<std::ptrdiff_t>(want - first);
+        std::nth_element(candidate_scratch_.begin(), end,
+                         candidate_scratch_.end(), walk_order);
+    }
+    std::sort(candidate_scratch_.begin(), end, walk_order);
+    out.insert(out.end(), candidate_scratch_.begin(), end);
     return out.size();
 }
 
@@ -263,7 +331,7 @@ ArtMem::note_migration_failure(PageId page, memsim::MigrationResult result)
         // forever: the injector is opaque to the policy, and a real
         // kernel would eventually unpin.)
         fail_streak_[page] = 255;
-        retry_after_[page] = periods_ + 256;
+        retry_after_[page] = retry_period(periods_, kLongestBackoff);
         return;
     }
     if (result.denied()) {
@@ -275,7 +343,7 @@ ArtMem::note_migration_failure(PageId page, memsim::MigrationResult result)
         const std::uint8_t streak = static_cast<std::uint8_t>(
             std::min<int>(fail_streak_[page] + 2, 8));
         fail_streak_[page] = streak;
-        retry_after_[page] = periods_ + (1ull << streak);
+        retry_after_[page] = retry_period(periods_, 1ull << streak);
         return;
     }
     if (result.status == memsim::MigrateStatus::kTxAbort) {
@@ -287,14 +355,14 @@ ArtMem::note_migration_failure(PageId page, memsim::MigrationResult result)
         const std::uint8_t streak = static_cast<std::uint8_t>(
             std::min<int>(fail_streak_[page] + 1, 4));
         fail_streak_[page] = streak;
-        retry_after_[page] = periods_ + (2ull << streak);
+        retry_after_[page] = retry_period(periods_, 2ull << streak);
         return;
     }
     // Transient: exponential backoff, capped at 64 periods.
     const std::uint8_t streak =
         static_cast<std::uint8_t>(std::min<int>(fail_streak_[page] + 1, 6));
     fail_streak_[page] = streak;
-    retry_after_[page] = periods_ + (1ull << streak);
+    retry_after_[page] = retry_period(periods_, 1ull << streak);
 }
 
 void
@@ -384,6 +452,42 @@ ArtMem::demote_for_room(std::size_t need)
     return demoted;
 }
 
+void
+ArtMem::promote_round(const std::vector<PageId>& round,
+                      std::size_t& promoted, std::size_t& faulted)
+{
+    auto& m = machine();
+    const std::size_t free = m.free_pages(Tier::kFast);
+    if (round.size() > free)
+        demote_for_room(round.size() - free);
+    for (PageId page : round) {
+        lists_->remove(page);
+        const auto result = m.migrate(page, Tier::kFast);
+        if (result.ok()) {
+            // Aggressive re-insertion: always the fast active head.
+            lists_->insert_head(page, lru::ListId::kFastActive);
+            note_migration_success(page);
+            ++promoted;
+        } else if (result.pending()) {
+            // Transactional open: the budget is spent either way;
+            // on_tx_resolved() re-homes the page at commit or backs
+            // it off at abort. Off-list until then.
+            ++promoted;
+        } else if (result.faulted() || result.denied()) {
+            // Skip-and-requeue: the page stays a candidate for later
+            // periods (after its backoff), and the budget it did not
+            // consume can fund a replacement below. Tenancy denials
+            // take the same path with a harder backoff — another
+            // tenant's candidate can still use the refill round.
+            lists_->insert_head(page, lru::ListId::kSlowActive);
+            note_migration_failure(page, result);
+            ++faulted;
+        } else {
+            lists_->insert_head(page, lru::ListId::kSlowActive);
+        }
+    }
+}
+
 std::size_t
 ArtMem::perform_migration(Bytes budget)
 {
@@ -402,38 +506,7 @@ ArtMem::perform_migration(Bytes budget)
         return 0;
     std::size_t promoted = 0;
     std::size_t faulted = 0;
-    auto promote_round = [&](const std::vector<PageId>& round) {
-        const std::size_t free = m.free_pages(Tier::kFast);
-        if (round.size() > free)
-            demote_for_room(round.size() - free);
-        for (PageId page : round) {
-            lists_->remove(page);
-            const auto result = m.migrate(page, Tier::kFast);
-            if (result.ok()) {
-                // Aggressive re-insertion: always the fast active head.
-                lists_->insert_head(page, lru::ListId::kFastActive);
-                note_migration_success(page);
-                ++promoted;
-            } else if (result.pending()) {
-                // Transactional open: the budget is spent either way;
-                // on_tx_resolved() re-homes the page at commit or backs
-                // it off at abort. Off-list until then.
-                ++promoted;
-            } else if (result.faulted() || result.denied()) {
-                // Skip-and-requeue: the page stays a candidate for later
-                // periods (after its backoff), and the budget it did not
-                // consume can fund a replacement below. Tenancy denials
-                // take the same path with a harder backoff — another
-                // tenant's candidate can still use the refill round.
-                lists_->insert_head(page, lru::ListId::kSlowActive);
-                note_migration_failure(page, result);
-                ++faulted;
-            } else {
-                lists_->insert_head(page, lru::ListId::kSlowActive);
-            }
-        }
-    };
-    promote_round(candidates);
+    promote_round(candidates, promoted, faulted);
     // Faulted promotions consumed no budget; refill the round once from
     // the next-best candidates (the failed pages are now backed off, so
     // the collection cannot hand them straight back).
@@ -443,7 +516,7 @@ ArtMem::perform_migration(Bytes budget)
         collect_promotion_candidates(want - promoted, extra);
         m.charge_overhead(extra.size() * 4);
         if (!extra.empty())
-            promote_round(extra);
+            promote_round(extra, promoted, faulted);
     }
     return promoted;
 }
@@ -453,6 +526,9 @@ ArtMem::on_interval(SimTimeNs now)
 {
     auto& m = machine();
     ++periods_;
+    if (periods_ > std::numeric_limits<std::uint32_t>::max() - kLongestBackoff)
+        fatal("ArtMem: decision period ", periods_,
+              " leaves no room for a u32 backoff deadline");
 
     // Observe the environment (Algorithm 1 line 6).
     const stats::TauState tau = tracker_->take();
@@ -546,39 +622,76 @@ ArtMem::save_qtables(std::ostream& os) const
     threshold_agent_->table().save(os);
 }
 
+namespace {
+
+/** Both tables of a save_qtables() blob, or why they cannot be used. */
+struct ParsedQTables {
+    std::optional<rl::QTable> migration;
+    std::optional<rl::QTable> threshold;
+    std::string error;
+};
+
+/**
+ * Parse the migration and then the threshold table from @p is, each
+ * checked against its expected shape. Stops at the first problem.
+ */
+ParsedQTables
+parse_qtables(std::istream& is, int states, int migration_actions,
+              int threshold_actions)
+{
+    ParsedQTables out;
+    const auto parse = [&](const char* which,
+                           int actions) -> std::optional<rl::QTable> {
+        std::string error;
+        auto table = rl::QTable::try_load(is, &error);
+        if (!table) {
+            out.error = std::string(which) + " table: " + error;
+            return std::nullopt;
+        }
+        if (table->states() != states || table->actions() != actions) {
+            std::ostringstream why;
+            why << which << " table is " << table->states() << "x"
+                << table->actions() << ", expected " << states << "x"
+                << actions;
+            out.error = why.str();
+            return std::nullopt;
+        }
+        return table;
+    };
+    out.migration = parse("migration", migration_actions);
+    if (out.migration)
+        out.threshold = parse("threshold", threshold_actions);
+    return out;
+}
+
+}  // namespace
+
+std::string
+ArtMem::check_qtables(std::istream& is, const ArtMemConfig& config)
+{
+    return parse_qtables(
+               is, config.k + 2,
+               static_cast<int>(config.migration_sizes_mib.size()),
+               static_cast<int>(config.threshold_deltas.size()))
+        .error;
+}
+
 bool
 ArtMem::load_qtables(std::istream& is)
 {
     // All-or-nothing: parse and dimension-check both tables before
     // touching either agent, so a blob that dies halfway through cannot
     // leave one agent pretrained and the other cold.
-    std::string error;
-    auto check = [&](const rl::TdAgent& agent, const char* which)
-        -> std::optional<rl::QTable> {
-        auto table = rl::QTable::try_load(is, &error);
-        if (!table) {
-            warn("ArtMem: ignoring pretrained Q-tables (", which, " table: ",
-                 error, "); continuing from a cold start");
-            return std::nullopt;
-        }
-        if (table->states() != agent.table().states() ||
-            table->actions() != agent.table().actions()) {
-            warn("ArtMem: ignoring pretrained Q-tables (", which, " table is ",
-                 table->states(), "x", table->actions(), ", expected ",
-                 agent.table().states(), "x", agent.table().actions(),
-                 "); continuing from a cold start");
-            return std::nullopt;
-        }
-        return table;
-    };
-    auto migration = check(*migration_agent_, "migration");
-    if (!migration)
+    auto tables = parse_qtables(is, migration_agent_->table().states(),
+                                migration_agent_->table().actions(),
+                                threshold_agent_->table().actions());
+    if (!tables.threshold) {
+        warn("ArtMem: ignoring pretrained Q-tables (", tables.error,
+             "); continuing from a cold start");
         return false;
-    auto threshold = check(*threshold_agent_, "threshold");
-    if (!threshold)
-        return false;
-    migration_agent_->set_table(*std::move(migration));
-    threshold_agent_->set_table(*std::move(threshold));
+    }
+    migration_agent_->set_table(*std::move(tables.migration));
+    threshold_agent_->set_table(*std::move(tables.threshold));
     return true;
 }
 

@@ -32,6 +32,7 @@
 #define ARTMEM_CORE_ARTMEM_HPP
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "lru/lru_lists.hpp"
@@ -145,6 +146,16 @@ class ArtMem final : public policies::Policy
     bool load_qtables(std::istream& is);
 
     /**
+     * Check a save_qtables() blob against the table shapes @p config
+     * implies, installing nothing: for callers that must reject a bad
+     * file up front instead of running from a cold start.
+     * @return empty if load_qtables() would install the tables, else
+     *         why not, naming the table and the bad entry or shape.
+     */
+    static std::string check_qtables(std::istream& is,
+                                     const ArtMemConfig& config);
+
+    /**
      * Provide Q-tables (the save_qtables() text format) to be installed
      * right after the next init() — i.e. start the run from a converged
      * table instead of Algorithm 1's cold start. Used by the Figure 14
@@ -156,19 +167,30 @@ class ArtMem final : public policies::Policy
     }
 
   private:
+    /** Test-only back door to the candidate search (tests/
+     *  test_diff_model.cpp). Never defined in the library. */
+    friend struct ArtMemTestPeer;
+
     int state_count() const { return config_.k + 2; }
     void attach_agent_telemetry();
     double tau_for_reward(const stats::TauState& tau) const;
     double latency_tau() const;
     void apply_threshold_action(int action);
     std::size_t perform_migration(Bytes budget);
+    void promote_round(const std::vector<PageId>& round,
+                       std::size_t& promoted, std::size_t& faulted);
     std::size_t collect_promotion_candidates(std::size_t want,
                                              std::vector<PageId>& out);
+    std::size_t collect_indexed_candidates(std::size_t want,
+                                           std::size_t first,
+                                           std::vector<PageId>& out);
     std::size_t demote_for_room(std::size_t need);
     bool backed_off(PageId page) const
     {
         return retry_after_[page] > periods_;
     }
+    /** The walk's test, one page at a time: hot enough and movable. */
+    bool promotable(PageId page) const;
     void note_migration_success(PageId page);
     void note_migration_failure(PageId page, memsim::MigrationResult result);
 
@@ -194,9 +216,11 @@ class ArtMem final : public policies::Policy
     // Fault resilience: per-page failure streaks and the period after
     // which a failed page may be retried (exponential backoff; pinned
     // pages get a long sentence). All-zero in fault-free runs, so the
-    // backoff checks never change fault-free behaviour.
+    // backoff checks never change fault-free behaviour. Periods are
+    // held as u32, which pays for the LRU position stamp per page;
+    // on_interval() stops the run before a retry period could wrap.
     std::vector<std::uint8_t> fail_streak_;
-    std::vector<std::uint64_t> retry_after_;
+    std::vector<std::uint32_t> retry_after_;
 };
 
 }  // namespace artmem::core

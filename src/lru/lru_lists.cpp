@@ -1,5 +1,7 @@
 #include "lru/lru_lists.hpp"
 
+#include <algorithm>
+
 #include "util/logging.hpp"
 
 namespace artmem::lru {
@@ -16,9 +18,11 @@ list_tier(ListId id)
 LruLists::LruLists(std::size_t page_count)
     : next_(page_count, kInvalidPage),
       prev_(page_count, kInvalidPage),
-      where_(page_count, ListId::kNone),
-      referenced_(page_count, 0)
+      meta_(page_count, kUnlinked)
 {
+    if (page_count > kMaxPages)
+        fatal("LruLists: ", page_count, " pages exceed the ", kMaxPages,
+              " whose order ", 32 - kStampShift, "-bit stamps can keep");
     for (int i = 0; i < 4; ++i) {
         heads_[i] = kInvalidPage;
         tails_[i] = kInvalidPage;
@@ -28,8 +32,11 @@ LruLists::LruLists(std::size_t page_count)
 void
 LruLists::insert_tail(PageId page, ListId list)
 {
-    if (where_[page] != ListId::kNone)
+    std::uint32_t& meta = meta_[page];
+    if ((meta & kListMask) != kUnlinked)
         panic("LruLists::insert_tail: page ", page, " already linked");
+    if (tail_clock_ == 0)
+        renumber_stamps();
     const int l = static_cast<int>(list);
     prev_[page] = tails_[l];
     next_[page] = kInvalidPage;
@@ -38,8 +45,30 @@ LruLists::insert_tail(PageId page, ListId list)
     tails_[l] = page;
     if (heads_[l] == kInvalidPage)
         heads_[l] = page;
-    where_[page] = list;
+    meta = (--tail_clock_ << kStampShift) | (meta & kReferencedBit) |
+           static_cast<std::uint32_t>(l);
     ++sizes_[l];
+}
+
+void
+LruLists::renumber_stamps()
+{
+    std::size_t longest = 0;
+    for (const std::size_t size : sizes_)
+        longest = std::max(longest, size);
+    // longest <= kMaxPages, so each clock regains at least a quarter of
+    // the range.
+    const auto base = static_cast<std::uint32_t>((kMaxStamp - longest) / 2);
+    for (int l = 0; l < 4; ++l) {
+        std::uint32_t stamp = base;
+        for (PageId page = tails_[l]; page != kInvalidPage;
+             page = prev_[page]) {
+            std::uint32_t& meta = meta_[page];
+            meta = (++stamp << kStampShift) | (meta & kFlagsMask);
+        }
+    }
+    tail_clock_ = base;
+    head_clock_ = static_cast<std::uint32_t>(base + longest);
 }
 
 PageId
@@ -57,8 +86,8 @@ LruLists::tail(ListId list) const
 bool
 LruLists::test_and_clear_referenced(PageId page)
 {
-    const bool was = referenced_[page] != 0;
-    referenced_[page] = 0;
+    const bool was = (meta_[page] & kReferencedBit) != 0;
+    meta_[page] &= ~kReferencedBit;
     return was;
 }
 

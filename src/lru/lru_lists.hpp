@@ -12,6 +12,13 @@
  *
  * Implemented as intrusive doubly-linked lists over flat arrays indexed
  * by PageId, so every operation is O(1) and iteration is cache-friendly.
+ * A page's list id, referenced bit and position stamp share one u32.
+ *
+ * Every insert also writes the page a 28-bit position stamp: a rising
+ * clock at the head, a falling one at the tail. Within a list,
+ * head-to-tail order is therefore strictly descending stamp, so a set
+ * of pages can be put in list order by sorting it instead of walking
+ * the list (ArtMem's promotion-candidate index, DESIGN.md §9).
  */
 #ifndef ARTMEM_LRU_LRU_LISTS_HPP
 #define ARTMEM_LRU_LRU_LISTS_HPP
@@ -56,11 +63,18 @@ list_active(ListId id)
 class LruLists
 {
   public:
-    /** @param page_count Size of the page id space. */
+    /**
+     * @param page_count Size of the page id space; fatal() above
+     *                   2^27 - 1, the most pages whose lists the stamps
+     *                   can always keep in order.
+     */
     explicit LruLists(std::size_t page_count);
 
     /** List currently containing the page (kNone if unlinked). */
-    ListId where(PageId page) const { return where_[page]; }
+    ListId where(PageId page) const
+    {
+        return static_cast<ListId>(meta_[page] & kListMask);
+    }
 
     /**
      * Insert an unlinked page at the head (MRU end) of a list.
@@ -70,8 +84,11 @@ class LruLists
     void
     insert_head(PageId page, ListId list)
     {
-        if (where_[page] != ListId::kNone)
+        std::uint32_t& meta = meta_[page];
+        if ((meta & kListMask) != kUnlinked)
             panic("LruLists::insert_head: page ", page, " already linked");
+        if (head_clock_ == kMaxStamp) [[unlikely]]
+            renumber_stamps();
         const int l = static_cast<int>(list);
         next_[page] = heads_[l];
         prev_[page] = kInvalidPage;
@@ -80,7 +97,8 @@ class LruLists
         heads_[l] = page;
         if (tails_[l] == kInvalidPage)
             tails_[l] = page;
-        where_[page] = list;
+        meta = (++head_clock_ << kStampShift) | (meta & kReferencedBit) |
+               static_cast<std::uint32_t>(l);
         ++sizes_[l];
     }
 
@@ -91,10 +109,10 @@ class LruLists
     void
     remove(PageId page)
     {
-        const ListId list = where_[page];
-        if (list == ListId::kNone)
+        std::uint32_t& meta = meta_[page];
+        const std::uint32_t l = meta & kListMask;
+        if (l == kUnlinked)
             return;
-        const int l = static_cast<int>(list);
         const PageId p = prev_[page];
         const PageId n = next_[page];
         if (p != kInvalidPage)
@@ -107,7 +125,7 @@ class LruLists
             tails_[l] = p;
         prev_[page] = kInvalidPage;
         next_[page] = kInvalidPage;
-        where_[page] = ListId::kNone;
+        meta = (meta & ~kListMask) | kUnlinked;
         --sizes_[l];
     }
 
@@ -131,6 +149,15 @@ class LruLists
     /** Next page toward the head, or kInvalidPage. */
     PageId prev(PageId page) const { return prev_[page]; }
 
+    /**
+     * Position stamp of a linked page: strictly greater than the stamp
+     * of every page after it on its list. Stale once the page unlinks.
+     */
+    std::uint32_t stamp(PageId page) const
+    {
+        return meta_[page] >> kStampShift;
+    }
+
     /** Number of pages on a list. */
     std::size_t size(ListId list) const
     {
@@ -138,13 +165,16 @@ class LruLists
     }
 
     /** Mark the page referenced (kernel PG_referenced analogue). */
-    void set_referenced(PageId page) { referenced_[page] = 1; }
+    void set_referenced(PageId page) { meta_[page] |= kReferencedBit; }
 
     /** Read and clear the referenced bit. */
     bool test_and_clear_referenced(PageId page);
 
     /** Read the referenced bit. */
-    bool referenced(PageId page) const { return referenced_[page] != 0; }
+    bool referenced(PageId page) const
+    {
+        return (meta_[page] & kReferencedBit) != 0;
+    }
 
     /**
      * Record an observed access: a referenced inactive page is activated
@@ -155,11 +185,12 @@ class LruLists
     void
     touch(PageId page, memsim::Tier tier)
     {
-        const ListId current = where_[page];
+        const ListId current = where(page);
         const ListId active = list_id(tier, true);
         const ListId inactive = list_id(tier, false);
+        std::uint32_t& meta = meta_[page];
         if (current == ListId::kNone) {
-            referenced_[page] = 1;
+            meta |= kReferencedBit;
             insert_head(page, inactive);
             return;
         }
@@ -167,15 +198,15 @@ class LruLists
         // to the other tier; re-home it.
         if (list_active(current)) {
             move_to_head(page, active);
-            referenced_[page] = 1;
+            meta |= kReferencedBit;
             return;
         }
-        if (referenced_[page]) {
+        if ((meta & kReferencedBit) != 0) {
             // Second touch while inactive: activate (workingset rule).
-            referenced_[page] = 0;
+            meta &= ~kReferencedBit;
             move_to_head(page, active);
         } else {
-            referenced_[page] = 1;
+            meta |= kReferencedBit;
             move_to_head(page, inactive);
         }
     }
@@ -198,16 +229,48 @@ class LruLists
                               std::vector<PageId>& candidates);
 
     /** Page id space size. */
-    std::size_t page_count() const { return where_.size(); }
+    std::size_t page_count() const { return next_.size(); }
 
   private:
+    /** Test-only back door to the stamp clocks and stamps
+     *  (tests/test_lru.cpp, tests/test_verify.cpp). Never defined in
+     *  the library. */
+    friend struct LruListsTestPeer;
+
+    // meta_ packs the list id (low 3 bits), the referenced bit and the
+    // position stamp (the high 28 bits).
+    static constexpr std::uint32_t kListMask = 0x7;
+    static constexpr std::uint32_t kUnlinked =
+        static_cast<std::uint32_t>(ListId::kNone);
+    static constexpr std::uint32_t kReferencedBit = 0x8;
+    static constexpr int kStampShift = 4;
+    static constexpr std::uint32_t kFlagsMask = (1u << kStampShift) - 1;
+    static constexpr std::uint32_t kMaxStamp = ~0u >> kStampShift;
+    // With at most half the stamp range on one list, a renumber leaves
+    // each clock at least a quarter of it.
+    static constexpr std::size_t kMaxPages = kMaxStamp / 2;
+
+    /**
+     * Called when a clock would leave the stamp range: give every list
+     * consecutive stamps from tail to head above a common base, centred
+     * so both clocks regain the same room. Keeps every list's order.
+     */
+    void renumber_stamps();
+
+    // Per-page state is 12 bytes. The stamp shares a word with the list
+    // id and referenced bit instead of taking a fifth array: touch()
+    // reads and writes that word anyway, and a separate stamp array
+    // cost 40-60% per sample at 262,144 pages (DESIGN.md §9).
     std::vector<PageId> next_;
     std::vector<PageId> prev_;
-    std::vector<ListId> where_;
-    std::vector<std::uint8_t> referenced_;
+    std::vector<std::uint32_t> meta_;
     PageId heads_[4];
     PageId tails_[4];
     std::size_t sizes_[4] = {0, 0, 0, 0};
+    // Every linked stamp lies in [tail_clock_, head_clock_]; a head
+    // insert takes head_clock_ + 1, a tail insert tail_clock_ - 1.
+    std::uint32_t head_clock_ = kMaxStamp / 2;
+    std::uint32_t tail_clock_ = kMaxStamp / 2;
 };
 
 }  // namespace artmem::lru

@@ -6,8 +6,11 @@
 
 namespace artmem::stats {
 
-EmaBins::EmaBins(std::size_t page_count, std::uint64_t cooling_period)
-    : counts_(page_count, 0), cooling_period_(cooling_period)
+EmaBins::EmaBins(std::size_t page_count, std::uint64_t cooling_period,
+                 std::uint32_t hot_floor)
+    : counts_(page_count, 0),
+      hot_floor_(hot_floor),
+      cooling_period_(cooling_period)
 {
     bins_[0] = page_count;
 }
@@ -29,6 +32,11 @@ EmaBins::cool()
         c >>= 1;
         ++bins_[bin_of(c)];
     }
+    // Halving only lowers counts, so every page still at the floor was
+    // indexed already; only the ones that fell below must go.
+    std::erase_if(hot_, [this](PageId page) {
+        return counts_[page] < hot_floor_;
+    });
     samples_since_cooling_ = 0;
     ++cooling_events_;
 }

@@ -8,6 +8,11 @@
  * `cooling_period` samples (2 million in the paper's full-scale runs),
  * halves every per-page count and bin population to discount stale
  * history — the "exponential moving average" of access frequency.
+ *
+ * Given a nonzero hot floor, the bins also keep an exact index of the
+ * pages whose count has reached it, so a policy can find its hot pages
+ * without scanning the page space (ArtMem's promotion candidates,
+ * DESIGN.md §9).
  */
 #ifndef ARTMEM_STATS_EMA_BINS_HPP
 #define ARTMEM_STATS_EMA_BINS_HPP
@@ -31,9 +36,12 @@ class EmaBins
      * @param page_count     Page id space size.
      * @param cooling_period Samples between automatic cooling events
      *                       (0 disables the internal trigger).
+     * @param hot_floor      Count at which a page joins hot_pages()
+     *                       (0 keeps no index).
      */
     explicit EmaBins(std::size_t page_count,
-                     std::uint64_t cooling_period = 0);
+                     std::uint64_t cooling_period = 0,
+                     std::uint32_t hot_floor = 0);
 
     /**
      * Record one sampled access to @p page. Inline: runs once per
@@ -45,8 +53,13 @@ class EmaBins
         std::uint32_t& c = counts_[page];
         const int before = bin_of(c);
         // Saturate well below 2^kBins so cooling always shrinks the value.
-        if (c < (1u << (kBins - 1)))
+        if (c < (1u << (kBins - 1))) {
             ++c;
+            // Counts rise one at a time, so a page reaching the floor
+            // crosses it here exactly once between coolings.
+            if (c == hot_floor_)
+                hot_.push_back(page);
+        }
         const int after = bin_of(c);
         if (after != before) {
             --bins_[before];
@@ -90,8 +103,18 @@ class EmaBins
                samples_since_cooling_ >= cooling_period_;
     }
 
-    /** Halve every per-page count and rebuild the bins. */
+    /** Halve every per-page count, rebuild the bins and drop the pages
+     *  that fell below the hot floor from the index. */
     void cool();
+
+    /** Count at which a page joins hot_pages() (0: no index). */
+    std::uint32_t hot_floor() const { return hot_floor_; }
+
+    /**
+     * Every page whose count is at least hot_floor(), each exactly once,
+     * in no particular order. Empty when the floor is 0.
+     */
+    const std::vector<PageId>& hot_pages() const { return hot_; }
 
     /**
      * MEMTIS-style capacity threshold: the smallest count T such that
@@ -119,6 +142,8 @@ class EmaBins
     friend struct EmaBinsTestPeer;
 
     std::vector<std::uint32_t> counts_;
+    std::vector<PageId> hot_;
+    std::uint32_t hot_floor_;
     std::uint64_t bins_[kBins] = {};
     std::uint64_t cooling_period_;
     std::uint64_t samples_since_cooling_ = 0;

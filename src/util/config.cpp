@@ -46,9 +46,17 @@ parse_uint(const std::string& text, std::uint64_t max, std::string_view what)
     const std::size_t first = text.find_first_not_of(" \t\n\v\f\r");
     if (first != std::string::npos && text[first] == '-')
         fatal(what, " must not be negative, got '", text, "'");
+    // Decimal digits only. strtoull also takes a '+' sign, and with base
+    // 0 it would read "0x1000" as hex and "010000" as octal: both 4096.
+    if (first != std::string::npos && text[first] == '+')
+        fatal(what, " must be written without a sign, got '", text, "'");
+    if (first != std::string::npos && text[first] == '0' &&
+        first + 1 < text.size() &&
+        (text[first + 1] == 'x' || text[first + 1] == 'X'))
+        fatal(what, " must be a decimal integer, got '", text, "'");
     char* end = nullptr;
     errno = 0;
-    const unsigned long long parsed = std::strtoull(text.c_str(), &end, 0);
+    const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
     if (end == text.c_str() || *end != '\0')
         fatal(what, " expects an unsigned integer, got '", text, "'");
     if (errno == ERANGE || parsed > max)

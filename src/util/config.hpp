@@ -26,9 +26,11 @@ namespace artmem {
 long long parse_int(const std::string& text, std::string_view what);
 
 /**
- * Parse all of @p text as an unsigned integer no larger than @p max.
- * fatal() naming @p what if it is malformed, starts with '-' (strtoull
- * would wrap "-1" to the largest value) or exceeds @p max.
+ * Parse all of @p text as a decimal unsigned integer no larger than
+ * @p max; leading zeros are decimal too ("010" is 10). fatal() naming
+ * @p what if it is malformed, starts with '-' (strtoull would wrap "-1"
+ * to the largest value) or '+', carries a "0x" prefix, or exceeds
+ * @p max.
  */
 std::uint64_t parse_uint(const std::string& text, std::uint64_t max,
                          std::string_view what);

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "memsim/fault_injector.hpp"
 
@@ -158,9 +159,10 @@ InvariantChecker::check_lru(const lru::LruLists& lists,
             violate(Invariant::kLruStructure, os.str());
         }
         // Walk head -> tail: the chain must visit exactly size() labelled
-        // nodes with consistent back links and then terminate. A page
-        // linked twice (or a cycle) either breaks the back links or
-        // fails to terminate within size() steps.
+        // nodes with consistent back links and strictly falling position
+        // stamps, and then terminate. A page linked twice (or a cycle)
+        // either breaks the back links or fails to terminate within
+        // size() steps.
         std::size_t walked = 0;
         PageId prev = kInvalidPage;
         PageId page = lists.head(list);
@@ -183,6 +185,15 @@ InvariantChecker::check_lru(const lru::LruLists& lists,
                 os << list_name(list) << " back link of page " << page
                    << " points to " << lists.prev(page) << ", expected "
                    << prev;
+                violate(Invariant::kLruStructure, os.str());
+            }
+            if (prev != kInvalidPage &&
+                lists.stamp(page) >= lists.stamp(prev)) {
+                std::ostringstream os;
+                os << list_name(list) << " page " << page << " has stamp "
+                   << lists.stamp(page) << ", not below the "
+                   << lists.stamp(prev) << " of page " << prev
+                   << " before it";
                 violate(Invariant::kLruStructure, os.str());
             }
             prev = page;
@@ -210,10 +221,14 @@ std::uint64_t
 InvariantChecker::check_ema(const stats::EmaBins& bins)
 {
     const std::size_t pages = bins.page_count();
+    const std::uint32_t floor = bins.hot_floor();
     std::uint64_t recount[stats::EmaBins::kBins] = {};
-    for (PageId page = 0; page < pages; ++page)
-        ++recount[static_cast<std::size_t>(
-            stats::EmaBins::bin_of(bins.count(page)))];
+    std::size_t at_floor = 0;  // pages the hot index must hold
+    for (PageId page = 0; page < pages; ++page) {
+        const std::uint32_t count = bins.count(page);
+        ++recount[static_cast<std::size_t>(stats::EmaBins::bin_of(count))];
+        at_floor += floor != 0 && count >= floor ? 1 : 0;
+    }
 
     std::uint64_t mass = 0;
     for (int b = 0; b < stats::EmaBins::kBins; ++b) {
@@ -234,7 +249,44 @@ InvariantChecker::check_ema(const stats::EmaBins& bins)
            << pages;
         violate(Invariant::kEmaBinMass, os.str());
     }
-    return static_cast<std::uint64_t>(pages) + stats::EmaBins::kBins;
+
+    // The hot index holds each page at or above the floor exactly once,
+    // and nothing else; with no floor it stays empty.
+    const auto& hot = bins.hot_pages();
+    std::vector<bool> indexed(pages);
+    for (const PageId page : hot) {
+        std::string problem;
+        if (floor == 0)
+            problem = "although it has no floor";
+        else if (page >= pages)
+            problem = "outside the page space";
+        else if (bins.count(page) < floor)
+            problem = "with count " + std::to_string(bins.count(page));
+        else if (indexed[page])
+            problem = "twice";
+        if (!problem.empty()) {
+            std::ostringstream os;
+            os << "hot index (floor " << floor << ") holds page " << page
+               << " " << problem;
+            violate(Invariant::kEmaBinMass, os.str());
+        }
+        indexed[page] = true;
+    }
+    // Every entry is a distinct page at or above the floor, so a short
+    // index is missing one: find it for the message.
+    if (hot.size() != at_floor) {
+        for (PageId page = 0; page < pages; ++page) {
+            if (bins.count(page) >= floor && !indexed[page]) {
+                std::ostringstream os;
+                os << "page " << page << " has count " << bins.count(page)
+                   << " but is missing from the hot index (floor " << floor
+                   << ")";
+                violate(Invariant::kEmaBinMass, os.str());
+            }
+        }
+    }
+    return static_cast<std::uint64_t>(pages) + stats::EmaBins::kBins +
+           hot.size();
 }
 
 std::uint64_t

@@ -19,10 +19,12 @@
  *    page-flags array, and never exceed tier capacity;
  *  - LRU structure: each active/inactive list is a well-formed doubly
  *    linked chain whose walk matches its size and its members' where()
- *    labels (catching duplicates and cycles), and every linked page is
+ *    labels (catching duplicates and cycles) with position stamps
+ *    falling strictly from head to tail, and every linked page is
  *    resident in the list's tier;
  *  - EMA histogram mass: per-bin page populations equal a recount from
- *    the per-page counters, and total mass equals the page space;
+ *    the per-page counters, total mass equals the page space, and the
+ *    hot index holds exactly the pages at or above its floor;
  *  - fault accounting: migration-failure counters reconcile with the
  *    FaultInjector's own draw bookkeeping, and are zero in fault-free
  *    runs;
@@ -33,10 +35,11 @@
  * invariant id and a dump of the offending page/state, so a corruption
  * is caught at the interval it happens instead of as a benchmark delta.
  *
- * The checks are O(pages) and allocation-free after construction; the
- * engine hook is compiled in only under -DARTMEM_CHECK_INVARIANTS=ON
- * (the default) and still gated by a runtime flag
- * (EngineConfig::check_invariants, CLI --check-invariants).
+ * The checks are O(pages); check_ema() allocates one bit per page to
+ * find a page the hot index holds twice. The engine hook is compiled
+ * in only under -DARTMEM_CHECK_INVARIANTS=ON (the default) and still
+ * gated by a runtime flag (EngineConfig::check_invariants, CLI
+ * --check-invariants).
  */
 #ifndef ARTMEM_VERIFY_INVARIANT_CHECKER_HPP
 #define ARTMEM_VERIFY_INVARIANT_CHECKER_HPP
@@ -60,9 +63,10 @@ namespace artmem::verify {
 enum class Invariant : std::uint8_t {
     kResidencyCount = 0,  ///< used_pages() disagrees with a flag recount.
     kTierCapacity,        ///< A tier holds more pages than its capacity.
-    kLruStructure,        ///< Broken links, size mismatch, cycle, or dup.
+    kLruStructure,        ///< Broken links, size mismatch, cycle, dup,
+                          ///< or stamps out of list order.
     kLruResidency,        ///< Linked page unallocated or in wrong tier.
-    kEmaBinMass,          ///< Bin populations disagree with the counters.
+    kEmaBinMass,          ///< Bins or hot index disagree with the counters.
     kFaultAccounting,     ///< Failure counters vs. injector bookkeeping.
     kQTableValue,         ///< Non-finite or out-of-bound action value.
     kTxAccounting,        ///< Transaction counters vs. draw bookkeeping.
@@ -119,8 +123,9 @@ class InvariantChecker
     /**
      * LRU list audit against the machine's residency: every list walk
      * must be consistent (links, sizes, where() labels, no cycles or
-     * duplicates) and every linked page must be allocated and resident
-     * in the tier the list belongs to.
+     * duplicates, stamps strictly falling from head to tail) and every
+     * linked page must be allocated and resident in the tier the list
+     * belongs to.
      * @returns page labels examined plus list nodes walked.
      */
     [[nodiscard]] static std::uint64_t
@@ -130,8 +135,11 @@ class InvariantChecker
     /**
      * EMA histogram mass: recomputes each bin's population from the
      * per-page counters and compares with bin_pages(); total mass must
-     * equal the page space.
-     * @returns per-page counters examined plus bins reconciled.
+     * equal the page space. hot_pages() must hold every page whose
+     * count is at least hot_floor() exactly once and nothing else
+     * (nothing at all when the floor is 0).
+     * @returns per-page counters examined plus bins reconciled plus
+     *          hot-index entries checked.
      */
     [[nodiscard]] static std::uint64_t
     check_ema(const stats::EmaBins& bins);

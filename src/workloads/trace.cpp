@@ -1,5 +1,6 @@
 #include "workloads/trace.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -93,11 +94,28 @@ TraceReplay::TraceReplay(const std::string& path)
               " bytes of accesses after the header");
     footprint_ = header.footprint;
     page_size_ = Bytes{1} << header.page_size_log2;
+    // The machine built for the trace spans the footprint rounded up to
+    // whole pages, and every page needs a u32 id below kInvalidPage: a
+    // larger footprint cannot be simulated, so refuse it before anything
+    // is sized by it.
+    const std::uint64_t pages = footprint_ / page_size_ +
+                                (footprint_ % page_size_ != 0 ? 1 : 0);
+    if (pages > kInvalidPage)
+        fatal("TraceReplay: ", path, ": header footprint ", footprint_,
+              " spans ", pages, " pages of ", page_size_,
+              " bytes, more than the ", kInvalidPage, " page ids");
     accesses_.resize(header.count);
     in.read(reinterpret_cast<char*>(accesses_.data()),
             static_cast<std::streamsize>(header.count * sizeof(PageId)));
     if (!in)
         fatal("TraceReplay: truncated trace: ", path);
+    const auto outside = std::find_if(
+        accesses_.begin(), accesses_.end(),
+        [pages](PageId page) { return page >= pages; });
+    if (outside != accesses_.end())
+        fatal("TraceReplay: ", path, ": access ",
+              outside - accesses_.begin(), " names page ", *outside,
+              ", at or past the footprint's ", pages, " pages");
 }
 
 std::size_t

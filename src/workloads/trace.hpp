@@ -10,7 +10,7 @@
  *
  * Format: 16-byte header ("ARTMEMTR", u32 version, u32 page_size_log2)
  * followed by u64 footprint, u64 count, then `count` little-endian u32
- * page ids.
+ * page ids, each below the footprint's page count (rounded up).
  */
 #ifndef ARTMEM_WORKLOADS_TRACE_HPP
 #define ARTMEM_WORKLOADS_TRACE_HPP
@@ -61,7 +61,12 @@ class TraceWriter final : public AccessGenerator
 class TraceReplay final : public AccessGenerator
 {
   public:
-    /** Load the whole trace; fatal on malformed files. */
+    /**
+     * Load the whole trace; fatal, naming the file, on malformed files:
+     * a bad magic, version, page size or count, a footprint of more
+     * pages than u32 page ids can name, or an access to a page at or
+     * past the footprint (named by its index).
+     */
     explicit TraceReplay(const std::string& path);
 
     std::string_view name() const override { return "trace"; }

@@ -27,11 +27,13 @@
  *     histogram/std::list models while consuming a batched run's
  *     drained samples.
  *
- * Plus two exact fast paths checked against the code they replaced:
+ * Plus three exact fast paths checked against the code they replaced:
  * the Zipf rank-table lookup must agree with the Gray et al. closed form
- * on every draw, and AutoTiering's fast-page index must pick the same
+ * on every draw; AutoTiering's fast-page index must pick the same
  * exchange victim, leave the same cursor and charge the same scan cost
- * as the page-ring walk it replaced.
+ * as the page-ring walk it replaced; and ArtMem's hot-page index must
+ * return the same promotion candidates, in the same order, as the slow
+ * list walk it replaced.
  */
 #include <gtest/gtest.h>
 
@@ -43,13 +45,16 @@
 #include <utility>
 #include <vector>
 
+#include "core/artmem.hpp"
 #include "lru/lru_lists.hpp"
 #include "memsim/fault_injector.hpp"
 #include "memsim/pebs.hpp"
+#include "memsim/tenant_ledger.hpp"
 #include "memsim/tiered_machine.hpp"
 #include "memsim/tx_migration.hpp"
 #include "policies/autotiering.hpp"
 #include "stats/ema_bins.hpp"
+#include "tenancy/admission.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
 
@@ -80,6 +85,30 @@ struct AutoTieringTestPeer {
 };
 
 }  // namespace policies
+
+namespace core {
+
+/** Reaches ArtMem's candidate search, its promotion round and the
+ *  state the search reads. */
+struct ArtMemTestPeer {
+    static std::size_t collect(ArtMem& p, std::size_t want,
+                               std::vector<PageId>& out)
+    {
+        return p.collect_promotion_candidates(want, out);
+    }
+    static void promote_round(ArtMem& p, const std::vector<PageId>& round,
+                              std::size_t& promoted, std::size_t& faulted)
+    {
+        p.promote_round(round, promoted, faulted);
+    }
+    static bool backed_off(const ArtMem& p, PageId page)
+    {
+        return p.backed_off(page);
+    }
+    static std::uint32_t& threshold(ArtMem& p) { return p.threshold_; }
+};
+
+}  // namespace core
 
 namespace {
 
@@ -956,6 +985,238 @@ TEST(DiffModel, AutoTieringVictimIndexMatchesRingWalk)
     EXPECT_GT(flipped, 0u);
     EXPECT_GT(refused, 0u);
     EXPECT_GT(tx_opened, 0u);
+}
+
+// ---------------------------------------------------------------------
+// ArtMem's promotion-candidate search: hot-page index vs list walk.
+// ---------------------------------------------------------------------
+
+/** Where a candidate walk ended: the pages it kept, the nodes it passed. */
+struct CandidateWalk {
+    std::vector<PageId> pages;
+    std::size_t walked = 0;
+};
+
+/**
+ * ArtMem's recency-first candidate search before the hot-page index,
+ * kept verbatim as the reference: walk the slow active list and then the
+ * slow inactive list from the head, keeping every page at or above the
+ * threshold that is allocated, slow-resident, out of its backoff and not
+ * in flight, until @p want pages are kept.
+ */
+CandidateWalk
+list_walk_candidates(const core::ArtMem& p, const TieredMachine& m,
+                     std::size_t want)
+{
+    CandidateWalk out;
+    const auto& lists = p.lists();
+    for (lru::ListId list :
+         {lru::ListId::kSlowActive, lru::ListId::kSlowInactive}) {
+        for (PageId page = lists.head(list);
+             page != kInvalidPage && out.pages.size() < want;
+             page = lists.next(page)) {
+            ++out.walked;
+            if (p.bins().count(page) >= p.current_threshold() &&
+                m.is_allocated(page) &&
+                m.tier_of_unchecked(page) == Tier::kSlow &&
+                !core::ArtMemTestPeer::backed_off(p, page) &&
+                !m.tx_page_inflight(page)) {
+                out.pages.push_back(page);
+            }
+        }
+        if (out.pages.size() >= want)
+            break;
+    }
+    return out;
+}
+
+TEST(DiffModel, ArtMemCandidatesMatchListWalk)
+{
+    // Exactness contract of the indexed search, against the unbudgeted
+    // list walk: the same pages in the same order for every want,
+    // whether the walk fits in its budget (the index size) or the
+    // search falls back to filtering and sorting the index. States come
+    // from the policy's own on_samples / on_interval / on_tx_resolved
+    // on seeded runs with faults, transactions or tenant quotas, plus
+    // direct threshold moves and the faulted promotion round whose
+    // refill perform_migration() collects.
+    using core::ArtMem;
+    using Peer = core::ArtMemTestPeer;
+    enum class Mode { kPlain, kFaults, kTx, kTenants };
+    // Coverage: want below / at / above the qualifying count, the walk
+    // budget hit and not, and each state the predicate filters on.
+    std::size_t by_want[3] = {};
+    std::size_t over_budget = 0, within_budget = 0, after_cooling = 0,
+                moved_threshold = 0, prefixed = 0, refills = 0,
+                backed_off = 0, inflight = 0, aborted_promotions = 0;
+    std::uint64_t pinned = 0, transient = 0, denied = 0;
+    for (std::uint64_t seed = 1; seed <= 96; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        Rng rng(seed);
+        const auto mode = static_cast<Mode>(seed % 4);
+        const std::size_t pages = 128 + rng.next_below(384);
+        const std::size_t fast_cap = pages / 8 + rng.next_below(pages / 4);
+        MachineConfig mc;
+        mc.page_size = 2ull << 20;
+        mc.address_space = pages * mc.page_size;
+        mc.tiers[0].capacity = fast_cap * mc.page_size;
+        mc.tiers[1].capacity = pages * mc.page_size;
+        TieredMachine m(mc);
+        if (mode == Mode::kFaults || mode == Mode::kTx) {
+            FaultConfig faults;
+            faults.seed = seed;
+            faults.transient_rate = 0.25;
+            faults.pinned_fraction = 0.1;
+            m.install_faults(faults);
+        }
+        if (mode == Mode::kTx) {
+            memsim::TxConfig tx;
+            tx.enabled = true;
+            tx.seed = seed;
+            tx.write_ratio = 0.4;
+            tx.max_inflight = 16;
+            m.install_tx(tx);
+        }
+        if (mode == Mode::kTenants) {
+            auto ledger = std::make_unique<memsim::TenantLedger>(
+                2, m.page_count());
+            ledger->set_owner_span(0, pages / 2, 0);
+            ledger->set_owner_span(static_cast<PageId>(pages / 2),
+                                   pages - pages / 2, 1);
+            ledger->set_quota(0, fast_cap / 3);
+            ledger->set_admission(
+                tenancy::make_admission("static", 2, 6, 0.5, 8));
+            m.install_tenants(std::move(ledger));
+        }
+        core::ArtMemConfig config;
+        config.seed = seed;
+        config.cooling_period = 512 + rng.next_below(2048);
+        static constexpr std::uint32_t kFloors[] = {1, 4, 16};
+        config.min_threshold = kFloors[(seed / 4) % 3];
+        ArtMem policy(config);
+        policy.init(m);
+        m.set_tx_handler([&](PageId page, Tier src, Tier dst,
+                             bool committed) {
+            aborted_promotions += !committed && dst == Tier::kFast;
+            policy.on_tx_resolved(page, src, dst, committed);
+        });
+
+        // First touch in random order; a tenth of the pages are hot.
+        std::vector<PageId> order(pages);
+        for (std::size_t i = 0; i < pages; ++i)
+            order[i] = static_cast<PageId>(i);
+        for (std::size_t i = pages - 1; i > 0; --i)
+            std::swap(order[i], order[rng.next_below(i + 1)]);
+        for (const PageId p : order)
+            (void)m.access(p);
+        const std::size_t hot = pages / 10;
+
+        const auto check = [&](std::size_t want,
+                               std::size_t prefix) -> testing::AssertionResult {
+            const CandidateWalk ref = list_walk_candidates(policy, m, want);
+            std::vector<PageId> got(prefix, kInvalidPage);
+            Peer::collect(policy, prefix + want, got);
+            std::vector<PageId> expect(prefix, kInvalidPage);
+            expect.insert(expect.end(), ref.pages.begin(), ref.pages.end());
+            if (got != expect) {
+                return testing::AssertionFailure()
+                       << "want " << want << " after " << prefix
+                       << " pages: index search "
+                       << testing::PrintToString(got) << ", list walk "
+                       << testing::PrintToString(expect);
+            }
+            const std::size_t index = policy.bins().hot_pages().size();
+            ++(ref.walked > index ? over_budget : within_budget);
+            after_cooling += policy.bins().cooling_events() > 0;
+            prefixed += prefix > 0;
+            return testing::AssertionSuccess();
+        };
+
+        for (int step = 0; step < 40; ++step) {
+            SCOPED_TRACE(testing::Message() << "step " << step);
+            // A batch of samples, skewed toward the hot tenth; in tx mode
+            // the accesses behind them can abort in-flight copies.
+            std::vector<memsim::PebsSample> samples(64 + rng.next_below(512));
+            for (auto& s : samples) {
+                s.page = rng.next_below(10) < 7
+                             ? order[rng.next_below(hot)]
+                             : order[rng.next_below(pages)];
+                (void)m.access(s.page);
+                s.tier = m.tier_of(s.page);
+            }
+            policy.on_samples(samples);
+
+            const std::size_t qualifying =
+                list_walk_candidates(policy, m, pages).pages.size();
+            for (const PageId p : policy.bins().hot_pages()) {
+                backed_off += Peer::backed_off(policy, p);
+                inflight += m.tx_page_inflight(p);
+            }
+            const std::size_t wants[] = {
+                qualifying > 1 ? qualifying - 1 : 1, qualifying,
+                qualifying + 1, 1 + rng.next_below(pages)};
+            for (const std::size_t want : wants) {
+                ASSERT_TRUE(check(want, rng.next_below(4) == 0
+                                            ? 1 + rng.next_below(3)
+                                            : 0));
+                ++by_want[want < qualifying ? 0
+                          : want == qualifying ? 1
+                                               : 2];
+            }
+
+            switch (rng.next_below(4)) {
+            case 0: {
+                // The threshold agent's moves, without waiting for it.
+                Peer::threshold(policy) = config.min_threshold +
+                    static_cast<std::uint32_t>(rng.next_below(24));
+                ++moved_threshold;
+                ASSERT_TRUE(check(1 + rng.next_below(pages), 0));
+                break;
+            }
+            case 1: {
+                // perform_migration()'s first round, then the refill
+                // collection that follows it when pages faulted.
+                const std::size_t want = 1 + rng.next_below(32);
+                ASSERT_TRUE(check(want, 0));
+                std::vector<PageId> round;
+                Peer::collect(policy, want, round);
+                std::size_t promoted = 0, faulted = 0;
+                Peer::promote_round(policy, round, promoted, faulted);
+                if (faulted > 0 && promoted < want) {
+                    ++refills;
+                    ASSERT_TRUE(check(want - promoted, 0));
+                }
+                break;
+            }
+            default:
+                // Decision boundary: due transactions resolve, the
+                // admission budgets refill and the policy migrates.
+                m.advance(1000000 + rng.next_below(20000000));
+                m.poll_tx();
+                if (auto* ledger = m.tenants())
+                    ledger->interval_feedback();
+                policy.on_interval(m.now());
+                break;
+            }
+        }
+        pinned += m.totals().failed_pinned;
+        transient += m.totals().failed_transient;
+        denied += m.totals().failed_quota + m.totals().failed_admission;
+    }
+    for (int i = 0; i < 3; ++i)
+        EXPECT_GT(by_want[i], 0u) << "no search at want class " << i;
+    EXPECT_GT(over_budget, 0u);
+    EXPECT_GT(within_budget, 0u);
+    EXPECT_GT(after_cooling, 0u);
+    EXPECT_GT(moved_threshold, 0u);
+    EXPECT_GT(prefixed, 0u);
+    EXPECT_GT(refills, 0u);
+    EXPECT_GT(backed_off, 0u);
+    EXPECT_GT(inflight, 0u);
+    EXPECT_GT(aborted_promotions, 0u);
+    EXPECT_GT(pinned, 0u);
+    EXPECT_GT(transient, 0u);
+    EXPECT_GT(denied, 0u);
 }
 
 }  // namespace

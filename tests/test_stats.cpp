@@ -121,6 +121,33 @@ TEST(EmaBins, SaturationSurvivesCooling)
     EXPECT_EQ(bins.count(0), saturated / 2);
 }
 
+TEST(EmaBins, HotIndexFollowsFloorAcrossCooling)
+{
+    EmaBins bins(8, 0, 4);
+    EXPECT_EQ(bins.hot_floor(), 4u);
+    for (int i = 0; i < 9; ++i)
+        bins.record(5);  // 9: stays at the floor after one halving
+    for (int i = 0; i < 4; ++i)
+        bins.record(2);  // 4: falls below it
+    for (int i = 0; i < 3; ++i)
+        bins.record(7);  // 3: never reaches it
+    EXPECT_EQ(bins.hot_pages(), (std::vector<PageId>{5, 2}));
+    bins.cool();
+    EXPECT_EQ(bins.hot_pages(), (std::vector<PageId>{5}));
+    for (int i = 0; i < 2; ++i)
+        bins.record(2);  // 2 -> 4: rejoins, once
+    EXPECT_EQ(bins.hot_pages(), (std::vector<PageId>{5, 2}));
+}
+
+TEST(EmaBins, NoFloorKeepsNoIndex)
+{
+    EmaBins bins(4);
+    for (int i = 0; i < 100; ++i)
+        bins.record(1);
+    EXPECT_EQ(bins.hot_floor(), 0u);
+    EXPECT_TRUE(bins.hot_pages().empty());
+}
+
 TEST(AccessRatio, Equation1Discretization)
 {
     AccessRatioTracker t(10);

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the util substrate: RNG, Zipfian, statistics, table
- * printing, config and CLI parsing.
+ * printing, config and CLI parsing, and the up-front check of a Q-table
+ * file the CLI is given.
  */
 #include <gtest/gtest.h>
 
@@ -10,7 +11,9 @@
 #include <sstream>
 #include <vector>
 
+#include "core/artmem.hpp"
 #include "memsim/fault_injector.hpp"
+#include "rl/qtable.hpp"
 #include "sim/experiment.hpp"
 #include "tenancy/tenancy.hpp"
 #include "util/cli.hpp"
@@ -280,9 +283,10 @@ cli(std::vector<const char*> flags)
 
 TEST(CliArgs, UnsignedFlagsParse)
 {
-    const auto args = cli({"--accesses=2000000", "--seed=0x10", "--jobs=+4"});
+    // Decimal only: a leading zero does not switch to octal.
+    const auto args = cli({"--accesses=2000000", "--seed=010", "--jobs=4"});
     EXPECT_EQ(args.get_uint<std::uint64_t>("accesses", 0), 2000000u);
-    EXPECT_EQ(args.get_uint<std::uint64_t>("seed", 0), 16u);
+    EXPECT_EQ(args.get_uint<std::uint64_t>("seed", 0), 10u);
     EXPECT_EQ(args.get_uint<unsigned>("jobs", 0), 4u);
     EXPECT_EQ(args.get_uint<unsigned>("missing", 7), 7u);
     EXPECT_EQ(cli({"--n=18446744073709551615"})
@@ -318,6 +322,33 @@ TEST(CliArgs, NegativeUnsignedFlagIsFatal)
                 ::testing::ExitedWithCode(1), "--seed must not be negative");
     EXPECT_EXIT((void)cli({"--seed=x"}).get_uint<std::uint64_t>("seed", 0),
                 ::testing::ExitedWithCode(1), "--seed expects an unsigned");
+}
+
+TEST(CliArgs, NonDecimalUnsignedFlagIsFatal)
+{
+    // With base 0, strtoull read "0x1000" as 4096 and accepted "+5000".
+    EXPECT_EXIT((void)cli({"--accesses=0x1000"}).get_uint<std::uint64_t>(
+                    "accesses", 0),
+                ::testing::ExitedWithCode(1),
+                "--accesses must be a decimal integer, got '0x1000'");
+    EXPECT_EXIT((void)cli({"--accesses=0X1000"}).get_uint<std::uint64_t>(
+                    "accesses", 0),
+                ::testing::ExitedWithCode(1),
+                "--accesses must be a decimal integer");
+    EXPECT_EXIT((void)cli({"--accesses=+5000"}).get_uint<std::uint64_t>(
+                    "accesses", 0),
+                ::testing::ExitedWithCode(1),
+                "--accesses must be written without a sign, got '\\+5000'");
+    EXPECT_EXIT((void)cli({"--seed= +5"}).get_uint<std::uint64_t>("seed", 0),
+                ::testing::ExitedWithCode(1),
+                "--seed must be written without a sign");
+    const auto cfg = KvConfig::parse("hex = 0x10\nsigned = +3\n");
+    EXPECT_EXIT((void)cfg.get_uint<std::uint64_t>("hex", 0),
+                ::testing::ExitedWithCode(1),
+                "key 'hex' must be a decimal integer");
+    EXPECT_EXIT((void)cfg.get_uint<std::uint64_t>("signed", 0),
+                ::testing::ExitedWithCode(1),
+                "key 'signed' must be written without a sign");
 }
 
 TEST(CliArgs, LibraryFlagParsersRejectWrappedIntegers)
@@ -403,6 +434,41 @@ TEST(KvConfig, MasimSpecRejectsWrappedIntegers)
                     KvConfig::parse("fault.seed = -3\n")),
                 ::testing::ExitedWithCode(1),
                 "key 'fault.seed' must not be negative");
+}
+
+TEST(QTablesFile, CheckNamesTheTableAndTheBadEntry)
+{
+    // artmem run --qtables=FILE rejects a file this check refuses,
+    // instead of warning and running from a cold start.
+    const core::ArtMemConfig config;
+    const auto check = [&](const std::string& blob) {
+        std::istringstream in(blob);
+        return core::ArtMem::check_qtables(in, config);
+    };
+    rl::QTable migration(12, 10);
+    rl::QTable threshold(12, 5);
+    std::ostringstream good;
+    migration.save(good);
+    threshold.save(good);
+    EXPECT_EQ(check(good.str()), "");
+    EXPECT_EQ(check("qtable 12 10\n0.25 truncated"),
+              "migration table: truncated or non-numeric body at entry "
+              "(0,1)");
+    // A whole migration table, then half a threshold table.
+    std::ostringstream half;
+    migration.save(half);
+    half << "qtable 12 5\n1 2 3";
+    EXPECT_EQ(check(half.str()),
+              "threshold table: truncated or non-numeric body at entry "
+              "(0,3)");
+    std::ostringstream swapped;
+    threshold.save(swapped);
+    migration.save(swapped);
+    EXPECT_EQ(check(swapped.str()),
+              "migration table is 12x5, expected 12x10");
+    EXPECT_EQ(check(""),
+              "migration table: malformed header (expected 'qtable <S> "
+              "<A>')");
 }
 
 }  // namespace

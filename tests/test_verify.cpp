@@ -3,13 +3,14 @@
  * Invariant-checker tests: a healthy simulator passes every audit, and
  * each deliberately seeded corruption triggers exactly the typed
  * InvariantViolation that names it. The corruption back doors are the
- * TestPeer friends declared by TieredMachine, EmaBins, and
+ * TestPeer friends declared by TieredMachine, EmaBins, LruLists and
  * TenantLedger; they exist only here.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "core/artmem.hpp"
 #include "memsim/fault_injector.hpp"
@@ -115,13 +116,38 @@ struct EmaBinsTestPeer {
     {
         bins.counts_[page] = value;
     }
+
+    /** Append a page to the hot index, whatever its count. */
+    static void index_page(EmaBins& bins, PageId page)
+    {
+        bins.hot_.push_back(page);
+    }
+
+    /** Drop the hot index's last entry. */
+    static void unindex_last(EmaBins& bins) { bins.hot_.pop_back(); }
 };
 
 }  // namespace artmem::stats
 
+namespace artmem::lru {
+
+/** Test-only corruption back door (friend of LruLists). */
+struct LruListsTestPeer {
+    /** Overwrite a page's position stamp. */
+    static void set_stamp(LruLists& lists, PageId page, std::uint32_t stamp)
+    {
+        auto& meta = lists.meta_[page];
+        meta = (stamp << LruLists::kStampShift) |
+               (meta & LruLists::kFlagsMask);
+    }
+};
+
+}  // namespace artmem::lru
+
 namespace artmem::verify {
 namespace {
 
+using lru::LruListsTestPeer;
 using memsim::MachineConfig;
 using memsim::MachineTestPeer;
 using memsim::Tier;
@@ -256,6 +282,102 @@ TEST_F(CheckLru, PageSpaceMismatchFires)
     } catch (const InvariantViolation& violation) {
         EXPECT_EQ(violation.which(), Invariant::kLruStructure);
     }
+}
+
+TEST_F(CheckLru, StampOutOfListOrderFires)
+{
+    // Pages 16..19 are slow-resident; linked head-first, page 19 heads
+    // the list. Give the page after it a stamp that does not fall.
+    for (PageId p = 16; p < 20; ++p)
+        lists_.insert_head(p, lru::ListId::kSlowActive);
+    EXPECT_GT(InvariantChecker::check_lru(lists_, machine_), 0u);
+    LruListsTestPeer::set_stamp(lists_, 18, lists_.stamp(19));
+    try {
+        (void)InvariantChecker::check_lru(lists_, machine_);
+        FAIL() << "expected InvariantViolation";
+    } catch (const InvariantViolation& violation) {
+        EXPECT_EQ(violation.which(), Invariant::kLruStructure);
+        EXPECT_NE(std::string(violation.what()).find("page 18 has stamp"),
+                  std::string::npos)
+            << violation.what();
+    }
+}
+
+TEST_F(CheckLru, TailInsertStampOutOfOrderFires)
+{
+    // A tail insert must stamp below the rest of its list.
+    lists_.insert_head(20, lru::ListId::kSlowInactive);
+    lists_.insert_tail(21, lru::ListId::kSlowInactive);
+    EXPECT_GT(InvariantChecker::check_lru(lists_, machine_), 0u);
+    LruListsTestPeer::set_stamp(lists_, 21, lists_.stamp(20) + 1);
+    EXPECT_THROW((void)InvariantChecker::check_lru(lists_, machine_),
+                 InvariantViolation);
+}
+
+/** Bins with a hot floor of 4: pages 0..3 reach it, 4..7 do not. */
+stats::EmaBins
+indexed_bins()
+{
+    stats::EmaBins bins(64, 0, 4);
+    for (PageId p = 0; p < 8; ++p) {
+        for (int i = 0; i < (p < 4 ? 6 : 3); ++i)
+            bins.record(p);
+    }
+    return bins;
+}
+
+/** Expect check_ema() to fire kEmaBinMass naming @p fragment. */
+void
+expect_ema_violation(const stats::EmaBins& bins, const std::string& fragment)
+{
+    try {
+        (void)InvariantChecker::check_ema(bins);
+        FAIL() << "expected InvariantViolation";
+    } catch (const InvariantViolation& violation) {
+        EXPECT_EQ(violation.which(), Invariant::kEmaBinMass);
+        EXPECT_NE(std::string(violation.what()).find(fragment),
+                  std::string::npos)
+            << violation.what();
+    }
+}
+
+TEST(CheckEma, HealthyHotIndexPassesAcrossCooling)
+{
+    auto bins = indexed_bins();
+    EXPECT_EQ(bins.hot_pages().size(), 4u);
+    EXPECT_GT(InvariantChecker::check_ema(bins), 64u);
+    bins.cool();  // 6 -> 3: every page leaves the index
+    EXPECT_TRUE(bins.hot_pages().empty());
+    EXPECT_GT(InvariantChecker::check_ema(bins), 0u);
+}
+
+TEST(CheckEma, HotIndexMissingPageFires)
+{
+    auto bins = indexed_bins();
+    EmaBinsTestPeer::unindex_last(bins);
+    expect_ema_violation(bins, "missing from the hot index");
+}
+
+TEST(CheckEma, HotIndexDuplicateFires)
+{
+    auto bins = indexed_bins();
+    EmaBinsTestPeer::index_page(bins, 2);
+    expect_ema_violation(bins, "holds page 2 twice");
+}
+
+TEST(CheckEma, HotIndexColdPageFires)
+{
+    auto bins = indexed_bins();
+    EmaBinsTestPeer::index_page(bins, 5);
+    expect_ema_violation(bins, "holds page 5 with count 3");
+}
+
+TEST(CheckEma, IndexWithoutFloorFires)
+{
+    stats::EmaBins bins(64);
+    bins.record(1);
+    EmaBinsTestPeer::index_page(bins, 1);
+    expect_ema_violation(bins, "although it has no floor");
 }
 
 TEST(CheckEma, HealthyBinsPass)

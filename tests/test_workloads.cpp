@@ -414,26 +414,35 @@ TEST(Trace, ReplayRejectsGarbage)
 }
 
 /**
- * Writes a version-1 trace header with the given fields, followed by
- * two u32 page ids, and returns its path.
+ * Writes a version-1 trace with the given header fields followed by
+ * @p pages as u32 page ids, and returns its path.
  */
 std::string
-write_trace_with_header(const char* name, std::uint32_t page_size_log2,
-                        std::uint64_t count)
+write_trace(const char* name, std::uint32_t page_size_log2,
+            std::uint64_t footprint, std::uint64_t count,
+            const std::vector<std::uint32_t>& pages)
 {
     const std::string path = ::testing::TempDir() + "/" + name;
     std::ofstream out(path, std::ios::binary);
     const std::uint32_t version = 1;
-    const std::uint64_t footprint = 1ull << 30;
-    const std::uint32_t pages[2] = {0, 1};
     out.write("ARTMEMTR", 8);
     out.write(reinterpret_cast<const char*>(&version), sizeof(version));
     out.write(reinterpret_cast<const char*>(&page_size_log2),
               sizeof(page_size_log2));
     out.write(reinterpret_cast<const char*>(&footprint), sizeof(footprint));
     out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-    out.write(reinterpret_cast<const char*>(pages), sizeof(pages));
+    out.write(reinterpret_cast<const char*>(pages.data()),
+              static_cast<std::streamsize>(pages.size() * sizeof(pages[0])));
     return path;
+}
+
+/** A 1 GiB-footprint trace header with the given fields, then pages 0
+ *  and 1. */
+std::string
+write_trace_with_header(const char* name, std::uint32_t page_size_log2,
+                        std::uint64_t count)
+{
+    return write_trace(name, page_size_log2, 1ull << 30, count, {0, 1});
 }
 
 TEST(Trace, ReplayRejectsPageSizeShiftOf64)
@@ -452,6 +461,41 @@ TEST(Trace, ReplayRejectsCountBeyondFile)
     EXPECT_EXIT(TraceReplay{path}, ::testing::ExitedWithCode(1),
                 "artmem_bigcount.bin: header count 2305843009213693952 "
                 "does not match the 8 bytes");
+}
+
+TEST(Trace, ReplayRejectsFootprintPastPageIdSpace)
+{
+    // 2^62 bytes of 2 MiB pages is 2^41 pages: no u32 id can name most
+    // of them, and a machine of that size would not fit in memory.
+    const std::string path =
+        write_trace("artmem_bigfootprint.bin", 21, 1ull << 62, 2, {0, 1});
+    EXPECT_EXIT(TraceReplay{path}, ::testing::ExitedWithCode(1),
+                "artmem_bigfootprint.bin: header footprint "
+                "4611686018427387904 spans 2199023255552 pages of 2097152 "
+                "bytes, more than the 4294967295 page ids");
+}
+
+TEST(Trace, ReplayRejectsPageIdPastFootprint)
+{
+    // Four 2 MiB pages: ids 0..3 are valid, access 2 names page 4.
+    const std::string path = write_trace("artmem_pastfootprint.bin", 21,
+                                         4 * kPage, 4, {0, 3, 4, 1});
+    EXPECT_EXIT(TraceReplay{path}, ::testing::ExitedWithCode(1),
+                "artmem_pastfootprint.bin: access 2 names page 4, at or "
+                "past the footprint's 4 pages");
+}
+
+TEST(Trace, ReplayAcceptsLastPageOfUnalignedFootprint)
+{
+    // 3.5 pages round up to 4, as the machine built for the trace does.
+    const std::string path = write_trace("artmem_unaligned.bin", 21,
+                                         3 * kPage + kPage / 2, 3,
+                                         {3, 0, 2});
+    TraceReplay replay(path);
+    EXPECT_EQ(replay.total_accesses(), 3u);
+    std::vector<PageId> buf(8);
+    ASSERT_EQ(replay.fill(buf), 3u);
+    EXPECT_EQ(buf[0], 3u);
 }
 
 TEST(Simple, UniformCoversSpace)

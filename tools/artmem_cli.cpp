@@ -261,6 +261,12 @@ cmd_run(const CliArgs& args)
             fatal("cannot open ", qtables);
         std::ostringstream blob;
         blob << in.rdbuf();
+        // A file the user named must load: the policy itself would only
+        // warn and run from a cold start.
+        std::istringstream check(blob.str());
+        const std::string error = core::ArtMem::check_qtables(check, cfg);
+        if (!error.empty())
+            fatal("--qtables ", qtables, ": ", error);
         artmem_policy->set_pretrained_qtables(blob.str());
         policy = std::move(artmem_policy);
     } else {
