@@ -2,14 +2,15 @@
 # Sanitizer CI: build and run the test suite under ASan+UBSan — the
 # full ctest run includes the memsim/lru/sim suites plus the hot-path
 # differential-model (test_diff_model) and property (test_property)
-# harnesses — then every suite that spawns threads (ring buffer /
-# async sampler, sweep thread pool, telemetry merge, transactional
-# migration) plus a real parallel --jobs 4 sweep under TSan. Any
-# sanitizer report fails the run (halt_on_error / abort_on_error
-# below). The TSan half is the runtime complement of the compile-time
-# Clang -Wthread-safety annotations (DESIGN.md §11): the annotations
-# prove lock discipline, TSan catches what they cannot see (lock-free
-# SPSC handoffs, join lifecycles).
+# harnesses — then the suites that exercise threads (sweep thread pool,
+# telemetry merge, transactional migration) plus a real parallel
+# --jobs 4 sweep under TSan. Any sanitizer report fails the run
+# (halt_on_error / abort_on_error below). The TSan half is the runtime
+# complement of the compile-time Clang -Wthread-safety annotations
+# (DESIGN.md §11): the annotations prove lock discipline, TSan catches
+# what they cannot see (data races outside a capability, join
+# lifecycles). The ci.yml `sanitizers` job runs this script; the `tsan`
+# CMake preset builds the same TSan tree for local use.
 #
 #   scripts/check_sanitizers.sh [build-dir-prefix]
 #
@@ -37,14 +38,10 @@ cmake -B "${prefix}-tsan" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DARTMEM_SANITIZE=thread > /dev/null
 cmake --build "${prefix}-tsan" -j "${jobs}" \
-    --target test_async test_memsim test_sweep test_telemetry \
-             test_tx_migration test_diff_model \
-             test_property bench_fig7_main
+    --target test_sweep test_telemetry test_tx_migration \
+             test_diff_model test_property bench_fig7_main
 
 echo "==> TSan test run (threaded suites)"
-TSAN_OPTIONS=halt_on_error=1 "${prefix}-tsan/tests/test_async"
-TSAN_OPTIONS=halt_on_error=1 "${prefix}-tsan/tests/test_memsim" \
-    --gtest_filter='RingBuffer.*'
 TSAN_OPTIONS=halt_on_error=1 "${prefix}-tsan/tests/test_sweep"
 TSAN_OPTIONS=halt_on_error=1 "${prefix}-tsan/tests/test_telemetry"
 TSAN_OPTIONS=halt_on_error=1 "${prefix}-tsan/tests/test_tx_migration"

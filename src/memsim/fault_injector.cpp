@@ -131,8 +131,9 @@ parse_fault_config(const KvConfig& config)
     fc.pinned_fraction = config.get_double("fault.pinned_fraction", 0.0);
     fc.transient_rate = config.get_double("fault.transient_rate", 0.0);
     fc.contended_rate = config.get_double("fault.contended_rate", 0.0);
-    fc.degrade_tier =
-        static_cast<int>(config.get_int("fault.degrade_tier", 1));
+    fc.degrade_tier = static_cast<int>(
+        config.get_uint<unsigned>("fault.degrade_tier", 1,
+                                  static_cast<unsigned>(kTierCount - 1)));
     fc.degrade_latency_factor =
         config.get_double("fault.degrade_latency_factor", 1.0);
     fc.degrade_bandwidth_factor =

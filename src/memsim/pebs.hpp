@@ -4,10 +4,15 @@
  *
  * The Performance Monitoring Unit is modelled as a countdown: one out of
  * every `period` observed memory loads is recorded, with its page and
- * serving tier, into a bounded ring buffer that the (simulated) ksampled
+ * serving tier, into a bounded buffer that the (simulated) ksampled
  * thread later drains. Overflowing records are dropped and counted, as
  * real PEBS buffers do. The paper initializes the period to 200 and
- * adjusts it dynamically to bound CPU overhead (Section 6.4).
+ * adjusts it dynamically to bound CPU overhead (Section 6.4); a run here
+ * keeps the period it is configured with.
+ *
+ * Recording and draining both run on the simulation thread: the engine
+ * drains at every simulated tick, which is where the ksampled cadence
+ * lives (DESIGN.md §1), so the buffer is a plain vector.
  */
 #ifndef ARTMEM_MEMSIM_PEBS_HPP
 #define ARTMEM_MEMSIM_PEBS_HPP
@@ -15,7 +20,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "memsim/ring_buffer.hpp"
 #include "memsim/tier.hpp"
 #include "util/types.hpp"
 
@@ -27,7 +31,7 @@ struct PebsSample {
     Tier tier;
 };
 
-/** Periodic sampler feeding a bounded SPSC buffer. */
+/** Periodic sampler feeding a bounded FIFO buffer. */
 class PebsSampler
 {
   public:
@@ -35,7 +39,7 @@ class PebsSampler
     struct Config {
         /** Record one of every `period` accesses. */
         std::uint32_t period = 200;
-        /** Ring buffer slots before drops occur. */
+        /** Buffered records before drops occur. */
         std::size_t buffer_capacity = 1 << 14;
     };
 
@@ -48,33 +52,32 @@ class PebsSampler
         if (--countdown_ == 0) {
             countdown_ = period_;
             ++recorded_;
-            buffer_.push(PebsSample{page, tier});
+            if (buffer_.size() < capacity_)
+                buffer_.push_back(PebsSample{page, tier});
+            else
+                ++dropped_;
         }
     }
 
-    /** Drain up to @p max_items pending samples into @p out (appended). */
-    std::size_t drain(std::vector<PebsSample>& out, std::size_t max_items);
-
-    /** Current sampling period. */
-    std::uint32_t period() const { return period_; }
-
     /**
-     * Change the sampling period (the paper tunes this at runtime to
-     * trade accuracy against overhead). Takes effect on the next sample.
+     * Move the oldest min(@p max_items, pending) records, in order, to
+     * the end of @p out. @return the number moved.
      */
-    void set_period(std::uint32_t period);
+    std::size_t drain(std::vector<PebsSample>& out, std::size_t max_items);
 
     /** Samples recorded (including ones later dropped by the buffer). */
     std::uint64_t recorded() const { return recorded_; }
 
     /** Samples dropped due to a full buffer. */
-    std::uint64_t dropped() const { return buffer_.dropped(); }
+    std::uint64_t dropped() const { return dropped_; }
 
   private:
-    RingBuffer<PebsSample> buffer_;
+    std::vector<PebsSample> buffer_;  ///< Pending records, oldest first.
+    std::size_t capacity_;
     std::uint32_t period_;
     std::uint32_t countdown_;
     std::uint64_t recorded_ = 0;
+    std::uint64_t dropped_ = 0;
 };
 
 }  // namespace artmem::memsim

@@ -32,7 +32,7 @@ struct EngineConfig {
     SimTimeNs decision_interval = 10000000;  // 10 ms
     /** PEBS configuration. The paper samples one in 200 accesses over
      *  billions of accesses; runs here execute ~10^7 accesses, so the
-     *  default period is scaled to 20 to preserve per-page sample
+     *  default period is scaled to 10 to preserve per-page sample
      *  counts (see DESIGN.md, access-volume scaling). */
     memsim::PebsSampler::Config pebs{.period = 10,
                                      .buffer_capacity = 1 << 14};

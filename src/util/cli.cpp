@@ -1,7 +1,6 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "util/logging.hpp"
 
@@ -69,25 +68,12 @@ CliArgs::get_string(const std::string& name, const std::string& fallback) const
     return it == flags_.end() ? fallback : it->second;
 }
 
-long long
-CliArgs::get_int(const std::string& name, long long fallback) const
-{
-    auto it = flags_.find(name);
-    return it == flags_.end() ? fallback
-                              : parse_int(it->second, "flag --" + name);
-}
-
 double
 CliArgs::get_double(const std::string& name, double fallback) const
 {
     auto it = flags_.find(name);
-    if (it == flags_.end())
-        return fallback;
-    char* end = nullptr;
-    const double parsed = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-        fatal("flag --", name, " expects a number, got '", it->second, "'");
-    return parsed;
+    return it == flags_.end() ? fallback
+                              : parse_double(it->second, "flag --" + name);
 }
 
 bool

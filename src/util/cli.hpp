@@ -33,9 +33,6 @@ class CliArgs
     std::string get_string(const std::string& name,
                            const std::string& fallback) const;
 
-    /** Integer flag with default; fatal if malformed or out of range. */
-    long long get_int(const std::string& name, long long fallback) const;
-
     /** Unsigned integer flag with default; fatal if malformed, negative
      *  or above @p max (parse_uint). */
     template <typename T>
@@ -51,7 +48,8 @@ class CliArgs
                                                "flag --" + name));
     }
 
-    /** Double flag with default; fatal if malformed. */
+    /** Double flag with default; fatal if malformed or not finite
+     *  (parse_double). */
     double get_double(const std::string& name, double fallback) const;
 
     /** Boolean flag: present without value or with true/false. */

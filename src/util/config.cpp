@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -27,19 +28,6 @@ trim(std::string_view s)
 
 }  // namespace
 
-long long
-parse_int(const std::string& text, std::string_view what)
-{
-    char* end = nullptr;
-    errno = 0;
-    const long long parsed = std::strtoll(text.c_str(), &end, 0);
-    if (end == text.c_str() || *end != '\0')
-        fatal(what, " expects an integer, got '", text, "'");
-    if (errno == ERANGE)
-        fatal(what, " is out of range: '", text, "'");
-    return parsed;
-}
-
 std::uint64_t
 parse_uint(const std::string& text, std::uint64_t max, std::string_view what)
 {
@@ -61,6 +49,18 @@ parse_uint(const std::string& text, std::uint64_t max, std::string_view what)
         fatal(what, " expects an unsigned integer, got '", text, "'");
     if (errno == ERANGE || parsed > max)
         fatal(what, " is out of range: '", text, "' (max ", max, ")");
+    return parsed;
+}
+
+double
+parse_double(const std::string& text, std::string_view what)
+{
+    char* end = nullptr;
+    const double parsed = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() || *end != '\0')
+        fatal(what, " expects a number, got '", text, "'");
+    if (!std::isfinite(parsed))
+        fatal(what, " must be finite, got '", text, "'");
     return parsed;
 }
 
@@ -136,24 +136,11 @@ KvConfig::get_string(const std::string& key, const std::string& fallback) const
     return v ? *v : fallback;
 }
 
-long long
-KvConfig::get_int(const std::string& key, long long fallback) const
-{
-    auto v = get(key);
-    return v ? parse_int(*v, "KvConfig: key '" + key + "'") : fallback;
-}
-
 double
 KvConfig::get_double(const std::string& key, double fallback) const
 {
     auto v = get(key);
-    if (!v)
-        return fallback;
-    char* end = nullptr;
-    const double parsed = std::strtod(v->c_str(), &end);
-    if (end == v->c_str() || *end != '\0')
-        fatal("KvConfig: key '", key, "' is not a number: ", *v);
-    return parsed;
+    return v ? parse_double(*v, "KvConfig: key '" + key + "'") : fallback;
 }
 
 std::vector<std::string>

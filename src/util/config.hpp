@@ -19,13 +19,6 @@
 namespace artmem {
 
 /**
- * Parse all of @p text as an integer (base prefixes as strtoll). fatal()
- * naming @p what if it is malformed or lies outside long long, which
- * strtoll would clamp silently.
- */
-long long parse_int(const std::string& text, std::string_view what);
-
-/**
  * Parse all of @p text as a decimal unsigned integer no larger than
  * @p max; leading zeros are decimal too ("010" is 10). fatal() naming
  * @p what if it is malformed, starts with '-' (strtoull would wrap "-1"
@@ -34,6 +27,13 @@ long long parse_int(const std::string& text, std::string_view what);
  */
 std::uint64_t parse_uint(const std::string& text, std::uint64_t max,
                          std::string_view what);
+
+/**
+ * Parse all of @p text as a finite double. fatal() naming @p what if it
+ * is malformed or not finite: strtod reads "nan" and "inf", and NaN
+ * slips past every range check, since each comparison with it is false.
+ */
+double parse_double(const std::string& text, std::string_view what);
 
 /** A flat string-to-string configuration map with typed accessors. */
 class KvConfig
@@ -60,10 +60,6 @@ class KvConfig
     std::string get_string(const std::string& key,
                            const std::string& fallback) const;
 
-    /** Integer with default; fatal if present but malformed or out of
-     *  range. */
-    long long get_int(const std::string& key, long long fallback) const;
-
     /** Unsigned integer with default; fatal if present but malformed,
      *  negative or above @p max (parse_uint). */
     template <typename T>
@@ -78,7 +74,8 @@ class KvConfig
                  : fallback;
     }
 
-    /** Double with default; fatal if present but not parseable. */
+    /** Double with default; fatal if present but malformed or not
+     *  finite (parse_double). */
     double get_double(const std::string& key, double fallback) const;
 
     /** Boolean with default; accepts true/false/1/0/yes/no. */

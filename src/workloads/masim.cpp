@@ -95,8 +95,12 @@ Masim::parse_spec(const KvConfig& config)
     spec.name = config.get_string("name", "masim");
     spec.footprint =
         config.get_uint<Bytes>("footprint_mib", 0, ~Bytes{0} >> 20) << 20;
-    const long long phase_count = config.get_int("phases", 0);
-    if (phase_count <= 0)
+    // Every phase and every region needs a key of its own, so no count
+    // above the number of keys can be well formed.
+    const std::size_t max_count = config.size();
+    const auto phase_count =
+        config.get_uint<std::size_t>("phases", 0, max_count);
+    if (phase_count == 0)
         fatal("masim spec: 'phases' must be positive");
     // Reject keys the schema does not define: a typo like
     // "phase0.acesses = 1000" would otherwise silently fall back to the
@@ -125,13 +129,14 @@ Masim::parse_spec(const KvConfig& config)
                   "' (expected name, footprint_mib, phases, ",
                   "phase<N>.accesses, phase<N>.regions, phase<N>.region<M>)");
     }
-    for (long long i = 0; i < phase_count; ++i) {
+    for (std::size_t i = 0; i < phase_count; ++i) {
         const std::string prefix = "phase" + std::to_string(i) + ".";
         MasimPhase phase;
         phase.accesses =
             config.get_uint<std::uint64_t>(prefix + "accesses", 0);
-        const long long regions = config.get_int(prefix + "regions", 0);
-        for (long long r = 0; r < regions; ++r) {
+        const auto regions =
+            config.get_uint<std::size_t>(prefix + "regions", 0, max_count);
+        for (std::size_t r = 0; r < regions; ++r) {
             const auto key = prefix + "region" + std::to_string(r);
             const auto text = config.get(key);
             if (!text)

@@ -7,7 +7,8 @@
 #   sh tests/cli_rejects_input.sh <artmem> <work-dir> <case>
 #
 # Cases: trace_page_past_footprint, trace_huge_footprint,
-# qtables_truncated, accesses_hex, accesses_signed.
+# qtables_truncated, accesses_hex, accesses_signed, fault_config_nan,
+# fault_config_inf, tx_write_ratio_nan.
 set -u
 artmem="$1"
 dir="$2"
@@ -78,6 +79,20 @@ accesses_hex)
 accesses_signed)
     expect_exit1 "flag --accesses must be written without a sign, got '+5000'" \
         "${artmem}" run --accesses=+5000
+    ;;
+fault_config_nan | fault_config_inf)
+    # nan and inf both pass the factor's >= 1 check; a NaN factor cast
+    # to simulated nanoseconds is undefined behaviour.
+    value="${case_name#fault_config_}"
+    config="${dir}/degrade_${value}.cfg"
+    printf 'fault.degrade_latency_factor = %s\nfault.degrade_period_ms = 1\nfault.degrade_duration_ms = 1\n' \
+        "${value}" > "${config}"
+    expect_exit1 "key 'fault.degrade_latency_factor' must be finite, got '${value}'" \
+        "${artmem}" run --accesses=100000 --fault-config="${config}"
+    ;;
+tx_write_ratio_nan)
+    expect_exit1 "flag --tx-write-ratio must be finite, got 'nan'" \
+        "${artmem}" run --accesses=100000 --tx-migration --tx-write-ratio=nan
     ;;
 *)
     echo "unknown case '${case_name}'"

@@ -1,15 +1,12 @@
 /**
  * @file
- * Unit tests for the tiered-memory machine, ring buffer, PEBS sampler,
- * and the MLC microbench.
+ * Unit tests for the tiered-memory machine, PEBS sampler, and the MLC
+ * microbench.
  */
 #include <gtest/gtest.h>
 
-#include <thread>
-
 #include "memsim/mlc.hpp"
 #include "memsim/pebs.hpp"
-#include "memsim/ring_buffer.hpp"
 #include "memsim/tiered_machine.hpp"
 
 namespace artmem::memsim {
@@ -162,121 +159,110 @@ TEST(TieredMachine, StreamChargesBandwidthTime)
     EXPECT_NEAR(static_cast<double>(dt) * 1e-9, 1.07, 0.03);
 }
 
-TEST(RingBuffer, PushPopFifo)
+/** A sampler that records every access (period 1). */
+PebsSampler
+every_access(std::size_t capacity)
 {
-    RingBuffer<int> rb(4);
-    EXPECT_TRUE(rb.push(1));
-    EXPECT_TRUE(rb.push(2));
-    EXPECT_EQ(rb.size(), 2u);
-    EXPECT_EQ(rb.pop().value(), 1);
-    EXPECT_EQ(rb.pop().value(), 2);
-    EXPECT_FALSE(rb.pop().has_value());
+    return PebsSampler({.period = 1, .buffer_capacity = capacity});
 }
 
-TEST(RingBuffer, DropsWhenFull)
+/** Drain up to @p max_items records and return their page ids. */
+std::vector<PageId>
+drain_pages(PebsSampler& sampler, std::size_t max_items)
 {
-    RingBuffer<int> rb(4);  // rounded to 4
-    for (int i = 0; i < 6; ++i)
-        rb.push(i);
-    EXPECT_EQ(rb.dropped(), 2u);
-    EXPECT_EQ(rb.size(), 4u);
+    std::vector<PebsSample> out;
+    sampler.drain(out, max_items);
+    std::vector<PageId> pages;
+    for (const auto& s : out)
+        pages.push_back(s.page);
+    return pages;
 }
 
-TEST(RingBuffer, DrainCollectsUpToLimit)
+TEST(PebsSampler, DrainsInFifoOrderWithTier)
 {
-    RingBuffer<int> rb(8);
-    for (int i = 0; i < 5; ++i)
-        rb.push(i);
-    std::vector<int> out;
-    EXPECT_EQ(rb.drain(out, 3), 3u);
-    EXPECT_EQ(rb.drain(out, 10), 2u);
-    EXPECT_EQ(out.size(), 5u);
+    auto sampler = every_access(4);
+    sampler.observe(1, Tier::kFast);
+    sampler.observe(2, Tier::kSlow);
+    std::vector<PebsSample> out;
+    EXPECT_EQ(sampler.drain(out, 10), 2u);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].page, 1u);
+    EXPECT_EQ(out[0].tier, Tier::kFast);
+    EXPECT_EQ(out[1].page, 2u);
+    EXPECT_EQ(out[1].tier, Tier::kSlow);
+    EXPECT_EQ(sampler.drain(out, 10), 0u);
+    EXPECT_EQ(out.size(), 2u);
 }
 
-TEST(RingBuffer, SpscThreadedTransfer)
+TEST(PebsSampler, PartialDrainKeepsTheRestQueued)
 {
-    // The real-thread path of the ArtMem sampling design (Section 4.4):
-    // a producer thread pushes, a consumer thread drains concurrently.
-    RingBuffer<std::uint64_t> rb(1024);
-    constexpr std::uint64_t kItems = 200000;
-    std::atomic<bool> done{false};
-    std::uint64_t sum = 0, received = 0;
-    std::thread consumer([&] {
-        while (!done.load(std::memory_order_acquire) || rb.size() > 0) {
-            if (auto v = rb.pop()) {
-                sum += *v;
-                ++received;
-            }
-        }
-    });
-    std::uint64_t pushed_sum = 0, pushed = 0;
-    for (std::uint64_t i = 0; i < kItems; ++i) {
-        if (rb.push(i)) {
-            pushed_sum += i;
-            ++pushed;
-        }
-    }
-    done.store(true, std::memory_order_release);
-    consumer.join();
-    EXPECT_EQ(received, pushed);
-    EXPECT_EQ(sum, pushed_sum);
-    EXPECT_EQ(pushed + rb.dropped(), kItems);
+    auto sampler = every_access(8);
+    for (PageId p = 0; p < 5; ++p)
+        sampler.observe(p, Tier::kFast);
+    EXPECT_EQ(drain_pages(sampler, 3), (std::vector<PageId>{0, 1, 2}));
+    EXPECT_EQ(drain_pages(sampler, 10), (std::vector<PageId>{3, 4}));
+    EXPECT_EQ(sampler.dropped(), 0u);
 }
 
-TEST(RingBuffer, WraparoundPreservesFifoAcrossManyCycles)
+TEST(PebsSampler, DropsWhenFull)
 {
-    // Cycle the indices through the power-of-two mask many times over:
-    // the unmasked head/tail counters must keep FIFO order and exact
-    // size accounting across every wrap.
-    RingBuffer<int> rb(8);
-    int next_in = 0, next_out = 0;
+    // Two records past a four-record buffer: exactly those two are
+    // dropped, and the four that landed stay queued.
+    auto sampler = every_access(4);
+    for (PageId p = 0; p < 6; ++p)
+        sampler.observe(p, Tier::kFast);
+    EXPECT_EQ(sampler.dropped(), 2u);
+    EXPECT_EQ(drain_pages(sampler, 10).size(), 4u);
+}
+
+TEST(PebsSampler, ExactDropAccountingUnderSaturation)
+{
+    // A PEBS burst with no drain in between: the first `capacity`
+    // records land, every later one is recorded, dropped and counted,
+    // and nothing already queued is overwritten. The capacity is used
+    // as given, not rounded.
+    auto sampler = every_access(6);
+    for (PageId p = 0; p < 100; ++p)
+        sampler.observe(p, Tier::kSlow);
+    EXPECT_EQ(sampler.recorded(), 100u);
+    EXPECT_EQ(sampler.dropped(), 94u);
+    EXPECT_EQ(drain_pages(sampler, 100),
+              (std::vector<PageId>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(PebsSampler, FifoAcrossManyFillDrainCycles)
+{
+    // Fill five of eight slots and drain them in two uneven chunks, a
+    // thousand times over: order and counts stay exact in every cycle.
+    auto sampler = every_access(8);
+    PageId next_in = 0, next_out = 0;
     for (int round = 0; round < 1000; ++round) {
         for (int i = 0; i < 5; ++i)
-            ASSERT_TRUE(rb.push(next_in++));
-        for (int i = 0; i < 5; ++i) {
-            const auto v = rb.pop();
-            ASSERT_TRUE(v.has_value());
-            ASSERT_EQ(*v, next_out++);
+            sampler.observe(next_in++, Tier::kFast);
+        for (std::size_t chunk : {2u, 3u}) {
+            for (PageId p : drain_pages(sampler, chunk))
+                ASSERT_EQ(p, next_out++);
         }
     }
-    EXPECT_EQ(rb.size(), 0u);
-    EXPECT_EQ(rb.dropped(), 0u);
+    EXPECT_EQ(next_out, next_in);
+    EXPECT_EQ(sampler.dropped(), 0u);
 }
 
-TEST(RingBuffer, ExactDropAccountingUnderSaturation)
+TEST(PebsSampler, RecoversAfterDrainedBacklog)
 {
-    // A saturating producer (a PEBS burst with no consumer scheduled):
-    // the first `capacity` records land, every later one is dropped and
-    // counted, and nothing already queued is overwritten.
-    RingBuffer<int> rb(8);
-    for (int i = 0; i < 100; ++i)
-        rb.push(i);
-    EXPECT_EQ(rb.size(), 8u);
-    EXPECT_EQ(rb.dropped(), 92u);
-    std::vector<int> out;
-    EXPECT_EQ(rb.drain(out, 100), 8u);
-    for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(out[static_cast<std::size_t>(i)], i);
-}
-
-TEST(RingBuffer, RecoversAfterDrainedBlackoutBacklog)
-{
-    // Consumer blackout: the producer saturates the buffer, then the
-    // consumer comes back and drains everything. The buffer must accept
-    // new records again with no residual state from the overload.
-    RingBuffer<int> rb(4);
-    for (int i = 0; i < 20; ++i)
-        rb.push(i);
-    const auto dropped_during_blackout = rb.dropped();
-    EXPECT_EQ(dropped_during_blackout, 16u);
-    std::vector<int> out;
-    rb.drain(out, 100);
-    EXPECT_EQ(rb.size(), 0u);
-    for (int i = 100; i < 104; ++i)
-        EXPECT_TRUE(rb.push(i));
-    EXPECT_EQ(rb.pop().value(), 100);
-    // No new drops after recovery.
-    EXPECT_EQ(rb.dropped(), dropped_during_blackout);
+    // Drain blackout: the buffer saturates, then the backlog is drained
+    // in full. The sampler accepts records again with no residual state
+    // from the overload.
+    auto sampler = every_access(4);
+    for (PageId p = 0; p < 20; ++p)
+        sampler.observe(p, Tier::kFast);
+    EXPECT_EQ(sampler.dropped(), 16u);
+    EXPECT_EQ(drain_pages(sampler, 100).size(), 4u);
+    for (PageId p = 100; p < 104; ++p)
+        sampler.observe(p, Tier::kFast);
+    EXPECT_EQ(drain_pages(sampler, 1), (std::vector<PageId>{100}));
+    EXPECT_EQ(sampler.dropped(), 16u);
+    EXPECT_EQ(sampler.recorded(), 24u);
 }
 
 TEST(PebsSampler, SamplesEveryNth)
@@ -290,16 +276,6 @@ TEST(PebsSampler, SamplesEveryNth)
     ASSERT_EQ(out.size(), 10u);
     EXPECT_EQ(out[0].page, 9u);  // the 10th access
     EXPECT_EQ(out[1].page, 19u);
-}
-
-TEST(PebsSampler, PeriodChangeTakesEffect)
-{
-    PebsSampler sampler({.period = 100, .buffer_capacity = 64});
-    sampler.set_period(2);
-    for (int i = 0; i < 10; ++i)
-        sampler.observe(0, Tier::kSlow);
-    EXPECT_EQ(sampler.recorded(), 5u);
-    EXPECT_EQ(sampler.period(), 2u);
 }
 
 TEST(Mlc, ReproducesTable2Characteristics)

@@ -2,23 +2,24 @@
  * @file
  * Property tests for the hot-path containers (DESIGN.md §9).
  *
- * LruLists and RingBuffer sit on the per-sample and per-access paths
+ * LruLists and PebsSampler sit on the per-sample and per-access paths
  * and were inlined for the hot-path overhaul, so they get randomized
  * operation sequences checked against trivially correct standard-
  * library models: four std::lists (+ a referenced-bit map) for
- * LruLists, a bounded std::deque for RingBuffer. Each trial prints its
- * seed via SCOPED_TRACE so any failure is replayable by pinning
- * kBaseSeed to the reported value.
+ * LruLists, a countdown and a bounded std::deque for PebsSampler. Each
+ * trial prints its seed via SCOPED_TRACE so any failure is replayable
+ * by pinning kBaseSeed to the reported value.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <list>
 #include <vector>
 
 #include "lru/lru_lists.hpp"
-#include "memsim/ring_buffer.hpp"
+#include "memsim/pebs.hpp"
 #include "util/rng.hpp"
 
 namespace artmem {
@@ -26,7 +27,9 @@ namespace {
 
 using lru::ListId;
 using lru::LruLists;
-using memsim::RingBuffer;
+using memsim::PebsSample;
+using memsim::PebsSampler;
+using memsim::Tier;
 
 constexpr std::uint64_t kBaseSeed = 0xa11ce5ee;
 
@@ -228,10 +231,17 @@ TEST(Property, LruListsMatchStdListModel)
 }
 
 // ---------------------------------------------------------------------
-// RingBuffer vs a bounded std::deque.
+// PebsSampler vs a countdown and a bounded std::deque.
 // ---------------------------------------------------------------------
 
-TEST(Property, RingBufferMatchesDequeModel)
+/** Alternate tiers by page parity so drained tiers are checked too. */
+Tier
+tier_of(PageId page)
+{
+    return page % 2 == 0 ? Tier::kFast : Tier::kSlow;
+}
+
+TEST(Property, PebsSamplerMatchesDequeModel)
 {
     for (int trial = 0; trial < 24; ++trial) {
         const std::uint64_t seed = derive_seed(
@@ -240,65 +250,65 @@ TEST(Property, RingBufferMatchesDequeModel)
                      << "replay seed=" << seed << " (trial " << trial
                      << ")");
         Rng rng(seed);
-        const std::size_t requested = 1 + rng.next_below(96);
-        RingBuffer<std::uint64_t> ring(requested);
-        std::size_t cap = 1;
-        while (cap < requested)
-            cap <<= 1;
-        ASSERT_EQ(ring.capacity(), cap);
+        // Any capacity, powers of two or not: the buffer holds exactly
+        // as many records as it is configured for.
+        const std::size_t cap = 1 + rng.next_below(96);
+        const auto period = static_cast<std::uint32_t>(1 + rng.next_below(4));
+        SCOPED_TRACE(testing::Message()
+                     << "capacity=" << cap << " period=" << period);
+        PebsSampler sampler({.period = period, .buffer_capacity = cap});
 
-        std::deque<std::uint64_t> model;
+        std::deque<PageId> model;
+        std::uint32_t countdown = period;
+        std::uint64_t model_recorded = 0;
         std::uint64_t model_dropped = 0;
-        std::uint64_t next_value = 0;
+        PageId next_page = 0;
+        const auto drain_and_compare = [&](std::size_t max_items) {
+            std::vector<PebsSample> got;
+            ASSERT_EQ(sampler.drain(got, max_items),
+                      std::min(max_items, model.size()));
+            for (const PebsSample& sample : got) {
+                ASSERT_EQ(sample.page, model.front());
+                ASSERT_EQ(sample.tier, tier_of(sample.page));
+                model.pop_front();
+            }
+        };
         for (int op = 0; op < 4000; ++op) {
             switch (rng.next_below(4)) {
             case 0:
             case 1: {
-                // Push burst — overflows on purpose ("blackout" drain
-                // pauses leave the producer running).
-                const std::size_t burst = 1 + rng.next_below(cap + 8);
+                // Observation burst: overflows on purpose (a drain
+                // blackout leaves the sampler recording).
+                const std::size_t burst =
+                    1 + rng.next_below((cap + 8) * period);
                 for (std::size_t i = 0; i < burst; ++i) {
-                    const bool pushed = ring.push(next_value);
-                    if (model.size() < cap) {
-                        ASSERT_TRUE(pushed);
-                        model.push_back(next_value);
-                    } else {
-                        ASSERT_FALSE(pushed);
-                        ++model_dropped;
+                    sampler.observe(next_page, tier_of(next_page));
+                    if (--countdown == 0) {
+                        countdown = period;
+                        ++model_recorded;
+                        if (model.size() < cap)
+                            model.push_back(next_page);
+                        else
+                            ++model_dropped;
                     }
-                    ++next_value;
+                    ++next_page;
                 }
                 break;
             }
-            case 2: {
-                auto got = ring.pop();
-                if (model.empty()) {
-                    ASSERT_FALSE(got.has_value());
-                } else {
-                    ASSERT_TRUE(got.has_value());
-                    ASSERT_EQ(*got, model.front());
-                    model.pop_front();
-                }
+            case 2:
+                drain_and_compare(1);
+                break;
+            case 3:
+                drain_and_compare(rng.next_below(cap + 2));
                 break;
             }
-            case 3: {
-                const std::size_t max_items = rng.next_below(cap + 2);
-                std::vector<std::uint64_t> got;
-                ring.drain(got, max_items);
-                std::vector<std::uint64_t> want;
-                while (want.size() < max_items && !model.empty()) {
-                    want.push_back(model.front());
-                    model.pop_front();
-                }
-                ASSERT_EQ(got, want);
-                break;
-            }
-            }
-            ASSERT_EQ(ring.size(), model.size());
-            ASSERT_EQ(ring.dropped(), model_dropped);
+            ASSERT_EQ(sampler.recorded(), model_recorded);
+            ASSERT_EQ(sampler.dropped(), model_dropped);
             if (testing::Test::HasFailure())
                 return;
         }
+        drain_and_compare(cap + 1);
+        ASSERT_TRUE(model.empty());
     }
 }
 

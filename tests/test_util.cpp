@@ -241,10 +241,10 @@ TEST(KvConfig, ParsesTypesAndComments)
         "ratio = 0.5\n"
         "flag = true\n");
     EXPECT_EQ(cfg.get_string("name", ""), "hello");
-    EXPECT_EQ(cfg.get_int("count", 0), 42);
+    EXPECT_EQ(cfg.get_uint<unsigned>("count", 0), 42u);
     EXPECT_DOUBLE_EQ(cfg.get_double("ratio", 0), 0.5);
     EXPECT_TRUE(cfg.get_bool("flag", false));
-    EXPECT_EQ(cfg.get_int("missing", 7), 7);
+    EXPECT_EQ(cfg.get_uint<unsigned>("missing", 7), 7u);
     EXPECT_EQ(cfg.size(), 4u);
 }
 
@@ -253,7 +253,7 @@ TEST(KvConfig, OverwriteAndHas)
     KvConfig cfg;
     cfg.set("k", "1");
     cfg.set("k", "2");
-    EXPECT_EQ(cfg.get_int("k", 0), 2);
+    EXPECT_EQ(cfg.get_uint<unsigned>("k", 0), 2u);
     EXPECT_TRUE(cfg.has("k"));
     EXPECT_FALSE(cfg.has("other"));
 }
@@ -269,7 +269,7 @@ TEST(CliArgs, ParsesAllForms)
     ASSERT_EQ(args.positional().size(), 1u);
     EXPECT_EQ(args.positional()[0], "positional");
     EXPECT_FALSE(args.has("missing"));
-    EXPECT_EQ(args.get_int("missing", 9), 9);
+    EXPECT_EQ(args.get_uint<unsigned>("missing", 9), 9u);
 }
 
 /** Parse a command line given as flags after the program name. */
@@ -296,13 +296,8 @@ TEST(CliArgs, UnsignedFlagsParse)
 
 TEST(CliArgs, IntegerOutOfRangeIsFatal)
 {
-    // strtoll clamps to LLONG_MAX and sets ERANGE; the flag must not run
-    // as a 9.2e18-access simulation.
-    EXPECT_EXIT((void)cli({"--accesses=99999999999999999999"})
-                    .get_int("accesses", 0),
-                ::testing::ExitedWithCode(1), "--accesses is out of range");
-    EXPECT_EXIT((void)cli({"--n=-99999999999999999999"}).get_int("n", 0),
-                ::testing::ExitedWithCode(1), "--n is out of range");
+    // strtoull clamps to ULLONG_MAX and sets ERANGE; the flag must not
+    // run as a 1.8e19-access simulation.
     EXPECT_EXIT((void)cli({"--accesses=99999999999999999999"})
                     .get_uint<std::uint64_t>("accesses", 0),
                 ::testing::ExitedWithCode(1), "--accesses is out of range");
@@ -401,11 +396,10 @@ TEST(KvConfig, IntegerOutOfRangeIsFatal)
 {
     const auto cfg = KvConfig::parse("big = 99999999999999999999\n"
                                      "neg = -1\n");
-    EXPECT_EXIT((void)cfg.get_int("big", 0), ::testing::ExitedWithCode(1),
-                "key 'big' is out of range");
+    EXPECT_EXIT((void)cfg.get_uint<std::uint64_t>("big", 0),
+                ::testing::ExitedWithCode(1), "key 'big' is out of range");
     EXPECT_EXIT((void)cfg.get_uint<std::uint64_t>("neg", 0),
                 ::testing::ExitedWithCode(1), "key 'neg' must not be negative");
-    EXPECT_EQ(cfg.get_int("neg", 0), -1);
 }
 
 TEST(KvConfig, MasimSpecRejectsWrappedIntegers)
@@ -434,6 +428,55 @@ TEST(KvConfig, MasimSpecRejectsWrappedIntegers)
                     KvConfig::parse("fault.seed = -3\n")),
                 ::testing::ExitedWithCode(1),
                 "key 'fault.seed' must not be negative");
+    // Counts and the degraded tier are decimal: base 0 read "0x1" as 1,
+    // and "-1" regions as none at all.
+    EXPECT_EXIT((void)workloads::Masim::parse_spec(KvConfig::parse(
+                    "footprint_mib = 64\nphases = 0x1\n"
+                    "phase0.accesses = 100\nphase0.regions = 1\n"
+                    "phase0.region0 = 0 64 1.0\n")),
+                ::testing::ExitedWithCode(1),
+                "key 'phases' must be a decimal integer");
+    EXPECT_EXIT((void)workloads::Masim::parse_spec(KvConfig::parse(
+                    "footprint_mib = 64\nphases = 1\n"
+                    "phase0.accesses = 100\nphase0.regions = -1\n")),
+                ::testing::ExitedWithCode(1),
+                "key 'phase0.regions' must not be negative");
+    EXPECT_EXIT((void)memsim::parse_fault_config(
+                    KvConfig::parse("fault.degrade_tier = 0x1\n")),
+                ::testing::ExitedWithCode(1),
+                "key 'fault.degrade_tier' must be a decimal integer");
+    // A leading zero is decimal too: base 0 read "010" as 8 regions and
+    // silently ignored region8 and region9.
+    std::string ten = "footprint_mib = 64\nphases = 1\n"
+                      "phase0.accesses = 100\nphase0.regions = 010\n";
+    for (int r = 0; r < 10; ++r)
+        ten += "phase0.region" + std::to_string(r) + " = " +
+               std::to_string(r) + " 1 1.0\n";
+    const auto spec = workloads::Masim::parse_spec(KvConfig::parse(ten));
+    ASSERT_EQ(spec.phases.size(), 1u);
+    EXPECT_EQ(spec.phases[0].regions.size(), 10u);
+}
+
+TEST(CliArgs, NonFiniteNumbersAreFatal)
+{
+    // strtod reads these, and NaN passes every range check after it.
+    for (const char* text : {"nan", "inf", "-inf", "1e999"}) {
+        const std::string flag = std::string("--ratio=") + text;
+        EXPECT_EXIT((void)cli({flag.c_str()}).get_double("ratio", 0),
+                    ::testing::ExitedWithCode(1),
+                    "flag --ratio must be finite")
+            << text;
+        const auto cfg = KvConfig::parse(std::string("x = ") + text + "\n");
+        EXPECT_EXIT((void)cfg.get_double("x", 0),
+                    ::testing::ExitedWithCode(1), "key 'x' must be finite")
+            << text;
+    }
+    EXPECT_EXIT((void)cli({"--ratio=0.5x"}).get_double("ratio", 0),
+                ::testing::ExitedWithCode(1),
+                "flag --ratio expects a number, got '0.5x'");
+    EXPECT_EXIT((void)KvConfig::parse("x = y\n").get_double("x", 0),
+                ::testing::ExitedWithCode(1),
+                "key 'x' expects a number, got 'y'");
 }
 
 TEST(QTablesFile, CheckNamesTheTableAndTheBadEntry)
