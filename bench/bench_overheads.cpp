@@ -23,7 +23,9 @@
 
 #include "core/artmem.hpp"
 #include "lru/lru_lists.hpp"
+#include "memsim/fault_injector.hpp"
 #include "memsim/pebs.hpp"
+#include "memsim/tiered_machine.hpp"
 #include "rl/agent.hpp"
 #include "sim/experiment.hpp"
 #include "stats/access_ratio.hpp"
@@ -177,6 +179,44 @@ BM_MigrationPlanningSparse(benchmark::State& state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MigrationPlanningSparse);
+
+void
+BM_AccessBatchFaulted(benchmark::State& state)
+{
+    // The faulted batch loop alone (DESIGN.md §9): 16,384 prefaulted
+    // 2 MiB pages at 1:4 under the degrade scenario, fed uniform page
+    // ids in batches of 512. The simulated clock runs on across
+    // iterations, so the timed loop crosses degrade window edges. A loop
+    // that asked the injector for its answers on every access instead
+    // of once per window edge shows here. Gated in BENCH_hotpath.json;
+    // items_per_second is accesses per second.
+    constexpr std::size_t kPages = 16384;
+    constexpr std::size_t kBatch = 512;
+    constexpr Bytes kPage = 2ull << 20;
+    memsim::TieredMachine machine(
+        sim::make_machine_config(kPages * kPage, sim::RatioSpec{1, 4}, kPage));
+    machine.prefault_range(0, kPages);
+    machine.install_faults(memsim::make_fault_scenario("degrade", 1));
+    memsim::PebsSampler sampler({.period = 10, .buffer_capacity = 1 << 12});
+    Rng rng(13);
+    std::vector<PageId> pages(64 * kBatch);
+    for (auto& page : pages)
+        page = static_cast<PageId>(rng.next_below(kPages));
+    std::vector<memsim::PebsSample> sink;
+    std::uint64_t suppressed = 0;
+    std::size_t next = 0;
+    for (auto _ : state) {
+        machine.access_batch_faulted(pages.data() + next, kBatch, sampler,
+                                     suppressed);
+        next = (next + kBatch) % pages.size();
+        sink.clear();
+        sampler.drain(sink, kBatch);
+    }
+    benchmark::DoNotOptimize(machine.now());
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(kBatch));
+}
+BENCHMARK(BM_AccessBatchFaulted);
 
 void
 BM_ThreadPoolDispatch(benchmark::State& state)
@@ -372,14 +412,16 @@ int
 main(int argc, char** argv)
 {
     // --quick (scripts/check_perf.sh): restrict the run to the gated
-    // benchmarks — the end-to-end throughput runs and the sparse ArtMem
-    // decision interval — at a short minimum time, mirroring the
-    // fig-harness --quick convention. Expanded into native
-    // google-benchmark flags so the library still does all the timing.
+    // benchmarks — the end-to-end throughput runs, the faulted batch
+    // loop and the sparse ArtMem decision interval — at a short minimum
+    // time, mirroring the fig-harness --quick convention. Expanded into
+    // native google-benchmark flags so the library still does all the
+    // timing.
     std::vector<char*> args;
     // lint:allow(DL006) argv storage google-benchmark mutates in place
     static char filter[] =
-        "--benchmark_filter=BM_SimThroughput|BM_MigrationPlanningSparse";
+        "--benchmark_filter=BM_SimThroughput|BM_AccessBatchFaulted|"
+        "BM_MigrationPlanningSparse";
     // lint:allow(DL006) argv storage google-benchmark mutates in place
     static char min_time[] = "--benchmark_min_time=0.01";
     bool quick = false;

@@ -1,19 +1,20 @@
 #!/usr/bin/env bash
 # Perf-regression smoke for the batched hot path (DESIGN.md §9).
 #
-# Runs the gated benchmarks (bench_overheads --quick: BM_SimThroughput
-# and BM_MigrationPlanningSparse at one short google-benchmark
-# repetition) and compares items/sec per entry — simulated accesses for
-# the throughput runs, decision intervals for the sparse ArtMem case —
-# against the committed baseline in BENCH_hotpath.json. The tolerance is deliberately generous (a 30%
-# drop fails): CI machines are noisy, and this gate exists to catch
-# real regressions — an accidental O(n) slip or a de-inlined hot
-# function — without flaking on scheduler jitter.
+# Runs the gated benchmarks (bench_overheads --quick: BM_SimThroughput,
+# BM_AccessBatchFaulted and BM_MigrationPlanningSparse at one short
+# google-benchmark repetition) and compares items/sec per entry —
+# simulated accesses for the throughput runs and the faulted batch
+# loop, decision intervals for the sparse ArtMem case — against the
+# committed baseline in BENCH_hotpath.json. The tolerance is
+# deliberately generous (a 30% drop fails): CI machines are noisy, and
+# this gate exists to catch real regressions — an accidental O(n) slip
+# or a de-inlined hot function — without flaking on scheduler jitter.
 #
-# bench_overheads --quick filters on the "BM_SimThroughput" prefix and
-# on BM_MigrationPlanningSparse, so every BM_SimThroughput* entry in the
-# baseline (the tx-off and tenancy variants included) is gated here with
-# no extra plumbing.
+# bench_overheads --quick filters on the "BM_SimThroughput" prefix, on
+# BM_AccessBatchFaulted and on BM_MigrationPlanningSparse, so every
+# BM_SimThroughput* entry in the baseline (the tx-off and tenancy
+# variants included) is gated here with no extra plumbing.
 #
 #   scripts/check_perf.sh [build-dir]   (default: build)
 set -euo pipefail

@@ -2,9 +2,14 @@
 # Sanitizer CI: build and run the test suite under ASan+UBSan — the
 # full ctest run includes the memsim/lru/sim suites plus the hot-path
 # differential-model (test_diff_model) and property (test_property)
-# harnesses — then the suites that exercise threads (sweep thread pool,
-# telemetry merge, transactional migration) plus a real parallel
-# --jobs 4 sweep under TSan. Any sanitizer report fails the run
+# harnesses. ARTMEM_SANITIZE=undefined also turns on
+# -fsanitize=float-cast-overflow, which GCC leaves out of
+# -fsanitize=undefined: an out-of-range double cast to an integer (a
+# huge or NaN fault factor scaled into simulated nanoseconds) is
+# reported and halts the run. Then come the suites that exercise
+# threads (sweep thread pool, telemetry merge, transactional
+# migration) plus a real parallel --jobs 4 sweep under TSan. Any
+# sanitizer report fails the run
 # (halt_on_error / abort_on_error below). The TSan half is the runtime
 # complement of the compile-time Clang -Wthread-safety annotations
 # (DESIGN.md §11): the annotations prove lock discipline, TSan catches

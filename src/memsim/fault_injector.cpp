@@ -31,12 +31,38 @@ check_rate(double value, const char* name)
         fatal("FaultConfig: ", name, " must be in [0,1], got ", value);
 }
 
+/** A degraded latency or copy time must stay far inside SimTimeNs. */
+void
+check_factor(double value, const char* name)
+{
+    if (value < 1.0)
+        fatal("FaultConfig: ", name, " must be >= 1, got ", value);
+    if (value > 1e6)
+        fatal("FaultConfig: ", name, " must be at most 1e6, got ", value);
+}
+
 void
 check_window(SimTimeNs period, SimTimeNs duration, const char* name)
 {
     if (period > 0 && duration > period) {
         fatal("FaultConfig: ", name, " duration ", duration,
               " exceeds its period ", period);
+    }
+}
+
+/**
+ * A window setting is read only while its class has a period: set
+ * without one, it would be silently ignored. Names are the fault.*
+ * keys of parse_fault_config().
+ */
+void
+check_has_period(bool set, SimTimeNs period, const char* key,
+                 const char* period_key)
+{
+    if (set && period == 0) {
+        fatal("FaultConfig: fault.", key, " is set but fault.", period_key,
+              " is 0; the window never opens, so the setting would be "
+              "ignored");
     }
 }
 
@@ -61,13 +87,25 @@ FaultConfig::validate() const
     check_rate(pressure_fraction, "pressure_fraction");
     if (degrade_tier < 0 || degrade_tier >= kTierCount)
         fatal("FaultConfig: degrade_tier must be 0 or 1, got ", degrade_tier);
-    if (degrade_latency_factor < 1.0)
-        fatal("FaultConfig: degrade_latency_factor must be >= 1, got ",
-              degrade_latency_factor);
-    if (degrade_bandwidth_factor < 1.0)
-        fatal("FaultConfig: degrade_bandwidth_factor must be >= 1, got ",
-              degrade_bandwidth_factor);
+    check_factor(degrade_latency_factor, "degrade_latency_factor");
+    check_factor(degrade_bandwidth_factor, "degrade_bandwidth_factor");
     check_rate(write_storm_rate, "write_storm_rate");
+    check_has_period(degrade_latency_factor != 1.0, degrade_period_ns,
+                     "degrade_latency_factor", "degrade_period_ms");
+    check_has_period(degrade_bandwidth_factor != 1.0, degrade_period_ns,
+                     "degrade_bandwidth_factor", "degrade_period_ms");
+    check_has_period(degrade_duration_ns > 0, degrade_period_ns,
+                     "degrade_duration_ms", "degrade_period_ms");
+    check_has_period(blackout_duration_ns > 0, blackout_period_ns,
+                     "blackout_duration_ms", "blackout_period_ms");
+    check_has_period(pressure_fraction > 0.0, pressure_period_ns,
+                     "pressure_fraction", "pressure_period_ms");
+    check_has_period(pressure_duration_ns > 0, pressure_period_ns,
+                     "pressure_duration_ms", "pressure_period_ms");
+    check_has_period(write_storm_rate > 0.0, write_storm_period_ns,
+                     "write_storm_rate", "write_storm_period_ms");
+    check_has_period(write_storm_duration_ns > 0, write_storm_period_ns,
+                     "write_storm_duration_ms", "write_storm_period_ms");
     check_window(degrade_period_ns, degrade_duration_ns, "degrade");
     check_window(blackout_period_ns, blackout_duration_ns, "blackout");
     check_window(pressure_period_ns, pressure_duration_ns, "pressure");
@@ -218,18 +256,23 @@ FaultInjector::FaultInjector(const FaultConfig& config,
     // Seed-derived phase offsets decorrelate the three window schedules
     // from each other and from the engine's tick cadence.
     std::uint64_t state = config_.seed;
-    const auto offset = [&](SimTimeNs period) {
-        return period > 0
-                   ? static_cast<SimTimeNs>(splitmix64(state) %
-                                            static_cast<std::uint64_t>(period))
-                   : 0;
+    const auto window = [&](SimTimeNs period, SimTimeNs duration) {
+        const SimTimeNs offset =
+            period > 0 ? static_cast<SimTimeNs>(
+                             splitmix64(state) %
+                             static_cast<std::uint64_t>(period))
+                       : 0;
+        return Window{period, duration, offset};
     };
-    degrade_offset_ = offset(config_.degrade_period_ns);
-    blackout_offset_ = offset(config_.blackout_period_ns);
-    pressure_offset_ = offset(config_.pressure_period_ns);
+    degrade_ = window(config_.degrade_period_ns, config_.degrade_duration_ns);
+    blackout_ =
+        window(config_.blackout_period_ns, config_.blackout_duration_ns);
+    pressure_ =
+        window(config_.pressure_period_ns, config_.pressure_duration_ns);
     // Drawn after the original three so their offsets (and thus every
     // pre-existing scenario's schedule) are unchanged by this class.
-    write_storm_offset_ = offset(config_.write_storm_period_ns);
+    write_storm_ = window(config_.write_storm_period_ns,
+                          config_.write_storm_duration_ns);
 }
 
 double
@@ -241,12 +284,23 @@ FaultInjector::draw()
 }
 
 bool
-FaultInjector::in_window(SimTimeNs now, SimTimeNs period, SimTimeNs duration,
-                         SimTimeNs offset) const
+FaultInjector::Window::contains(SimTimeNs now) const
 {
     if (period == 0)
         return false;
     return (now + offset) % period < duration;
+}
+
+SimTimeNs
+FaultInjector::Window::next_edge(SimTimeNs now) const
+{
+    if (period == 0)
+        return FaultView::kNever;
+    // The window opens at phase 0 and closes at phase duration. A sum
+    // past SimTimeNs wraps to a time at or before now, which only makes
+    // a caller ask again sooner.
+    const SimTimeNs phase = (now + offset) % period;
+    return now + (phase < duration ? duration - phase : period - phase);
 }
 
 bool
@@ -284,8 +338,7 @@ bool
 FaultInjector::tier_degraded(Tier tier, SimTimeNs now) const
 {
     return static_cast<int>(tier) == config_.degrade_tier &&
-           in_window(now, config_.degrade_period_ns,
-                     config_.degrade_duration_ns, degrade_offset_);
+           degrade_.contains(now);
 }
 
 SimTimeNs
@@ -307,19 +360,13 @@ FaultInjector::bandwidth_penalty(Tier tier, SimTimeNs now) const
 double
 FaultInjector::tx_write_storm_rate(SimTimeNs now) const
 {
-    if (config_.write_storm_period_ns == 0)
-        return 0.0;
-    return in_window(now, config_.write_storm_period_ns,
-                     config_.write_storm_duration_ns, write_storm_offset_)
-               ? config_.write_storm_rate
-               : 0.0;
+    return write_storm_.contains(now) ? config_.write_storm_rate : 0.0;
 }
 
 bool
 FaultInjector::sampling_blackout(SimTimeNs now) const
 {
-    return in_window(now, config_.blackout_period_ns,
-                     config_.blackout_duration_ns, blackout_offset_);
+    return blackout_.contains(now);
 }
 
 bool
@@ -349,6 +396,21 @@ FaultInjector::sample_suppressed(SimTimeNs now)
     return dropped;
 }
 
+FaultView
+FaultInjector::view(const SimTimeNs (&base)[kTierCount], SimTimeNs now) const
+{
+    FaultView v;
+    for (int t = 0; t < kTierCount; ++t)
+        v.latency[t] = effective_latency(static_cast<Tier>(t), base[t], now);
+    // sample_suppressed() is a no-op outside a blackout when it has no
+    // drop rate to draw against and no blackout_end left to trace.
+    v.sample_quiet = !(config_.sample_drop_rate > 0.0) &&
+                     !blackout_.contains(now) &&
+                     !(trace_pebs_ != nullptr && in_blackout_);
+    v.until = std::min(degrade_.next_edge(now), blackout_.next_edge(now));
+    return v;
+}
+
 void
 FaultInjector::set_telemetry(telemetry::Telemetry* telemetry)
 {
@@ -367,10 +429,7 @@ FaultInjector::set_telemetry(telemetry::Telemetry* telemetry)
 std::size_t
 FaultInjector::reserved_fast_pages(SimTimeNs now) const
 {
-    return in_window(now, config_.pressure_period_ns,
-                     config_.pressure_duration_ns, pressure_offset_)
-               ? pressure_pages_
-               : 0;
+    return pressure_.contains(now) ? pressure_pages_ : 0;
 }
 
 }  // namespace artmem::memsim

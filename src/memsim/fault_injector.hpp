@@ -36,6 +36,7 @@
 #define ARTMEM_MEMSIM_FAULT_INJECTOR_HPP
 
 #include <cstdint>
+#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -109,7 +110,10 @@ struct FaultConfig {
     /** True if any fault class is active. */
     bool any_enabled() const;
 
-    /** fatal() on out-of-range rates, factors, or windows. */
+    /**
+     * fatal() on out-of-range rates, factors (below 1 or above 1e6), or
+     * windows, and on a window setting whose class has no period.
+     */
     void validate() const;
 };
 
@@ -121,6 +125,31 @@ struct FaultConfig {
  * (e.g. "fault.blackout_period_ms = 50").
  */
 FaultConfig parse_fault_config(const KvConfig& config);
+
+/**
+ * The injector's per-access answers at one simulated time, and the
+ * first later time at which any of them can change; returned by
+ * FaultInjector::view(). The answers hold for every time in
+ * [query time, until).
+ */
+struct FaultView {
+    /** Time that never comes: no window class can change an answer. */
+    static constexpr SimTimeNs kNever = std::numeric_limits<SimTimeNs>::max();
+
+    /** effective_latency() of each tier, indexed by Tier. */
+    SimTimeNs latency[kTierCount] = {0, 0};
+    /**
+     * sample_suppressed() would return false without drawing, counting
+     * or tracing, so the caller may skip the call.
+     */
+    bool sample_quiet = false;
+    /**
+     * The nearest degrade or blackout window edge after the query time,
+     * or kNever when both classes are off. 0 (the default) makes a
+     * caller that refreshes at `now >= until` ask at once.
+     */
+    SimTimeNs until = 0;
+};
 
 /** Names of the built-in fault scenarios (bench_fault_resilience). */
 std::vector<std::string_view> fault_scenario_names();
@@ -182,6 +211,17 @@ class FaultInjector
      */
     bool sample_suppressed(SimTimeNs now);
 
+    /**
+     * The per-access answers at @p now in one call: each tier's
+     * effective_latency() over @p base, whether sample_suppressed()
+     * would be a no-op, and the next window edge at which either can
+     * change. Window answers are pure functions of simulated time, so
+     * a caller whose clock only moves forward may reuse the view until
+     * its clock reaches FaultView::until (the faulted batch loop,
+     * DESIGN.md §9). Consumes no draws.
+     */
+    FaultView view(const SimTimeNs (&base)[kTierCount], SimTimeNs now) const;
+
     // --- (d) capacity pressure ------------------------------------------
 
     /** Fast-tier slots held by the co-tenant at @p now. */
@@ -221,16 +261,31 @@ class FaultInjector
     void set_telemetry(telemetry::Telemetry* telemetry);
 
   private:
+    /**
+     * One periodic window class: open while (now + offset) % period <
+     * duration, never while period is 0. The one place the window
+     * arithmetic lives; all four window classes share it.
+     */
+    struct Window {
+        SimTimeNs period = 0;
+        SimTimeNs duration = 0;
+        SimTimeNs offset = 0;  ///< Seed-derived phase, in [0, period).
+
+        /** True while the window is open at @p now. */
+        bool contains(SimTimeNs now) const;
+        /** First time after @p now at which the window opens or
+         *  closes; FaultView::kNever while period is 0. */
+        SimTimeNs next_edge(SimTimeNs now) const;
+    };
+
     double draw();
-    bool in_window(SimTimeNs now, SimTimeNs period, SimTimeNs duration,
-                   SimTimeNs offset) const;
 
     FaultConfig config_;
     std::size_t pressure_pages_ = 0;
-    SimTimeNs degrade_offset_ = 0;
-    SimTimeNs blackout_offset_ = 0;
-    SimTimeNs pressure_offset_ = 0;
-    SimTimeNs write_storm_offset_ = 0;
+    Window degrade_;
+    Window blackout_;
+    Window pressure_;
+    Window write_storm_;
     std::uint64_t draw_counter_ = 0;
     std::uint64_t transient_aborts_ = 0;
     std::uint64_t contended_hits_ = 0;

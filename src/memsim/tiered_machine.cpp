@@ -165,6 +165,16 @@ TieredMachine::batch_loop(const PageId* pages, std::size_t n,
     const SimTimeNs lat[kTierCount] = {latency_[0], latency_[1]};
     SimTimeNs now = now_;
     std::uint64_t acc[kTierCount] = {0, 0};
+    // kFaulted: the injector's per-access answers, held in a local and
+    // asked for again only once the clock reaches the next window edge.
+    // The answers are pure functions of simulated time and the clock
+    // never moves back, so the view reads exactly what per-access
+    // effective_latency() / sample_suppressed() calls would.
+    [[maybe_unused]] FaultView view;
+    [[maybe_unused]] const auto refresh_view = [&] {
+        if (now >= view.until) [[unlikely]]
+            view = faults_->view(latency_, now);
+    };
     const auto flush = [&] {
         now_ = now;
         totals_.accesses[0] += acc[0];
@@ -184,10 +194,12 @@ TieredMachine::batch_loop(const PageId* pages, std::size_t n,
         const int t = f & kTierBit;  // kTierBit == 0x1: 0 fast, 1 slow
         const Tier tier = t != 0 ? Tier::kSlow : Tier::kFast;
         flags[page] = static_cast<std::uint8_t>(f | kAccessedBit);
-        if constexpr (kFaulted)
-            now += faults_->effective_latency(tier, lat[t], now);
-        else
+        if constexpr (kFaulted) {
+            refresh_view();
+            now += view.latency[t];
+        } else {
             now += lat[t];
+        }
         ++acc[t];
         if (tenants_ != nullptr) [[unlikely]]
             tenants_->note_access(page, t);
@@ -212,8 +224,12 @@ TieredMachine::batch_loop(const PageId* pages, std::size_t n,
         if constexpr (kFaulted) {
             // Same draw order as the engine's scalar loop: the
             // suppression draw happens after the access, at the
-            // post-access (and post-trap) timestamp.
-            if (faults_->sample_suppressed(now)) [[unlikely]]
+            // post-access (and post-trap) timestamp. A quiet view
+            // skips only calls that would draw, count and trace
+            // nothing.
+            refresh_view();
+            if (!view.sample_quiet && faults_->sample_suppressed(now))
+                [[unlikely]]
                 ++*pebs_suppressed;
             else
                 sampler.observe(page, tier);

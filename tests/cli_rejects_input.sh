@@ -8,7 +8,8 @@
 #
 # Cases: trace_page_past_footprint, trace_huge_footprint,
 # qtables_truncated, accesses_hex, accesses_signed, fault_config_nan,
-# fault_config_inf, tx_write_ratio_nan.
+# fault_config_inf, fault_config_huge_factor, fault_config_no_period,
+# tx_write_ratio_nan.
 set -u
 artmem="$1"
 dir="$2"
@@ -89,6 +90,27 @@ fault_config_nan | fault_config_inf)
         "${value}" > "${config}"
     expect_exit1 "key 'fault.degrade_latency_factor' must be finite, got '${value}'" \
         "${artmem}" run --accesses=100000 --fault-config="${config}"
+    ;;
+fault_config_huge_factor)
+    # 323 ns x 1e30 does not fit simulated nanoseconds: the cast is
+    # undefined behaviour, and the "degraded" run used to come out
+    # faster than the fault-free one.
+    config="${dir}/degrade_huge.cfg"
+    printf 'fault.degrade_latency_factor = 1e30\nfault.degrade_period_ms = 40\nfault.degrade_duration_ms = 10\n' \
+        > "${config}"
+    expect_exit1 "degrade_latency_factor must be at most 1e6, got 1e+30" \
+        "${artmem}" run --workload=s2 --policy=artmem --ratio=1:4 \
+        --accesses=200000 --fault-config="${config}"
+    ;;
+fault_config_no_period)
+    # Without a degrade period the window never opens: the factor and
+    # duration used to be ignored and the run came out fault-free.
+    config="${dir}/degrade_no_period.cfg"
+    printf 'fault.degrade_latency_factor = 4\nfault.degrade_duration_ms = 10\n' \
+        > "${config}"
+    expect_exit1 "fault.degrade_latency_factor is set but fault.degrade_period_ms is 0" \
+        "${artmem}" run --workload=s2 --policy=artmem --ratio=1:4 \
+        --accesses=200000 --fault-config="${config}"
     ;;
 tx_write_ratio_nan)
     expect_exit1 "flag --tx-write-ratio must be finite, got 'nan'" \

@@ -14,7 +14,9 @@
  *     same seeded access stream — one through the retained scalar
  *     access() sequence (the pre-overhaul engine loop, kept verbatim
  *     below), one through access_batch(); full state is compared every
- *     decision interval, across all built-in fault scenarios, with
+ *     decision interval, across all built-in fault scenarios, the
+ *     abort storm with the transactional engine installed, and
+ *     microsecond windows whose edges fall inside most batches, with
  *     trap storms and a re-entrant promotion fault handler thrown in.
  *
  *  2. Naive model: an independent single-stepping reference model of
@@ -175,6 +177,14 @@ expect_counters_equal(const TieredMachine::Counters& a,
     EXPECT_EQ(a.failed_transient, b.failed_transient);
     EXPECT_EQ(a.failed_contended, b.failed_contended);
     EXPECT_EQ(a.aborted_migration_ns, b.aborted_migration_ns);
+    EXPECT_EQ(a.tx_opened, b.tx_opened);
+    EXPECT_EQ(a.tx_committed, b.tx_committed);
+    EXPECT_EQ(a.tx_aborted, b.tx_aborted);
+    EXPECT_EQ(a.tx_retries, b.tx_retries);
+    EXPECT_EQ(a.tx_free_flips, b.tx_free_flips);
+    EXPECT_EQ(a.tx_dual_drops, b.tx_dual_drops);
+    EXPECT_EQ(a.tx_dual_reclaims, b.tx_dual_reclaims);
+    EXPECT_EQ(a.failed_tx_busy, b.failed_tx_busy);
 }
 
 void
@@ -185,12 +195,21 @@ expect_machines_equal(const TieredMachine& a, const TieredMachine& b)
         const auto tier = static_cast<Tier>(t);
         EXPECT_EQ(a.used_pages(tier), b.used_pages(tier));
         EXPECT_EQ(a.free_pages(tier), b.free_pages(tier));
+        EXPECT_EQ(a.tx_reclaimable_pages(tier), b.tx_reclaimable_pages(tier));
     }
     expect_counters_equal(a.totals(), b.totals());
+    EXPECT_EQ(a.tx_inflight_count(), b.tx_inflight_count());
+    EXPECT_EQ(a.tx_write_draws(), b.tx_write_draws());
+    EXPECT_EQ(a.tx_write_hits(), b.tx_write_hits());
     for (PageId p = 0; p < a.page_count(); ++p) {
         ASSERT_EQ(a.is_allocated(p), b.is_allocated(p)) << "page " << p;
         ASSERT_EQ(a.accessed(p), b.accessed(p)) << "page " << p;
         ASSERT_EQ(a.has_trap(p), b.has_trap(p)) << "page " << p;
+        if (a.tx_enabled()) {
+            ASSERT_EQ(a.tx_page_inflight(p), b.tx_page_inflight(p))
+                << "page " << p;
+            ASSERT_EQ(a.tx_page_dual(p), b.tx_page_dual(p)) << "page " << p;
+        }
         if (a.is_allocated(p)) {
             ASSERT_EQ(a.tier_of(p), b.tier_of(p)) << "page " << p;
         }
@@ -226,20 +245,85 @@ struct TrapEvent {
     bool operator==(const TrapEvent&) const = default;
 };
 
+/** One resolved transaction; logged by both machines' tx handlers. */
+struct TxEvent {
+    PageId page;
+    Tier src;
+    Tier dst;
+    bool committed;
+    SimTimeNs now;
+
+    bool operator==(const TxEvent&) const = default;
+};
+
 /**
- * Drives the scalar oracle and the batched machine in lockstep over one
- * fault scenario, interleaving migrations, exchanges, trap arming, and
- * accessed-bit scans between intervals, and comparing complete state
- * at every interval boundary.
+ * Every window class at microsecond scale, so that a typical batch of
+ * the lockstep run (1-257 accesses of 92-969 ns) crosses several
+ * degrade and blackout edges, and so do the trap handler's migrations
+ * and the tx engine's abort charges. The write storm only bites with
+ * tx installed. @p drop_rate 0 leaves the sample path quiet outside
+ * blackouts, so the batch loop skips the suppression call there.
+ */
+FaultConfig
+microsecond_windows(double drop_rate = 0.05)
+{
+    FaultConfig fc;
+    fc.seed = 7;
+    fc.degrade_tier = 1;
+    fc.degrade_latency_factor = 3.0;
+    fc.degrade_bandwidth_factor = 2.0;
+    fc.degrade_period_ns = 7000;
+    fc.degrade_duration_ns = 2500;
+    fc.blackout_period_ns = 11000;
+    fc.blackout_duration_ns = 3000;
+    fc.sample_drop_rate = drop_rate;
+    fc.write_storm_rate = 0.5;
+    fc.write_storm_period_ns = 13000;
+    fc.write_storm_duration_ns = 4000;
+    return fc;
+}
+
+/** Totals lockstep runs add up, so a case can show it had teeth. */
+struct LockstepTotals {
+    std::uint64_t suppressed = 0;
+    std::uint64_t tx_opened = 0;
+    std::uint64_t tx_aborted = 0;
+};
+
+/**
+ * Drives the scalar oracle and the batched machine in lockstep under
+ * one fault config (with the transactional engine installed on both
+ * when @p tx), interleaving migrations, exchanges, trap arming,
+ * accessed-bit scans and tx polls between intervals, and comparing
+ * complete state at every interval boundary. Adds the batched
+ * machine's totals to @p totals.
  */
 void
-run_lockstep_scenario(std::string_view scenario, std::uint64_t seed)
+run_lockstep(const FaultConfig& faults, bool tx, std::string_view label,
+             std::uint64_t seed, LockstepTotals& totals)
 {
     TieredMachine scalar(small_machine());
     TieredMachine batched(small_machine());
-    const FaultConfig faults = memsim::make_fault_scenario(scenario, 7);
     scalar.install_faults(faults);
     batched.install_faults(faults);
+    std::vector<TxEvent> scalar_tx;
+    std::vector<TxEvent> batched_tx;
+    if (tx) {
+        memsim::TxConfig config;
+        config.enabled = true;
+        config.seed = derive_seed(seed, 3);
+        scalar.install_tx(config);
+        batched.install_tx(config);
+        scalar.set_tx_handler(
+            [&](PageId page, Tier src, Tier dst, bool committed) {
+                scalar_tx.push_back({page, src, dst, committed, scalar.now()});
+            });
+        batched.set_tx_handler(
+            [&](PageId page, Tier src, Tier dst, bool committed) {
+                batched_tx.push_back(
+                    {page, src, dst, committed, batched.now()});
+            });
+    }
 
     // Re-entrant handler, as AutoNUMA-style policies install: promote
     // the faulting page on the spot. Inside access_batch() this forces
@@ -273,8 +357,8 @@ run_lockstep_scenario(std::string_view scenario, std::uint64_t seed)
 
     for (int interval = 0; interval < 64; ++interval) {
         SCOPED_TRACE(testing::Message()
-                     << "scenario=" << scenario << " seed=" << seed
-                     << " interval=" << interval);
+                     << "faults=" << label << " tx=" << tx
+                     << " seed=" << seed << " interval=" << interval);
 
         // One interval: a few variable-sized batches of a hot/cold mix.
         for (int chunk = 0; chunk < 4; ++chunk) {
@@ -327,6 +411,10 @@ run_lockstep_scenario(std::string_view scenario, std::uint64_t seed)
             EXPECT_EQ(scalar.test_and_clear_accessed(page),
                       batched.test_and_clear_accessed(page));
         }
+        if (tx) {
+            EXPECT_EQ(scalar.poll_tx(), batched.poll_tx());
+            ASSERT_EQ(scalar_tx, batched_tx);
+        }
 
         // Full-state comparison at the interval boundary.
         scalar_drained.clear();
@@ -345,13 +433,46 @@ run_lockstep_scenario(std::string_view scenario, std::uint64_t seed)
         if (testing::Test::HasFailure())
             return;  // one divergence floods everything downstream
     }
+    totals.suppressed += batched_suppressed;
+    totals.tx_opened += batched.totals().tx_opened;
+    totals.tx_aborted += batched.totals().tx_aborted;
 }
 
 TEST(DiffModel, BatchMatchesScalarOracleAcrossFaultScenarios)
 {
+    LockstepTotals unused;
     for (const auto scenario : memsim::fault_scenario_names())
         for (const std::uint64_t seed : {3ull, 17ull})
-            run_lockstep_scenario(scenario, seed);
+            run_lockstep(memsim::make_fault_scenario(scenario, 7), false,
+                         scenario, seed, unused);
+}
+
+TEST(DiffModel, BatchMatchesScalarOracleUnderAbortStormWithTx)
+{
+    // The benchmark's fault mix: write storms against in-flight
+    // transactions, polled at every interval boundary.
+    LockstepTotals total;
+    for (const std::uint64_t seed : {3ull, 17ull})
+        run_lockstep(memsim::make_fault_scenario("abort_storm", 7), true,
+                     "abort_storm", seed, total);
+    EXPECT_GT(total.tx_opened, 0u);
+    EXPECT_GT(total.tx_aborted, 0u) << "the storm never aborted anything";
+}
+
+TEST(DiffModel, BatchMatchesScalarOracleAcrossMicrosecondWindows)
+{
+    // Most batches cross degrade and blackout edges, so a batch loop
+    // that held the injector's answers past an edge diverges here.
+    for (const double drop_rate : {0.05, 0.0}) {
+        LockstepTotals total;
+        for (const std::uint64_t seed : {3ull, 17ull})
+            run_lockstep(microsecond_windows(drop_rate), true,
+                         drop_rate > 0.0 ? "us_windows" : "us_no_drop", seed,
+                         total);
+        EXPECT_GT(total.suppressed, 0u);
+        EXPECT_GT(total.tx_opened, 0u);
+        EXPECT_GT(total.tx_aborted, 0u);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -456,10 +577,10 @@ struct NaiveMachine {
 };
 
 void
-run_naive_model_scenario(std::string_view scenario, std::uint64_t seed)
+run_naive_model(const FaultConfig& faults, std::string_view label,
+                std::uint64_t seed)
 {
     const MachineConfig cfg = small_machine();
-    const FaultConfig faults = memsim::make_fault_scenario(scenario, 11);
     const PebsSampler::Config sampler_cfg{.period = 5,
                                           .buffer_capacity = 1 << 8};
 
@@ -480,7 +601,7 @@ run_naive_model_scenario(std::string_view scenario, std::uint64_t seed)
 
     for (int interval = 0; interval < 64; ++interval) {
         SCOPED_TRACE(testing::Message()
-                     << "scenario=" << scenario << " seed=" << seed
+                     << "faults=" << label << " seed=" << seed
                      << " interval=" << interval);
         const std::size_t n = 1 + stream.next_below(513);
         batch.clear();
@@ -543,7 +664,12 @@ run_naive_model_scenario(std::string_view scenario, std::uint64_t seed)
 TEST(DiffModel, NaiveSingleStepModelMatchesBatchedMachine)
 {
     for (const auto scenario : memsim::fault_scenario_names())
-        run_naive_model_scenario(scenario, 23);
+        run_naive_model(memsim::make_fault_scenario(scenario, 11), scenario,
+                        23);
+    // Without tx the write storm is never consulted, and the replica
+    // injector's draw stream stays aligned.
+    run_naive_model(microsecond_windows(), "us_windows", 23);
+    run_naive_model(microsecond_windows(0.0), "us_no_drop", 23);
 }
 
 // ---------------------------------------------------------------------

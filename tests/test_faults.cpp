@@ -12,11 +12,13 @@
 #include <cmath>
 #include <map>
 #include <tuple>
+#include <vector>
 
 #include "core/artmem.hpp"
 #include "memsim/fault_injector.hpp"
 #include "sim/engine.hpp"
 #include "sim/registry.hpp"
+#include "util/rng.hpp"
 #include "workloads/masim.hpp"
 
 namespace artmem {
@@ -459,6 +461,129 @@ TEST(DegradeFaults, DegradedRunIsSlowerThanFaultFree)
 }
 
 // ---------------------------------------------------------------------
+// FaultView: the per-access answers, held until the next window edge.
+// ---------------------------------------------------------------------
+
+TEST(FaultView, EachWindowClassFollowsItsClosedFormAtSeveralOffsets)
+{
+    // All four classes share one window helper. Alone in a config, a
+    // class draws the first seed-derived offset, so its per-call answer
+    // at every nanosecond must be (t + offset) % period < duration.
+    constexpr SimTimeNs kPeriod = 97;
+    constexpr SimTimeNs kDuration = 31;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        std::uint64_t state = seed;
+        const SimTimeNs offset = splitmix64(state) % kPeriod;
+        for (int cls = 0; cls < 4; ++cls) {
+            SCOPED_TRACE(testing::Message()
+                         << "seed " << seed << " class " << cls);
+            FaultConfig fc;
+            fc.seed = seed;
+            if (cls == 0) {
+                fc.degrade_latency_factor = 3.0;
+                fc.degrade_period_ns = kPeriod;
+                fc.degrade_duration_ns = kDuration;
+            } else if (cls == 1) {
+                fc.blackout_period_ns = kPeriod;
+                fc.blackout_duration_ns = kDuration;
+            } else if (cls == 2) {
+                fc.pressure_fraction = 0.5;
+                fc.pressure_period_ns = kPeriod;
+                fc.pressure_duration_ns = kDuration;
+            } else {
+                fc.write_storm_rate = 0.5;
+                fc.write_storm_period_ns = kPeriod;
+                fc.write_storm_duration_ns = kDuration;
+            }
+            FaultInjector inj(fc, 16);
+            for (SimTimeNs t = 0; t < 5 * kPeriod; ++t) {
+                const bool open = (t + offset) % kPeriod < kDuration;
+                const bool got =
+                    cls == 0   ? inj.tier_degraded(Tier::kSlow, t)
+                    : cls == 1 ? inj.sampling_blackout(t)
+                    : cls == 2 ? inj.reserved_fast_pages(t) == 8
+                               : inj.tx_write_storm_rate(t) == 0.5;
+                ASSERT_EQ(got, open) << "t=" << t;
+            }
+        }
+    }
+}
+
+TEST(FaultView, AnswersMatchPerCallQueriesUntilTheExactNextEdge)
+{
+    // At every nanosecond over several periods: the view's latencies
+    // equal effective_latency(); sample_quiet holds exactly when a
+    // sample_suppressed() call returns false without drawing or
+    // counting; and until is the first later time at which a degrade
+    // or blackout answer changes. Pressure and write-storm windows do
+    // not touch the per-access answers, so their edges must not cut
+    // the view short.
+    const SimTimeNs base[memsim::kTierCount] = {92, 323};
+    std::vector<FaultConfig> configs(6);
+    configs[0].degrade_latency_factor = 3.0;  // slow tier degrades
+    configs[0].degrade_bandwidth_factor = 2.0;
+    configs[0].degrade_period_ns = 97;
+    configs[0].degrade_duration_ns = 31;
+    configs[1].degrade_tier = 0;  // fast tier degrades
+    configs[1].degrade_latency_factor = 2.5;
+    configs[1].degrade_period_ns = 101;
+    configs[1].degrade_duration_ns = 50;
+    configs[2].blackout_period_ns = 89;
+    configs[2].blackout_duration_ns = 23;
+    configs[3] = configs[2];
+    configs[3].sample_drop_rate = 0.05;  // never quiet
+    configs[4] = configs[0];  // every window class at once
+    configs[4].blackout_period_ns = 89;
+    configs[4].blackout_duration_ns = 23;
+    configs[4].pressure_fraction = 0.5;
+    configs[4].pressure_period_ns = 61;
+    configs[4].pressure_duration_ns = 17;
+    configs[4].write_storm_rate = 0.5;
+    configs[4].write_storm_period_ns = 53;
+    configs[4].write_storm_duration_ns = 11;
+    configs[5].transient_rate = 0.2;  // no window class at all
+    constexpr SimTimeNs kHorizon = 6 * 101;
+    constexpr SimTimeNs kEnd = kHorizon + 2 * 101;
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            SCOPED_TRACE(testing::Message()
+                         << "config " << c << " seed " << seed);
+            FaultConfig fc = configs[c];
+            fc.seed = seed;
+            FaultInjector inj(fc, 16);
+            FaultInjector probe(fc, 16);
+            // Per-call answers, and the next time any of them changes.
+            const auto answers = [&](SimTimeNs t) {
+                return std::tuple{inj.tier_degraded(Tier::kFast, t),
+                                  inj.tier_degraded(Tier::kSlow, t),
+                                  inj.sampling_blackout(t)};
+            };
+            std::vector<SimTimeNs> next(kEnd, memsim::FaultView::kNever);
+            for (SimTimeNs t = kEnd - 1; t-- > 0;) {
+                next[t] = answers(t + 1) != answers(t) ? t + 1 : next[t + 1];
+            }
+            for (SimTimeNs t = 0; t < kHorizon; ++t) {
+                const memsim::FaultView v = inj.view(base, t);
+                ASSERT_EQ(v.latency[0],
+                          inj.effective_latency(Tier::kFast, 92, t))
+                    << "t=" << t;
+                ASSERT_EQ(v.latency[1],
+                          inj.effective_latency(Tier::kSlow, 323, t))
+                    << "t=" << t;
+                const auto draws = probe.draws();
+                const auto suppressed = probe.suppressed_samples();
+                const bool no_op = !probe.sample_suppressed(t) &&
+                                   probe.draws() == draws &&
+                                   probe.suppressed_samples() == suppressed;
+                ASSERT_EQ(v.sample_quiet, no_op) << "t=" << t;
+                ASSERT_EQ(v.until, next[t]) << "t=" << t;
+            }
+            EXPECT_EQ(inj.draws(), 0u) << "view() must not draw";
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Configuration parsing and validation.
 // ---------------------------------------------------------------------
 
@@ -476,6 +601,45 @@ TEST(FaultConfigDeathTest, RejectsOutOfRangeAndUnknown)
     FaultConfig zero_duration;
     zero_duration.blackout_period_ns = 100;  // enabled but zero duration
     EXPECT_EXIT(zero_duration.validate(), ::testing::ExitedWithCode(1), "");
+
+    FaultConfig huge_latency;
+    huge_latency.degrade_latency_factor = 1e30;  // 323 ns x 1e30 overflows
+    huge_latency.degrade_period_ns = 40000000;
+    huge_latency.degrade_duration_ns = 10000000;
+    EXPECT_EXIT(huge_latency.validate(), ::testing::ExitedWithCode(1),
+                "degrade_latency_factor must be at most 1e6");
+
+    FaultConfig huge_bandwidth = huge_latency;
+    huge_bandwidth.degrade_latency_factor = 1.0;
+    huge_bandwidth.degrade_bandwidth_factor = 2e6;
+    EXPECT_EXIT(huge_bandwidth.validate(), ::testing::ExitedWithCode(1),
+                "degrade_bandwidth_factor must be at most 1e6");
+
+    // A window setting whose class has no period would be ignored.
+    FaultConfig no_period;
+    no_period.degrade_duration_ns = 10000000;
+    EXPECT_EXIT(no_period.validate(), ::testing::ExitedWithCode(1),
+                "fault.degrade_duration_ms is set but "
+                "fault.degrade_period_ms is 0");
+    no_period = {};
+    no_period.pressure_fraction = 0.25;
+    EXPECT_EXIT(no_period.validate(), ::testing::ExitedWithCode(1),
+                "fault.pressure_fraction is set but "
+                "fault.pressure_period_ms is 0");
+    no_period = {};
+    no_period.write_storm_rate = 0.75;
+    EXPECT_EXIT(no_period.validate(), ::testing::ExitedWithCode(1),
+                "fault.write_storm_rate is set but "
+                "fault.write_storm_period_ms is 0");
+    no_period = {};
+    no_period.blackout_duration_ns = 1;
+    EXPECT_EXIT(no_period.validate(), ::testing::ExitedWithCode(1),
+                "fault.blackout_duration_ms is set but "
+                "fault.blackout_period_ms is 0");
+    // The drop rate needs no blackout period: it applies at all times.
+    FaultConfig drop_only;
+    drop_only.sample_drop_rate = 0.05;
+    drop_only.validate();
 
     const auto unknown = KvConfig::parse("fault.blckout_period_ms = 50\n");
     EXPECT_EXIT(memsim::parse_fault_config(unknown),
