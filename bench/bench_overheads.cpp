@@ -34,6 +34,7 @@
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "workloads/factory.hpp"
 
 namespace {
 
@@ -217,6 +218,36 @@ BM_AccessBatchFaulted(benchmark::State& state)
                             static_cast<std::int64_t>(kBatch));
 }
 BENCHMARK(BM_AccessBatchFaulted);
+
+void
+BM_WorkloadFill(benchmark::State& state, const char* workload)
+{
+    // One generator's fill kernel alone (DESIGN.md §9, "Generation
+    // kernels"): a fresh 2M-access generator at 2 MiB pages and seed 42,
+    // drained in batches of 512, the engine's batch size. Construction
+    // is not timed. A fill that went back to a per-access phase test
+    // and weight scan (s2), or to dividing each level down from the
+    // leaf (btree), shows here. Gated in BENCH_hotpath.json;
+    // items_per_second is accesses per second.
+    constexpr std::size_t kBatch = 512;
+    constexpr std::uint64_t kAccesses = 2000000;
+    std::vector<PageId> batch(kBatch);
+    std::int64_t accesses = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto gen = workloads::make_workload(workload, 2ull << 20, kAccesses,
+                                            42);
+        state.ResumeTiming();
+        std::size_t n;
+        while ((n = gen->fill(batch)) > 0)
+            accesses += static_cast<std::int64_t>(n);
+        benchmark::DoNotOptimize(batch.data());
+    }
+    state.SetItemsProcessed(accesses);
+}
+BENCHMARK_CAPTURE(BM_WorkloadFill, s2, "s2")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_WorkloadFill, btree, "btree")
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_ThreadPoolDispatch(benchmark::State& state)
@@ -413,15 +444,15 @@ main(int argc, char** argv)
 {
     // --quick (scripts/check_perf.sh): restrict the run to the gated
     // benchmarks — the end-to-end throughput runs, the faulted batch
-    // loop and the sparse ArtMem decision interval — at a short minimum
-    // time, mirroring the fig-harness --quick convention. Expanded into
-    // native google-benchmark flags so the library still does all the
-    // timing.
+    // loop, the s2 and btree fill kernels and the sparse ArtMem
+    // decision interval — at a short minimum time, mirroring the
+    // fig-harness --quick convention. Expanded into native
+    // google-benchmark flags so the library still does all the timing.
     std::vector<char*> args;
     // lint:allow(DL006) argv storage google-benchmark mutates in place
     static char filter[] =
         "--benchmark_filter=BM_SimThroughput|BM_AccessBatchFaulted|"
-        "BM_MigrationPlanningSparse";
+        "BM_WorkloadFill|BM_MigrationPlanningSparse";
     // lint:allow(DL006) argv storage google-benchmark mutates in place
     static char min_time[] = "--benchmark_min_time=0.01";
     bool quick = false;

@@ -40,12 +40,13 @@ TenantSet::TenantSet(
         std::uint64_t skip = phase_stride * i;
         std::uint64_t produced = 0;
         if (skip > 0) {
-            scratch_.resize(std::min<std::uint64_t>(skip, 4096));
+            std::vector<PageId> discard(
+                static_cast<std::size_t>(std::min<std::uint64_t>(skip, 4096)));
             while (skip > 0) {
                 const std::size_t want = static_cast<std::size_t>(
-                    std::min<std::uint64_t>(skip, scratch_.size()));
+                    std::min<std::uint64_t>(skip, discard.size()));
                 const std::size_t got =
-                    gen->fill(std::span<PageId>(scratch_.data(), want));
+                    gen->fill(std::span<PageId>(discard.data(), want));
                 if (got == 0)
                     break;
                 produced += got;
@@ -77,19 +78,20 @@ TenantSet::fill(std::span<PageId> out)
             ++idle_rounds;
             continue;
         }
-        const std::size_t want =
-            std::min(quantum_ * tenant.weight, out.size() - produced);
-        scratch_.resize(want);
-        const std::size_t got =
-            tenant.gen->fill(std::span<PageId>(scratch_.data(), want));
+        // The tenant fills its own slice of out, shifted in place.
+        const auto slice = out.subspan(
+            produced,
+            std::min(quantum_ * tenant.weight, out.size() - produced));
+        const std::size_t got = tenant.gen->fill(slice);
         if (got == 0) {
             tenant.done = true;
             ++idle_rounds;
             continue;
         }
         idle_rounds = 0;
-        for (std::size_t i = 0; i < got; ++i)
-            out[produced++] = scratch_[i] + tenant.page_offset;
+        for (PageId& page : slice.first(got))
+            page += tenant.page_offset;
+        produced += got;
     }
     return produced;
 }

@@ -86,7 +86,6 @@ class TenantSet final : public workloads::AccessGenerator
     std::uint64_t total_ = 0;
     std::size_t quantum_;
     std::size_t turn_ = 0;
-    std::vector<PageId> scratch_;
 };
 
 }  // namespace artmem::tenancy

@@ -38,31 +38,34 @@ class Btree final : public AccessGenerator
         double key_theta = 0.2;
     };
 
+    /**
+     * Fatal unless fanout, node_size and page_size are powers of two:
+     * every level's page is then a shift of the leaf index.
+     */
     Btree(const Params& params, Bytes page_size, std::uint64_t seed);
 
     std::string_view name() const override { return "btree"; }
     Bytes footprint() const override { return params_.footprint; }
     std::size_t fill(std::span<PageId> out) override;
-    std::uint64_t total_accesses() const override
-    {
-        return params_.total_accesses;
-    }
+
+    /** The stream ends on a whole lookup: the budget rounded up to one. */
+    std::uint64_t total_accesses() const override { return total_; }
 
     /** Tree depth chosen for the footprint (tests). */
     unsigned depth() const { return static_cast<unsigned>(level_base_.size()); }
 
   private:
     Params params_;
-    Bytes page_size_;
     Rng rng_;
     std::unique_ptr<ZipfianGenerator> zipf_;
     /** Byte offset where each level starts. */
     std::vector<Bytes> level_base_;
-    /** Node count of each level. */
-    std::vector<std::uint64_t> level_nodes_;
+    unsigned fanout_shift_ = 0;
+    unsigned node_shift_ = 0;
+    unsigned page_shift_ = 0;
+    std::uint64_t total_ = 0;
     std::uint64_t emitted_ = 0;
     std::uint64_t leaf_count_ = 0;
-    std::uint64_t leaf_blocks_ = 0;
     std::uint64_t block_size_ = 1;
     /** Path buffer between fill() calls when the batch splits a lookup. */
     std::vector<PageId> pending_;

@@ -75,15 +75,35 @@ class Masim final : public AccessGenerator
     const MasimSpec& spec() const { return spec_; }
 
   private:
+    /** Tests reach the region pick and the phase set-up. */
+    friend struct MasimTestPeer;
+
     struct PreparedRegion {
         PageId first_page;
         PageId page_span;
-        double cumulative_weight;
         bool sequential;
         PageId cursor = 0;
     };
 
     void prepare_phase(std::size_t index);
+
+    /**
+     * The region 53-bit draw @p k picks. The cutoffs never decrease, so
+     * the count of those at or below k is the first region whose cutoff
+     * lies above k.
+     */
+    static std::size_t
+    region_of(std::uint64_t k, const std::uint64_t* cutoffs,
+              std::size_t count)
+    {
+        std::size_t index = 0;
+        for (std::size_t c = 0; c < count; ++c)
+            index += k >= cutoffs[c];
+        return index;
+    }
+
+    /** Emit @p count accesses of the current phase into @p out. */
+    void fill_phase(PageId* out, std::size_t count);
 
     MasimSpec spec_;
     Bytes page_size_;
@@ -92,7 +112,12 @@ class Masim final : public AccessGenerator
     std::size_t phase_index_ = 0;
     std::uint64_t remaining_in_phase_ = 0;
     std::vector<PreparedRegion> prepared_;
-    double weight_sum_ = 0.0;
+    /**
+     * Region pick cutoffs of the current phase, one per region but the
+     * last: a draw k = rng.next() >> 11 picks the number of cutoffs at
+     * or below k (DESIGN.md §9, "Generation kernels").
+     */
+    std::vector<std::uint64_t> cutoffs_;
 };
 
 }  // namespace artmem::workloads

@@ -46,19 +46,19 @@ Mixer::fill(std::span<PageId> out)
             ++idle_rounds;
             continue;
         }
-        const std::size_t want =
-            std::min(quantum_, out.size() - produced);
-        scratch_.resize(want);
-        const std::size_t got =
-            child.gen->fill(std::span<PageId>(scratch_.data(), want));
+        // The child fills its own slice of out, shifted in place.
+        const auto slice = out.subspan(
+            produced, std::min(quantum_, out.size() - produced));
+        const std::size_t got = child.gen->fill(slice);
         if (got == 0) {
             child.done = true;
             ++idle_rounds;
             continue;
         }
         idle_rounds = 0;
-        for (std::size_t i = 0; i < got; ++i)
-            out[produced++] = scratch_[i] + child.page_offset;
+        for (PageId& page : slice.first(got))
+            page += child.page_offset;
+        produced += got;
     }
     return produced;
 }

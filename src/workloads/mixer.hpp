@@ -46,7 +46,6 @@ class Mixer final : public AccessGenerator
     std::uint64_t total_ = 0;
     std::size_t quantum_;
     std::size_t turn_ = 0;
-    std::vector<PageId> scratch_;
 };
 
 }  // namespace artmem::workloads

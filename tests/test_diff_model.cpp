@@ -29,20 +29,24 @@
  *     histogram/std::list models while consuming a batched run's
  *     drained samples.
  *
- * Plus three exact fast paths checked against the code they replaced:
+ * Plus four exact fast paths checked against the code they replaced:
  * the Zipf rank-table lookup must agree with the Gray et al. closed form
  * on every draw; AutoTiering's fast-page index must pick the same
  * exchange victim, leave the same cursor and charge the same scan cost
- * as the page-ring walk it replaced; and ArtMem's hot-page index must
+ * as the page-ring walk it replaced; ArtMem's hot-page index must
  * return the same promotion candidates, in the same order, as the slow
- * list walk it replaced.
+ * list walk it replaced; and the Masim and Btree batch kernels must
+ * emit the per-access loops' streams, fill for fill.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <filesystem>
 #include <list>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -57,8 +61,13 @@
 #include "policies/autotiering.hpp"
 #include "stats/ema_bins.hpp"
 #include "tenancy/admission.hpp"
+#include "util/config.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
+#include "workloads/apps.hpp"
+#include "workloads/btree.hpp"
+#include "workloads/masim.hpp"
+#include "workloads/patterns.hpp"
 
 namespace artmem {
 namespace policies {
@@ -111,6 +120,25 @@ struct ArtMemTestPeer {
 };
 
 }  // namespace core
+
+namespace workloads {
+
+/** Reaches Masim's region pick in any phase. */
+struct MasimTestPeer {
+    /** The region draw @p k picks in phase @p phase. */
+    static std::size_t region_of(Masim& m, std::size_t phase,
+                                 std::uint64_t k)
+    {
+        m.prepare_phase(phase);
+        return Masim::region_of(k, m.cutoffs_.data(), m.cutoffs_.size());
+    }
+    static const std::vector<std::uint64_t>& cutoffs(const Masim& m)
+    {
+        return m.cutoffs_;
+    }
+};
+
+}  // namespace workloads
 
 namespace {
 
@@ -1341,6 +1369,359 @@ TEST(DiffModel, ArtMemCandidatesMatchListWalk)
     EXPECT_GT(pinned, 0u);
     EXPECT_GT(transient, 0u);
     EXPECT_GT(denied, 0u);
+}
+
+
+// ---------------------------------------------------------------------
+// Generation kernels: Masim and Btree fills vs the per-access loops.
+// ---------------------------------------------------------------------
+
+/**
+ * Masim's generator before the batch kernel, kept verbatim as the
+ * reference: one access per iteration, a phase-end test on each, a
+ * region picked by a double multiply and a scan of cumulative weights,
+ * and a sequential cursor wrapped by %.
+ */
+class ReferenceMasim
+{
+  public:
+    ReferenceMasim(workloads::MasimSpec spec, Bytes page_size,
+                   std::uint64_t seed)
+        : spec_(std::move(spec)), page_size_(page_size), rng_(seed)
+    {
+        prepare_phase(0);
+    }
+
+    std::size_t
+    fill(std::span<PageId> out)
+    {
+        std::size_t produced = 0;
+        while (produced < out.size()) {
+            if (remaining_in_phase_ == 0) {
+                if (phase_index_ + 1 >= spec_.phases.size())
+                    break;
+                prepare_phase(phase_index_ + 1);
+                continue;
+            }
+            // Pick a region by weight (few regions: linear scan).
+            const double pick = rng_.next_double() * weight_sum_;
+            PreparedRegion* region = &prepared_.back();
+            for (auto& p : prepared_) {
+                if (pick < p.cumulative_weight) {
+                    region = &p;
+                    break;
+                }
+            }
+            PageId page;
+            if (region->sequential) {
+                page = region->first_page + region->cursor;
+                region->cursor = (region->cursor + 1) % region->page_span;
+            } else {
+                page = region->first_page +
+                       static_cast<PageId>(rng_.next_below(region->page_span));
+            }
+            out[produced++] = page;
+            --remaining_in_phase_;
+        }
+        return produced;
+    }
+
+    /** The region the loop's scan picks for draw @p k in @p phase. */
+    std::size_t
+    region_of(std::size_t phase, std::uint64_t k)
+    {
+        prepare_phase(phase);
+        const double pick =
+            static_cast<double>(k) * 0x1.0p-53 * weight_sum_;
+        PreparedRegion* region = &prepared_.back();
+        for (auto& p : prepared_) {
+            if (pick < p.cumulative_weight) {
+                region = &p;
+                break;
+            }
+        }
+        return static_cast<std::size_t>(region - prepared_.data());
+    }
+
+  private:
+    struct PreparedRegion {
+        PageId first_page;
+        PageId page_span;
+        double cumulative_weight;
+        bool sequential;
+        PageId cursor = 0;
+    };
+
+    void
+    prepare_phase(std::size_t index)
+    {
+        phase_index_ = index;
+        prepared_.clear();
+        if (index >= spec_.phases.size()) {
+            remaining_in_phase_ = 0;
+            return;
+        }
+        const workloads::MasimPhase& phase = spec_.phases[index];
+        remaining_in_phase_ = phase.accesses;
+        weight_sum_ = 0.0;
+        for (const auto& r : phase.regions) {
+            PreparedRegion p;
+            p.first_page = static_cast<PageId>(r.offset / page_size_);
+            const Bytes last = r.offset + r.size - 1;
+            p.page_span =
+                static_cast<PageId>(last / page_size_) - p.first_page + 1;
+            weight_sum_ += r.weight;
+            p.cumulative_weight = weight_sum_;
+            p.sequential = r.sequential;
+            prepared_.push_back(p);
+        }
+    }
+
+    workloads::MasimSpec spec_;
+    Bytes page_size_;
+    Rng rng_;
+    std::size_t phase_index_ = 0;
+    std::uint64_t remaining_in_phase_ = 0;
+    std::vector<PreparedRegion> prepared_;
+    double weight_sum_ = 0.0;
+};
+
+/**
+ * Btree's generator before the batch kernel, kept verbatim as the
+ * reference: every lookup goes through the pending buffer, and each
+ * level's node is divided down from the leaf again and wrapped by the
+ * level's node count.
+ */
+class ReferenceBtree
+{
+  public:
+    ReferenceBtree(const workloads::Btree::Params& params, Bytes page_size,
+                   std::uint64_t seed)
+        : params_(params), page_size_(page_size), rng_(seed)
+    {
+        Bytes used = 0;
+        std::uint64_t nodes = 1;
+        while (true) {
+            const Bytes level_bytes = nodes * params_.node_size;
+            if (used + level_bytes > params_.footprint) {
+                const std::uint64_t fit =
+                    (params_.footprint - used) / params_.node_size;
+                if (fit > 0) {
+                    level_base_.push_back(used);
+                    level_nodes_.push_back(fit);
+                }
+                break;
+            }
+            level_base_.push_back(used);
+            level_nodes_.push_back(nodes);
+            used += level_bytes;
+            nodes *= params_.fanout;
+        }
+        leaf_count_ = level_nodes_.back();
+        leaf_blocks_ = std::min<std::uint64_t>(leaf_count_, 1u << 16);
+        block_size_ = (leaf_count_ + leaf_blocks_ - 1) / leaf_blocks_;
+        const double theta = std::clamp(params_.key_theta, 1e-9, 0.999);
+        zipf_ = std::make_unique<ZipfianGenerator>(leaf_blocks_, theta);
+    }
+
+    std::size_t
+    fill(std::span<PageId> out)
+    {
+        std::size_t produced = 0;
+        while (produced < out.size()) {
+            // Drain a partially emitted lookup path first.
+            if (pending_pos_ < pending_.size()) {
+                out[produced++] = pending_[pending_pos_++];
+                continue;
+            }
+            if (emitted_ >= params_.total_accesses)
+                break;
+            // One lookup: root-to-leaf descent toward a (skewed-)random
+            // leaf.
+            const std::uint64_t block = zipf_->next(rng_);
+            const std::uint64_t leaf = std::min<std::uint64_t>(
+                block * block_size_ + rng_.next_below(block_size_),
+                leaf_count_ - 1);
+            pending_.clear();
+            pending_pos_ = 0;
+            const std::size_t depth = level_base_.size();
+            for (std::size_t level = 0; level < depth; ++level) {
+                // The ancestor of `leaf` at this level.
+                std::uint64_t node = leaf;
+                for (std::size_t below = level; below + 1 < depth; ++below)
+                    node /= params_.fanout;
+                node %= level_nodes_[level];
+                const Bytes addr =
+                    level_base_[level] + node * params_.node_size;
+                pending_.push_back(static_cast<PageId>(addr / page_size_));
+            }
+            emitted_ += pending_.size();
+        }
+        return produced;
+    }
+
+  private:
+    workloads::Btree::Params params_;
+    Bytes page_size_;
+    Rng rng_;
+    std::unique_ptr<ZipfianGenerator> zipf_;
+    std::vector<Bytes> level_base_;
+    std::vector<std::uint64_t> level_nodes_;
+    std::uint64_t emitted_ = 0;
+    std::uint64_t leaf_count_ = 0;
+    std::uint64_t leaf_blocks_ = 0;
+    std::uint64_t block_size_ = 1;
+    std::vector<PageId> pending_;
+    std::size_t pending_pos_ = 0;
+};
+
+constexpr Bytes kGenPage = 2ull << 20;
+constexpr std::uint64_t kGenSeeds[] = {42, 7919, 1};
+/** Fill sizes under test; 0 is a seeded mix of sizes in [1, 1500]. */
+constexpr std::size_t kFillSizes[] = {1, 3, 511, 512, 4096, 0};
+
+/**
+ * Drain @p gen and @p ref with the same fill sizes, asserting every
+ * fill returns the same count and the same pages. @return accesses.
+ */
+template <class Gen, class Ref>
+std::uint64_t
+drain_in_lockstep(Gen& gen, Ref& ref, std::size_t fill_size,
+                  std::uint64_t mix_seed)
+{
+    Rng sizes(mix_seed);
+    std::vector<PageId> got(4096);
+    std::vector<PageId> want(4096);
+    std::uint64_t total = 0;
+    for (std::uint64_t call = 0;; ++call) {
+        const std::size_t n = fill_size != 0
+                                  ? fill_size
+                                  : 1 + sizes.next_below(1500);
+        const std::size_t a = gen.fill(std::span<PageId>(got.data(), n));
+        const std::size_t b = ref.fill(std::span<PageId>(want.data(), n));
+        EXPECT_EQ(a, b) << "fill " << call << " of size " << n;
+        if (a != b)
+            return total;
+        const auto diff = std::mismatch(got.begin(),
+                                        got.begin() + static_cast<long>(a),
+                                        want.begin());
+        if (diff.first != got.begin() + static_cast<long>(a)) {
+            ADD_FAILURE() << "fill " << call << " access "
+                          << total + static_cast<std::uint64_t>(
+                                         diff.first - got.begin())
+                          << ": page " << *diff.first << ", want "
+                          << *diff.second;
+            return total;
+        }
+        total += a;
+        if (a == 0)
+            return total;
+    }
+}
+
+/** The built-in masim workloads and every masim config, shrunk. */
+std::vector<workloads::MasimSpec>
+masim_specs()
+{
+    // An odd budget, so phase ends fall inside batches.
+    constexpr std::uint64_t kTotal = 100003;
+    std::vector<workloads::MasimSpec> specs;
+    for (int k = 1; k <= 4; ++k)
+        specs.push_back(workloads::pattern_spec(k, kTotal));
+    specs.push_back(workloads::xsbench_spec(kTotal));
+    specs.push_back(workloads::dlrm_spec(kTotal));
+    specs.push_back(workloads::liblinear_spec(kTotal));
+    std::vector<std::filesystem::path> configs;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(ARTMEM_CONFIG_DIR)) {
+        if (entry.path().extension() == ".cfg")
+            configs.push_back(entry.path());
+    }
+    std::sort(configs.begin(), configs.end());
+    for (const auto& path : configs) {
+        const auto config = KvConfig::load(path.string());
+        if (!config.get("phases"))
+            continue;  // not a masim config (tenancy_smoke.cfg)
+        auto spec = workloads::Masim::parse_spec(config);
+        for (auto& phase : spec.phases)
+            phase.accesses = phase.accesses / 97 + 1;
+        specs.push_back(std::move(spec));
+    }
+    return specs;
+}
+
+TEST(DiffModel, MasimFillMatchesReference)
+{
+    const auto specs = masim_specs();
+    // s1-s4, xsbench, dlrm, liblinear and six configs.
+    ASSERT_GE(specs.size(), 13u);
+    // A random stream meets a cutoff's own draw about once in 2^53
+    // draws, so probe every cutoff, its neighbours and both ends of the
+    // draw range in every phase directly.
+    constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+    for (const auto& spec : specs) {
+        workloads::Masim gen(spec, kGenPage, 1);
+        ReferenceMasim ref(spec, kGenPage, 1);
+        for (std::size_t phase = 0; phase < spec.phases.size(); ++phase) {
+            (void)workloads::MasimTestPeer::region_of(gen, phase, 0);
+            std::vector<std::uint64_t> probes = {0, kDraws - 1};
+            for (const std::uint64_t c :
+                 workloads::MasimTestPeer::cutoffs(gen)) {
+                for (const std::uint64_t k : {c - 1, c, c + 1}) {
+                    if (k < kDraws)
+                        probes.push_back(k);
+                }
+            }
+            for (const std::uint64_t k : probes) {
+                ASSERT_EQ(workloads::MasimTestPeer::region_of(gen, phase, k),
+                          ref.region_of(phase, k))
+                    << spec.name << " phase " << phase << " draw " << k;
+            }
+        }
+    }
+    for (const auto& spec : specs) {
+        for (const std::uint64_t seed : kGenSeeds) {
+            for (const std::size_t size : kFillSizes) {
+                SCOPED_TRACE(testing::Message()
+                             << spec.name << " seed=" << seed
+                             << " fill=" << size);
+                workloads::Masim gen(spec, kGenPage, seed);
+                ReferenceMasim ref(spec, kGenPage, seed);
+                const auto total =
+                    drain_in_lockstep(gen, ref, size, seed + size);
+                ASSERT_FALSE(testing::Test::HasFailure());
+                EXPECT_EQ(total, gen.total_accesses());
+            }
+        }
+    }
+}
+
+TEST(DiffModel, BtreeFillMatchesReference)
+{
+    for (const Bytes footprint : {Bytes{24} << 30, Bytes{1} << 30}) {
+        for (const std::uint64_t seed : kGenSeeds) {
+            for (const std::size_t size : kFillSizes) {
+                SCOPED_TRACE(testing::Message()
+                             << "footprint=" << footprint
+                             << " seed=" << seed << " fill=" << size);
+                workloads::Btree::Params params;
+                params.footprint = footprint;
+                params.total_accesses = 100003;
+                workloads::Btree gen(params, kGenPage, seed);
+                ReferenceBtree ref(params, kGenPage, seed);
+                const auto total =
+                    drain_in_lockstep(gen, ref, size, seed + size);
+                ASSERT_FALSE(testing::Test::HasFailure());
+                EXPECT_EQ(total, gen.total_accesses());
+            }
+        }
+    }
+    // Long enough that the key sampler buys its Zipf table partway.
+    workloads::Btree::Params params;
+    params.total_accesses = 3000001;
+    workloads::Btree gen(params, kGenPage, 42);
+    ReferenceBtree ref(params, kGenPage, 42);
+    EXPECT_EQ(drain_in_lockstep(gen, ref, 0, 5), gen.total_accesses());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 
 #include "../bench/bench_common.hpp"
@@ -138,6 +139,40 @@ TEST(MasimEdges, RegionBeyondFootprintIsFatal)
     spec.phases.push_back(phase);
     EXPECT_EXIT((workloads::Masim{spec, kPage, 1}),
                 ::testing::ExitedWithCode(1), "exceeds footprint");
+}
+
+TEST(MasimEdges, RegionWrappingPastFootprintIsFatal)
+{
+    // offset + size wraps to 1 MiB here, below the footprint.
+    workloads::MasimSpec spec;
+    spec.name = "wrap";
+    spec.footprint = 4 * kPage;
+    workloads::MasimPhase phase;
+    phase.accesses = 10;
+    phase.regions = {{~Bytes{0} - (1ull << 20) + 1, 2ull << 20, 1.0, false}};
+    spec.phases.push_back(phase);
+    EXPECT_EXIT((workloads::Masim{spec, kPage, 1}),
+                ::testing::ExitedWithCode(1), "exceeds footprint");
+}
+
+TEST(MasimEdges, NonFiniteWeightsAreFatal)
+{
+    // The region pick is monotone in the draw only for a finite, positive
+    // weight sum: a NaN weight, or two weights of 1e308 summing to
+    // infinity, made every draw pick the last region.
+    workloads::MasimSpec spec;
+    spec.name = "weights";
+    spec.footprint = 4 * kPage;
+    workloads::MasimPhase phase;
+    phase.accesses = 10;
+    phase.regions = {{0, kPage, std::nan(""), false}};
+    spec.phases = {phase};
+    EXPECT_EXIT((workloads::Masim{spec, kPage, 1}),
+                ::testing::ExitedWithCode(1), "degenerate region");
+    spec.phases[0].regions = {{0, kPage, 1e308, false},
+                              {kPage, kPage, 1e308, false}};
+    EXPECT_EXIT((workloads::Masim{spec, kPage, 1}),
+                ::testing::ExitedWithCode(1), "region weights overflow");
 }
 
 TEST(MasimEdges, MalformedConfigLineIsFatal)

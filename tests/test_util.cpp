@@ -424,6 +424,28 @@ TEST(KvConfig, MasimSpecRejectsWrappedIntegers)
                     "phase0.accesses = 100\n" + phase)),
                 ::testing::ExitedWithCode(1),
                 "key 'footprint_mib' is out of range");
+    // A region's MiB doubles were cast to bytes unchecked: -1 MiB
+    // became 2^64 - 2^20 bytes, and 2^44 - 1 MiB wrapped offset + size
+    // past the footprint check. Both crashed masim_runner (SIGSEGV).
+    const std::string one_region = "footprint_mib = 1024\nphases = 1\n"
+                                   "phase0.accesses = 100\n"
+                                   "phase0.regions = 1\n";
+    EXPECT_EXIT((void)workloads::Masim::parse_spec(KvConfig::parse(
+                    one_region + "phase0.region0 = -1 100 1\n")),
+                ::testing::ExitedWithCode(1),
+                "phase0.region0: offset must not be negative");
+    EXPECT_EXIT((void)workloads::Masim::parse_spec(KvConfig::parse(
+                    one_region + "phase0.region0 = 17592186044415 2 1\n")),
+                ::testing::ExitedWithCode(1),
+                "phase0.region0: offset .* is out of range");
+    EXPECT_EXIT((void)workloads::Masim::parse_spec(KvConfig::parse(
+                    one_region + "phase0.region0 = 0 -2 1\n")),
+                ::testing::ExitedWithCode(1),
+                "phase0.region0: size must not be negative");
+    EXPECT_EXIT((void)workloads::Masim::parse_spec(KvConfig::parse(
+                    one_region + "phase0.region0 = 1000 100 1\n")),
+                ::testing::ExitedWithCode(1),
+                "phase0.region0: region ends past footprint_mib 1024");
     EXPECT_EXIT((void)memsim::parse_fault_config(
                     KvConfig::parse("fault.seed = -3\n")),
                 ::testing::ExitedWithCode(1),

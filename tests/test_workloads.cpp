@@ -312,6 +312,40 @@ TEST(Btree, EveryLookupDescendsAllLevels)
     EXPECT_EQ(buf[0], 0u);  // root first
 }
 
+TEST(Btree, TotalAccessesCountsWholeLookups)
+{
+    // The stream always ends on a whole lookup, so the count it
+    // reports is the budget rounded up to a multiple of the depth.
+    for (const std::uint64_t total : {1000u, 1001u, 1004u}) {
+        Btree::Params params;
+        params.total_accesses = total;
+        Btree gen(params, kPage, 9);
+        ASSERT_EQ(gen.depth(), 5u);
+        std::vector<PageId> buf(512);
+        std::uint64_t drained = 0;
+        std::size_t n;
+        while ((n = gen.fill(buf)) > 0)
+            drained += n;
+        EXPECT_EQ(drained, gen.total_accesses()) << total;
+        EXPECT_EQ(drained, (total + 4) / 5 * 5) << total;
+    }
+}
+
+TEST(Btree, NonPowerOfTwoShapeIsFatal)
+{
+    Btree::Params params;
+    params.fanout = 48;
+    EXPECT_EXIT((Btree{params, kPage, 1}), ::testing::ExitedWithCode(1),
+                "must be powers of two");
+    params.fanout = 64;
+    params.node_size = 3000;
+    EXPECT_EXIT((Btree{params, kPage, 1}), ::testing::ExitedWithCode(1),
+                "must be powers of two");
+    params.node_size = 4096;
+    EXPECT_EXIT((Btree{params, 3ull << 20, 1}),
+                ::testing::ExitedWithCode(1), "must be powers of two");
+}
+
 TEST(Apps, SpecsMatchTable3Footprints)
 {
     EXPECT_EQ(xsbench_spec(1).footprint, 69ull << 30);
