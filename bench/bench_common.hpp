@@ -15,7 +15,6 @@
 #include <string_view>
 
 #include "sim/experiment.hpp"
-#include "sweep/result_sink.hpp"
 #include "sweep/sweep.hpp"
 #include "util/cli.hpp"
 #include "util/logging.hpp"
@@ -73,21 +72,21 @@ struct BenchOptions {
     }
 
     /** Output format selected by --csv / --json (table otherwise). */
-    sweep::Format format() const
+    Table::Format format() const
     {
         if (json)
-            return sweep::Format::kJson;
-        return csv ? sweep::Format::kCsv : sweep::Format::kTable;
+            return Table::Format::kJson;
+        return csv ? Table::Format::kCsv : Table::Format::kTable;
     }
 };
 
-/** Print a finished result sink in the selected format; dies if the
- *  stream goes bad (a truncated result file must not look like a
- *  completed run to the golden diff). */
+/** Print a finished table in the selected format; dies if the stream
+ *  goes bad (a truncated result file must not look like a completed
+ *  run to the golden diff). */
 inline void
-emit(sweep::ResultSink& sink, const BenchOptions& opt)
+emit(Table& table, const BenchOptions& opt)
 {
-    if (!sink.emit(std::cout, opt.format()))
+    if (!table.emit(std::cout, opt.format()))
         fatal("result emission failed: output stream went bad");
 }
 

@@ -34,8 +34,8 @@ main(int argc, char** argv)
               << " pebs=" << r.pebs_recorded << "/" << r.pebs_dropped
               << "\n";
     if (args.get_bool("timeline", false)) {
-        sweep::ResultSink t({"t_ms", "accesses", "ratio", "promoted",
-                             "demoted", "exchanges"});
+        Table t({"t_ms", "accesses", "ratio", "promoted",
+                 "demoted", "exchanges"});
         for (const auto& iv : r.timeline) {
             t.row()
                 .cell(static_cast<double>(iv.end_time) * 1e-6, 1)
@@ -45,7 +45,7 @@ main(int argc, char** argv)
                 .cell(iv.demoted)
                 .cell(iv.exchanges);
         }
-        if (!t.emit(std::cout, sweep::Format::kTable))
+        if (!t.emit(std::cout, Table::Format::kTable))
             fatal("result emission failed: output stream went bad");
     }
     return 0;

@@ -88,7 +88,7 @@ main(int argc, char** argv)
         if (with_tx) {
             headers.insert(headers.end(), {"tx aborts", "tx retries"});
         }
-        sweep::ResultSink table(std::move(headers));
+        Table table(std::move(headers));
         for (const auto policy : sim::policy_names()) {
             const auto& r = runs[job++];
             if (scenario == "none")

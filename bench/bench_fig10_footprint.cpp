@@ -79,7 +79,7 @@ main(int argc, char** argv)
         std::vector<std::string> headers = {"time"};
         for (int a = 0; a < kAddrBuckets; ++a)
             headers.push_back(std::to_string(a * 5) + "%");
-        sweep::ResultSink table(std::move(headers));
+        Table table(std::move(headers));
         for (int t = 0; t < kTimeBuckets; ++t) {
             std::uint64_t row_total = 0;
             for (int a = 0; a < kAddrBuckets; ++a)

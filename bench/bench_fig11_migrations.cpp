@@ -31,8 +31,8 @@ main(int argc, char** argv)
               << "accesses=" << opt.accesses << " seed=" << opt.seed
               << "\n\n";
 
-    sweep::ResultSink table({"system", "cc pages", "cc GiB", "cc cpu%",
-                             "dlrm pages", "dlrm GiB", "dlrm cpu%"});
+    Table table({"system", "cc pages", "cc GiB", "cc cpu%",
+                 "dlrm pages", "dlrm GiB", "dlrm cpu%"});
     std::size_t job = 0;
     for (const auto& system : systems) {
         auto& row = table.row().cell(system);

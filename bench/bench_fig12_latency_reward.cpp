@@ -33,8 +33,8 @@ main(int argc, char** argv)
     }
     const auto results = make_runner(opt).run(sweepspec);
 
-    sweep::ResultSink table({"t (ms)", "ratio-reward migrations",
-                             "latency-reward migrations"});
+    Table table({"t (ms)", "ratio-reward migrations",
+                 "latency-reward migrations"});
     const std::size_t rows =
         std::min(results[0].timeline.size(), results[1].timeline.size());
     for (std::size_t i = 0; i < rows; i += 4) {

@@ -49,7 +49,7 @@ main(int argc, char** argv)
                  "averaged across the six ratios)\naccesses="
               << opt.accesses << " seed=" << opt.seed << "\n\n";
 
-    sweep::ResultSink table({"workload", "q-learning", "sarsa"});
+    Table table({"workload", "q-learning", "sarsa"});
     std::size_t job = 0;
     for (const auto& workload : workloads) {
         auto& row = table.row().cell(workload);

@@ -74,7 +74,7 @@ main(int argc, char** argv)
     std::vector<std::string> headers = {"train \\ eval"};
     for (const auto& app : apps)
         headers.push_back(app);
-    sweep::ResultSink table(std::move(headers));
+    Table table(std::move(headers));
 
     std::vector<double> self(apps.size(), 0.0);
     std::vector<std::vector<double>> runtime(

@@ -56,7 +56,7 @@ main(int argc, char** argv)
     std::vector<std::string> headers = {"footprint"};
     for (const auto& s : systems)
         headers.push_back(s);
-    sweep::ResultSink table(std::move(headers));
+    Table table(std::move(headers));
 
     std::size_t job = 0;
     for (const Bytes footprint : footprints) {

@@ -69,7 +69,7 @@ main(int argc, char** argv)
     std::vector<std::string> headers = {"system"};
     for (const auto& t : tiers)
         headers.push_back(t.label);
-    sweep::ResultSink table(std::move(headers));
+    Table table(std::move(headers));
     std::size_t job = base_job + 1;
     for (const auto& system : systems) {
         auto& row = table.row().cell(system);

@@ -82,7 +82,7 @@ main(int argc, char** argv)
     std::vector<std::string> headers = {"mix", "dram"};
     for (const auto& s : systems)
         headers.push_back(s);
-    sweep::ResultSink table(std::move(headers));
+    Table table(std::move(headers));
 
     std::size_t job = 0;
     for (const auto& mix : mixes) {

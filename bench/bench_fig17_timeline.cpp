@@ -51,8 +51,8 @@ main(int argc, char** argv)
     const auto& artmem = runs[0];
     const auto& tpp = runs[1];
 
-    sweep::ResultSink table({"t (ms)", "artmem migrations", "artmem ratio",
-                             "tpp migrations", "tpp ratio"});
+    Table table({"t (ms)", "artmem migrations", "artmem ratio",
+                 "tpp migrations", "tpp ratio"});
     const std::size_t rows =
         std::min(artmem.timeline.size(), tpp.timeline.size());
     for (std::size_t i = 0; i < rows; i += 4) {

@@ -49,16 +49,13 @@ main(int argc, char** argv)
     }
     const auto runs = make_runner(opt).run(sweepspec);
 
-    sweep::ResultSink runtime({"pattern", "static", "memtis",
-                               "autotiering", "tpp", "autonuma",
-                               "multiclock", "nimble", "tiering08",
-                               "artmem"});
-    sweep::ResultSink ratio({"pattern", "static", "memtis", "autotiering",
-                             "tpp", "autonuma", "multiclock", "nimble",
-                             "tiering08", "artmem"});
-    sweep::ResultSink volume({"pattern", "memtis", "autotiering", "tpp",
-                              "autonuma", "multiclock", "nimble",
-                              "tiering08", "artmem"});
+    Table runtime({"pattern", "static", "memtis", "autotiering", "tpp",
+                   "autonuma", "multiclock", "nimble", "tiering08",
+                   "artmem"});
+    Table ratio({"pattern", "static", "memtis", "autotiering", "tpp",
+                 "autonuma", "multiclock", "nimble", "tiering08", "artmem"});
+    Table volume({"pattern", "memtis", "autotiering", "tpp", "autonuma",
+                  "multiclock", "nimble", "tiering08", "artmem"});
 
     for (std::size_t k = 0; k < 4; ++k) {
         std::string pattern = "s";  // built up to dodge gcc-12 PR105651

@@ -38,8 +38,7 @@ main(int argc, char** argv)
 
     std::size_t job = 0;
     for (const auto& system : systems) {
-        sweep::ResultSink table({"workload", "dram_ratio",
-                                 "perf_vs_dram_only"});
+        Table table({"workload", "dram_ratio", "perf_vs_dram_only"});
         std::vector<double> xs, ys;
         for (const auto& workload : points) {
             const auto& r = runs[job++];

@@ -46,8 +46,8 @@ main(int argc, char** argv)
     }
     const auto runs = make_runner(opt).run(sweepspec);
 
-    sweep::ResultSink table({"workload", "variant", "threshold",
-                             "migrated GiB", "runtime (ms)", "vs default"});
+    Table table({"workload", "variant", "threshold",
+                 "migrated GiB", "runtime (ms)", "vs default"});
 
     for (std::size_t w = 0; w < apps.size(); ++w) {
         const auto& base = runs[default_jobs[w]];

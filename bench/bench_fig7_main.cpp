@@ -66,7 +66,7 @@ main(int argc, char** argv)
         std::vector<std::string> headers = {"system"};
         for (const auto& ratio : ratios)
             headers.push_back(ratio.label());
-        sweep::ResultSink table(std::move(headers));
+        Table table(std::move(headers));
 
         std::map<std::string, std::vector<double>> results;
         for (std::size_t s = 0; s < systems.size(); ++s) {
@@ -97,7 +97,7 @@ main(int argc, char** argv)
     std::cout << "\nSummary: average ArtMem improvement over the seven "
                  "baselines per DRAM:PM ratio\n"
               << "(paper: 132%, 124%, 104%, 91%, 72%, 67%)\n";
-    sweep::ResultSink summary({"ratio", "avg improvement %"});
+    Table summary({"ratio", "avg improvement %"});
     for (const auto& ratio : ratios) {
         summary.row()
             .cell(ratio.label())
@@ -108,7 +108,7 @@ main(int argc, char** argv)
     std::cout << "\nAverage ArtMem improvement per baseline system "
                  "(paper: 10.4% - 43.65% vs the best baseline; "
                  "114% on average over all)\n";
-    sweep::ResultSink per_system({"baseline", "avg improvement %"});
+    Table per_system({"baseline", "avg improvement %"});
     for (const auto& system : systems) {
         if (system == "artmem")
             continue;

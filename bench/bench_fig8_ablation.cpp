@@ -76,7 +76,7 @@ main(int argc, char** argv)
         for (const auto& w : workloads)
             headers.push_back(w);
         headers.push_back("geomean");
-        sweep::ResultSink table(std::move(headers));
+        Table table(std::move(headers));
 
         std::vector<double> full(workloads.size());
         for (std::size_t i = 0; i < workloads.size(); ++i)

@@ -43,8 +43,8 @@ main(int argc, char** argv)
         std::vector<std::string> headers = {"method"};
         for (const auto& ratio : ratios)
             headers.push_back(ratio.label());
-        sweep::ResultSink ratio_table(headers);
-        sweep::ResultSink runtime_table(headers);
+        Table ratio_table(headers);
+        Table runtime_table(headers);
 
         for (const bool use_rl : {false, true}) {
             auto& ratio_row =

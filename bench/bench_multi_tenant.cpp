@@ -127,7 +127,7 @@ main(int argc, char** argv)
     std::size_t job = 0;
     for (const auto tenants : tenant_counts) {
         std::cout << "\nTenants: " << tenants << "\n";
-        sweep::ResultSink table(
+        Table table(
             {"admission", "policy", "runtime (ms)", "agg fast ratio",
              "tenant fr min", "tenant fr mean", "tenant fr max",
              "grants", "quota denied", "adm denied"});

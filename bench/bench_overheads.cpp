@@ -8,8 +8,8 @@
  *  - Q-table computation: one TD update; the paper reports <= 0.07%
  *    CPU for the whole decision cadence;
  *  - Q-table memory: both tables fit in < 10 KB (checked and printed);
- *  - sweep dispatch: per-job cost of the thread pool and SweepRunner
- *    (must be negligible against a multi-millisecond simulation job);
+ *  - sweep dispatch: per-job cost of SweepRunner (must be negligible
+ *    against a multi-millisecond simulation job);
  *  - telemetry: the same simulation with telemetry fully off vs fully
  *    on (metrics + all trace categories + profiling). The off arm
  *    measures the zero-cost contract (every instrumentation site is a
@@ -33,7 +33,6 @@
 #include "sweep/sweep.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 #include "workloads/factory.hpp"
 
 namespace {
@@ -250,29 +249,11 @@ BENCHMARK_CAPTURE(BM_WorkloadFill, btree, "btree")
     ->Unit(benchmark::kMillisecond);
 
 void
-BM_ThreadPoolDispatch(benchmark::State& state)
-{
-    // Raw submit+wait cost per task on the sweep subsystem's pool.
-    const auto tasks = static_cast<std::size_t>(state.range(0));
-    ThreadPool pool(2);
-    std::uint64_t sink = 0;
-    for (auto _ : state) {
-        for (std::size_t i = 0; i < tasks; ++i)
-            pool.submit([&sink, i] {
-                benchmark::DoNotOptimize(sink += i);
-            });
-        pool.wait();
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(tasks));
-}
-BENCHMARK(BM_ThreadPoolDispatch)->Arg(64)->Arg(1024);
-
-void
 BM_SweepRunnerMap(benchmark::State& state)
 {
-    // End-to-end SweepRunner dispatch: result-slot allocation, pool
-    // round trip, and index-ordered collection for trivial jobs.
+    // End-to-end SweepRunner dispatch for trivial jobs: result-slot
+    // allocation, starting and joining the helper thread, the shared
+    // job counter, and index-ordered collection.
     const auto n = static_cast<std::size_t>(state.range(0));
     sweep::SweepRunner runner({.jobs = 2, .progress = false});
     for (auto _ : state) {

@@ -37,8 +37,7 @@ main(int argc, char** argv)
                                         8ull << 30);
         });
 
-    sweep::ResultSink table(
-        {"Memory Tier", "Latency (ns)", "Bandwidth (GB/s)"});
+    Table table({"Memory Tier", "Latency (ns)", "Bandwidth (GB/s)"});
     for (std::size_t i = 0; i < std::size(tiers); ++i) {
         table.row()
             .cell(std::string(tiers[i] == memsim::Tier::kFast

@@ -76,10 +76,10 @@ main(int argc, char** argv)
     std::size_t job = 0;
     for (const auto engine : engines) {
         std::cout << "\nEngine: " << engine << "\n";
-        sweep::ResultSink table({"policy", "runtime (ms)", "vs atomic",
-                                 "fast ratio", "opened", "committed",
-                                 "aborted", "retries", "busy", "free flips",
-                                 "dual reclaims"});
+        Table table({"policy", "runtime (ms)", "vs atomic",
+                     "fast ratio", "opened", "committed",
+                     "aborted", "retries", "busy", "free flips",
+                     "dual reclaims"});
         for (const auto policy : sim::policy_names()) {
             const auto& r = runs[job++];
             if (engine == "off")

@@ -7,7 +7,7 @@
 # -fsanitize=undefined: an out-of-range double cast to an integer (a
 # huge or NaN fault factor scaled into simulated nanoseconds) is
 # reported and halts the run. Then come the suites that exercise
-# threads (sweep thread pool, telemetry merge, transactional
+# threads (sweep job counter, telemetry merge, transactional
 # migration) plus a real parallel --jobs 4 sweep under TSan. Any
 # sanitizer report fails the run
 # (halt_on_error / abort_on_error below). The TSan half is the runtime
@@ -53,7 +53,7 @@ TSAN_OPTIONS=halt_on_error=1 "${prefix}-tsan/tests/test_tx_migration"
 TSAN_OPTIONS=halt_on_error=1 "${prefix}-tsan/tests/test_diff_model"
 TSAN_OPTIONS=halt_on_error=1 "${prefix}-tsan/tests/test_property"
 
-echo "==> TSan parallel sweep (--jobs 4, real thread-pool contention)"
+echo "==> TSan parallel sweep (--jobs 4, four threads sharing the job counter)"
 TSAN_OPTIONS=halt_on_error=1 \
     "${prefix}-tsan/bench/bench_fig7_main" --csv --accesses=50000 --jobs=4 \
     > "${prefix}-tsan/fig7_tsan.csv"

@@ -133,7 +133,6 @@ TieredMachine::access(PageId page)
     else
         now_ += latency_[t];
     ++totals_.accesses[t];
-    ++window_.accesses[t];
     if (tenants_ != nullptr) [[unlikely]]
         tenants_->note_access(page, t);
     if (flags & kTxAccessMask) [[unlikely]]
@@ -142,7 +141,6 @@ TieredMachine::access(PageId page)
         flags &= static_cast<std::uint8_t>(~kTrapBit);
         now_ += config_.hint_fault_cost_ns;
         ++totals_.hint_faults;
-        ++window_.hint_faults;
         if (fault_handler_)
             fault_handler_(page, tier);
     }
@@ -179,8 +177,6 @@ TieredMachine::batch_loop(const PageId* pages, std::size_t n,
         now_ = now;
         totals_.accesses[0] += acc[0];
         totals_.accesses[1] += acc[1];
-        window_.accesses[0] += acc[0];
-        window_.accesses[1] += acc[1];
     };
     for (std::size_t i = 0; i < n; ++i) {
         const PageId page = pages[i];
@@ -213,7 +209,6 @@ TieredMachine::batch_loop(const PageId* pages, std::size_t n,
             flags[page] &= static_cast<std::uint8_t>(~kTrapBit);
             now += config_.hint_fault_cost_ns;
             ++totals_.hint_faults;
-            ++window_.hint_faults;
             if (fault_handler_) {
                 flush();
                 acc[0] = acc[1] = 0;
@@ -289,19 +284,15 @@ TieredMachine::account_migration(Tier src, Tier dst)
 {
     const SimTimeNs busy = migration_cost(src, dst);
     totals_.migration_busy_ns += busy;
-    window_.migration_busy_ns += busy;
     now_ += static_cast<SimTimeNs>(
         static_cast<double>(busy) * config_.migration_contention);
-    if (dst == Tier::kFast) {
+    if (dst == Tier::kFast)
         ++totals_.promoted_pages;
-        ++window_.promoted_pages;
-    } else {
+    else
         ++totals_.demoted_pages;
-        ++window_.demoted_pages;
-    }
 }
 
-void
+MigrationResult
 TieredMachine::record_failure(MigrateStatus status, PageId page)
 {
     if (trace_migration_ != nullptr) [[unlikely]] {
@@ -315,31 +306,30 @@ TieredMachine::record_failure(MigrateStatus status, PageId page)
     switch (status) {
     case MigrateStatus::kNoFreeSlot:
         ++totals_.failed_no_slot;
-        ++window_.failed_no_slot;
         break;
     case MigrateStatus::kPagePinned:
         ++totals_.failed_pinned;
-        ++window_.failed_pinned;
         break;
     case MigrateStatus::kCopyAborted:
         ++totals_.failed_transient;
-        ++window_.failed_transient;
         break;
     case MigrateStatus::kDstContended:
         ++totals_.failed_contended;
-        ++window_.failed_contended;
         break;
     case MigrateStatus::kQuotaDenied:
         ++totals_.failed_quota;
-        ++window_.failed_quota;
         break;
     case MigrateStatus::kAdmissionDenied:
         ++totals_.failed_admission;
-        ++window_.failed_admission;
+        break;
+    case MigrateStatus::kTxInFlight:
+    case MigrateStatus::kTxBusy:
+        ++totals_.failed_tx_busy;
         break;
     default:
         break;
     }
+    return {status};
 }
 
 void
@@ -350,7 +340,6 @@ TieredMachine::charge_aborted_copy(Tier src, Tier dst)
     // application time) is gone.
     const SimTimeNs busy = migration_cost(src, dst) / 2;
     totals_.aborted_migration_ns += busy;
-    window_.aborted_migration_ns += busy;
     now_ += static_cast<SimTimeNs>(
         static_cast<double>(busy) * config_.migration_contention);
 }
@@ -372,30 +361,21 @@ TieredMachine::migrate(PageId page, Tier dst)
         if (deny != MigrateStatus::kOk)
             return {deny};
     }
-    if (faults_ != nullptr && faults_->page_pinned(page)) [[unlikely]] {
-        record_failure(MigrateStatus::kPagePinned, page);
-        return {MigrateStatus::kPagePinned};
-    }
+    if (faults_ != nullptr && faults_->page_pinned(page)) [[unlikely]]
+        return record_failure(MigrateStatus::kPagePinned, page);
     const int d = static_cast<int>(dst);
-    if (used_[d] >= capacity_[d]) {
-        record_failure(MigrateStatus::kNoFreeSlot, page);
-        return {MigrateStatus::kNoFreeSlot};
-    }
+    if (used_[d] >= capacity_[d])
+        return record_failure(MigrateStatus::kNoFreeSlot, page);
     if (faults_ != nullptr) [[unlikely]] {
         // Co-tenant pressure: the free slot exists but is reserved.
-        if (reserved_contended(dst)) {
-            record_failure(MigrateStatus::kDstContended, page);
-            return {MigrateStatus::kDstContended};
-        }
+        if (reserved_contended(dst))
+            return record_failure(MigrateStatus::kDstContended, page);
         if (faults_->migration_transient_abort()) {
             charge_aborted_copy(src, dst);
-            record_failure(MigrateStatus::kCopyAborted, page);
-            return {MigrateStatus::kCopyAborted};
+            return record_failure(MigrateStatus::kCopyAborted, page);
         }
-        if (faults_->migration_contended()) {
-            record_failure(MigrateStatus::kDstContended, page);
-            return {MigrateStatus::kDstContended};
-        }
+        if (faults_->migration_contended())
+            return record_failure(MigrateStatus::kDstContended, page);
     }
     --used_[static_cast<int>(src)];
     ++used_[d];
@@ -439,19 +419,14 @@ TieredMachine::exchange(PageId a, PageId b)
             return {deny};
     }
     if (faults_ != nullptr) [[unlikely]] {
-        if (faults_->page_pinned(a) || faults_->page_pinned(b)) {
-            record_failure(MigrateStatus::kPagePinned, a);
-            return {MigrateStatus::kPagePinned};
-        }
+        if (faults_->page_pinned(a) || faults_->page_pinned(b))
+            return record_failure(MigrateStatus::kPagePinned, a);
         if (faults_->migration_transient_abort()) {
             charge_aborted_copy(ta, tb);
-            record_failure(MigrateStatus::kCopyAborted, a);
-            return {MigrateStatus::kCopyAborted};
+            return record_failure(MigrateStatus::kCopyAborted, a);
         }
-        if (faults_->migration_contended()) {
-            record_failure(MigrateStatus::kDstContended, a);
-            return {MigrateStatus::kDstContended};
-        }
+        if (faults_->migration_contended())
+            return record_failure(MigrateStatus::kDstContended, a);
     }
     flags_[a] ^= kTierBit;
     flags_[b] ^= kTierBit;
@@ -467,11 +442,9 @@ TieredMachine::exchange(PageId a, PageId b)
     const SimTimeNs start = now_;
     const SimTimeNs busy = migration_cost(ta, tb) + migration_cost(tb, ta);
     totals_.migration_busy_ns += busy;
-    window_.migration_busy_ns += busy;
     now_ += static_cast<SimTimeNs>(
         static_cast<double>(busy) * config_.migration_contention);
     ++totals_.exchanges;
-    ++window_.exchanges;
     if (trace_migration_ != nullptr) [[unlikely]] {
         trace_migration_->complete(
             telemetry::Category::kMigration, "exchange", start,
@@ -496,22 +469,6 @@ TieredMachine::install_tx(const TxConfig& config)
 }
 
 MigrationResult
-TieredMachine::tx_refuse(MigrateStatus status, PageId page)
-{
-    ++totals_.failed_tx_busy;
-    ++window_.failed_tx_busy;
-    if (trace_migration_ != nullptr) [[unlikely]] {
-        trace_migration_->instant(
-            telemetry::Category::kMigration, "migrate_fail", now_,
-            telemetry::Args()
-                .add("page", page)
-                .add("reason", migrate_status_name(status))
-                .str());
-    }
-    return {status};
-}
-
-MigrationResult
 TieredMachine::tx_free_flip(PageId page, Tier src, Tier dst)
 {
     // The clean copy already lives in dst (non-exclusive residency):
@@ -524,16 +481,12 @@ TieredMachine::tx_free_flip(PageId page, Tier src, Tier dst)
     ++tx_->reclaimable[s];
     tx_->reclaim_queue[s].push_back(page);
     ++totals_.tx_free_flips;
-    ++window_.tx_free_flips;
     if (tenants_ != nullptr) [[unlikely]]
         tenants_->note_migration(page, dst);  // usage is tier-neutral
-    if (dst == Tier::kFast) {
+    if (dst == Tier::kFast)
         ++totals_.promoted_pages;
-        ++window_.promoted_pages;
-    } else {
+    else
         ++totals_.demoted_pages;
-        ++window_.demoted_pages;
-    }
     if (trace_migration_ != nullptr) [[unlikely]] {
         trace_migration_->instant(
             telemetry::Category::kMigration, "tx_free_flip", now_,
@@ -574,7 +527,6 @@ TieredMachine::tx_reclaim_page(PageId page)
         tenants_->charge(page, sec, -1);
     --tx_->reclaimable[static_cast<int>(sec)];
     ++totals_.tx_dual_reclaims;
-    ++window_.tx_dual_reclaims;
 }
 
 MigrationResult
@@ -592,38 +544,29 @@ TieredMachine::tx_migrate(PageId page, Tier src, Tier dst)
     if (flags_[page] & kDualBit)
         return tx_free_flip(page, src, dst);
     if (flags_[page] & kInFlightBit)
-        return tx_refuse(MigrateStatus::kTxInFlight, page);
-    if (faults_ != nullptr && faults_->page_pinned(page)) [[unlikely]] {
-        record_failure(MigrateStatus::kPagePinned, page);
-        return {MigrateStatus::kPagePinned};
-    }
+        return record_failure(MigrateStatus::kTxInFlight, page);
+    if (faults_ != nullptr && faults_->page_pinned(page)) [[unlikely]]
+        return record_failure(MigrateStatus::kPagePinned, page);
     if (tx_->inflight.size() >= tx_->config.max_inflight)
-        return tx_refuse(MigrateStatus::kTxBusy, page);
+        return record_failure(MigrateStatus::kTxBusy, page);
     const int d = static_cast<int>(dst);
     // The shadow copy charges a destination slot for the whole window;
     // a tier full of dual copies yields one slot on demand.
-    if (used_[d] >= capacity_[d] && !tx_reclaim_slot(dst)) {
-        record_failure(MigrateStatus::kNoFreeSlot, page);
-        return {MigrateStatus::kNoFreeSlot};
-    }
+    if (used_[d] >= capacity_[d] && !tx_reclaim_slot(dst))
+        return record_failure(MigrateStatus::kNoFreeSlot, page);
     if (faults_ != nullptr) [[unlikely]] {
         // Co-tenant pressure: the free slot exists but is reserved.
-        if (reserved_contended(dst)) {
-            record_failure(MigrateStatus::kDstContended, page);
-            return {MigrateStatus::kDstContended};
-        }
+        if (reserved_contended(dst))
+            return record_failure(MigrateStatus::kDstContended, page);
         // No mid-copy transient draw here: in transactional mode the
         // abort channel is a write observed during the window instead.
-        if (faults_->migration_contended()) {
-            record_failure(MigrateStatus::kDstContended, page);
-            return {MigrateStatus::kDstContended};
-        }
+        if (faults_->migration_contended())
+            return record_failure(MigrateStatus::kDstContended, page);
     }
     std::uint8_t& f = flags_[page];
     if (f & kTxAbortedBit) {
         f &= static_cast<std::uint8_t>(~kTxAbortedBit);
         ++totals_.tx_retries;
-        ++window_.tx_retries;
     }
     ++used_[d];
     if (tenants_ != nullptr) [[unlikely]]
@@ -637,7 +580,6 @@ TieredMachine::tx_migrate(PageId page, Tier src, Tier dst)
                                            tx_->next_seq++,
                                            TxState::Kind::kMigrate});
     ++totals_.tx_opened;
-    ++window_.tx_opened;
     if (trace_migration_ != nullptr) [[unlikely]] {
         trace_migration_->instant(
             telemetry::Category::kMigration, "tx_open", now_,
@@ -653,24 +595,20 @@ MigrationResult
 TieredMachine::tx_exchange(PageId a, PageId b, Tier ta, Tier tb)
 {
     if ((flags_[a] | flags_[b]) & kInFlightBit)
-        return tx_refuse(MigrateStatus::kTxInFlight, a);
+        return record_failure(MigrateStatus::kTxInFlight, a);
     if (tenants_ != nullptr) [[unlikely]] {
         const MigrateStatus deny = tenant_check_exchange(a, b, ta);
         if (deny != MigrateStatus::kOk)
             return {deny};
     }
     if (faults_ != nullptr) [[unlikely]] {
-        if (faults_->page_pinned(a) || faults_->page_pinned(b)) {
-            record_failure(MigrateStatus::kPagePinned, a);
-            return {MigrateStatus::kPagePinned};
-        }
-        if (faults_->migration_contended()) {
-            record_failure(MigrateStatus::kDstContended, a);
-            return {MigrateStatus::kDstContended};
-        }
+        if (faults_->page_pinned(a) || faults_->page_pinned(b))
+            return record_failure(MigrateStatus::kPagePinned, a);
+        if (faults_->migration_contended())
+            return record_failure(MigrateStatus::kDstContended, a);
     }
     if (tx_->inflight.size() >= tx_->config.max_inflight)
-        return tx_refuse(MigrateStatus::kTxBusy, a);
+        return record_failure(MigrateStatus::kTxBusy, a);
     // The swap flips both primaries; a clean secondary copy would end
     // up co-located with its new primary, so reclaim them up front.
     if (flags_[a] & kDualBit)
@@ -681,7 +619,6 @@ TieredMachine::tx_exchange(PageId a, PageId b, Tier ta, Tier tb)
         if (flags_[page] & kTxAbortedBit) {
             flags_[page] &= static_cast<std::uint8_t>(~kTxAbortedBit);
             ++totals_.tx_retries;
-            ++window_.tx_retries;
         }
         flags_[page] |=
             static_cast<std::uint8_t>(kInFlightBit | kTxExchangeBit);
@@ -693,7 +630,6 @@ TieredMachine::tx_exchange(PageId a, PageId b, Tier ta, Tier tb)
                                            tx_->next_seq++,
                                            TxState::Kind::kExchange});
     ++totals_.tx_opened;
-    ++window_.tx_opened;
     if (trace_migration_ != nullptr) [[unlikely]] {
         trace_migration_->instant(
             telemetry::Category::kMigration, "tx_open", now_,
@@ -758,9 +694,7 @@ TieredMachine::tx_abort_page(PageId page, SimTimeNs now)
     // access loops hold the clock in a local.
     const SimTimeNs wasted = entry.busy_ns / 2;
     totals_.aborted_migration_ns += wasted;
-    window_.aborted_migration_ns += wasted;
     ++totals_.tx_aborted;
-    ++window_.tx_aborted;
     tx_->resolved.push_back(
         TxState::Resolved{entry.page, entry.src, entry.dst, false});
     if (trace_migration_ != nullptr) [[unlikely]] {
@@ -782,7 +716,6 @@ TieredMachine::tx_drop_secondary(PageId page, SimTimeNs now)
         tenants_->charge(page, sec, -1);
     --tx_->reclaimable[static_cast<int>(sec)];
     ++totals_.tx_dual_drops;
-    ++window_.tx_dual_drops;
     if (trace_migration_ != nullptr) [[unlikely]] {
         trace_migration_->instant(
             telemetry::Category::kMigration, "tx_dual_drop", now,
@@ -815,13 +748,10 @@ TieredMachine::tx_commit_entry(const TxState::Entry& entry)
         }
         if (tenants_ != nullptr) [[unlikely]]
             tenants_->note_migration(entry.page, entry.dst);
-        if (entry.dst == Tier::kFast) {
+        if (entry.dst == Tier::kFast)
             ++totals_.promoted_pages;
-            ++window_.promoted_pages;
-        } else {
+        else
             ++totals_.demoted_pages;
-            ++window_.demoted_pages;
-        }
     } else {
         constexpr auto kClear =
             static_cast<std::uint8_t>(~(kInFlightBit | kTxExchangeBit));
@@ -838,14 +768,11 @@ TieredMachine::tx_commit_entry(const TxState::Entry& entry)
             tenants_->note_migration(entry.peer, entry.src);
         }
         ++totals_.exchanges;
-        ++window_.exchanges;
     }
     totals_.migration_busy_ns += entry.busy_ns;
-    window_.migration_busy_ns += entry.busy_ns;
     now_ += static_cast<SimTimeNs>(static_cast<double>(entry.busy_ns) *
                                    config_.migration_contention);
     ++totals_.tx_committed;
-    ++window_.tx_committed;
     tx_->resolved.push_back(
         TxState::Resolved{entry.page, entry.src, entry.dst, true});
     if (trace_migration_ != nullptr) [[unlikely]] {
@@ -1015,11 +942,43 @@ TieredMachine::test_and_clear_accessed(PageId page)
 }
 
 TieredMachine::Counters
+TieredMachine::Counters::operator-(const Counters& base) const
+{
+    static_assert(sizeof(Counters) == 23 * sizeof(std::uint64_t),
+                  "a new Counters field must be subtracted here too");
+    Counters d = *this;
+    for (int t = 0; t < kTierCount; ++t)
+        d.accesses[t] -= base.accesses[t];
+    d.hint_faults -= base.hint_faults;
+    d.promoted_pages -= base.promoted_pages;
+    d.demoted_pages -= base.demoted_pages;
+    d.exchanges -= base.exchanges;
+    d.migration_busy_ns -= base.migration_busy_ns;
+    d.overhead_ns -= base.overhead_ns;
+    d.failed_no_slot -= base.failed_no_slot;
+    d.failed_pinned -= base.failed_pinned;
+    d.failed_transient -= base.failed_transient;
+    d.failed_contended -= base.failed_contended;
+    d.aborted_migration_ns -= base.aborted_migration_ns;
+    d.tx_opened -= base.tx_opened;
+    d.tx_committed -= base.tx_committed;
+    d.tx_aborted -= base.tx_aborted;
+    d.tx_retries -= base.tx_retries;
+    d.tx_free_flips -= base.tx_free_flips;
+    d.tx_dual_drops -= base.tx_dual_drops;
+    d.tx_dual_reclaims -= base.tx_dual_reclaims;
+    d.failed_tx_busy -= base.failed_tx_busy;
+    d.failed_quota -= base.failed_quota;
+    d.failed_admission -= base.failed_admission;
+    return d;
+}
+
+TieredMachine::Counters
 TieredMachine::take_window()
 {
-    Counters out = window_;
-    window_ = Counters{};
-    return out;
+    const Counters window = totals_ - window_base_;
+    window_base_ = totals_;
+    return window;
 }
 
 }  // namespace artmem::memsim

@@ -256,7 +256,6 @@ class TieredMachine
     {
         now_ += delta;
         totals_.overhead_ns += delta;
-        window_.overhead_ns += delta;
     }
 
     /** Number of pages in the virtual address space. */
@@ -588,12 +587,18 @@ class TieredMachine
                    failed_contended + tx_aborted + failed_tx_busy +
                    failed_quota + failed_admission;
         }
+        /** Field-wise difference: what accrued since the @p base
+         *  snapshot of the same monotonic counters. */
+        Counters operator-(const Counters& base) const;
     };
 
     /** Counters since construction. */
     const Counters& totals() const { return totals_; }
 
-    /** Counters since the previous take_window() call (then reset). */
+    /**
+     * Counters since the previous take_window() call: totals() minus
+     * the snapshot the previous call took, which then rolls forward.
+     */
     Counters take_window();
 
   private:
@@ -622,12 +627,13 @@ class TieredMachine
                     PebsSampler& sampler, std::uint64_t* pebs_suppressed);
     SimTimeNs migration_cost(Tier src, Tier dst) const;
     void account_migration(Tier src, Tier dst);
-    void record_failure(MigrateStatus status, PageId page);
+    /** Count and trace a refused or aborted migration; returns
+     *  {status} so refusal paths can return it directly. */
+    MigrationResult record_failure(MigrateStatus status, PageId page);
     void charge_aborted_copy(Tier src, Tier dst);
     MigrationResult tx_migrate(PageId page, Tier src, Tier dst);
     MigrationResult tx_exchange(PageId a, PageId b, Tier ta, Tier tb);
     MigrationResult tx_free_flip(PageId page, Tier src, Tier dst);
-    MigrationResult tx_refuse(MigrateStatus status, PageId page);
     bool tx_reclaim_slot(Tier tier);
     void tx_reclaim_page(PageId page);
     /** Per-access tx hook for flagged pages; returns the application
@@ -663,7 +669,7 @@ class TieredMachine
     SimTimeNs now_ = 0;
     SimTimeNs latency_[kTierCount];
     Counters totals_;
-    Counters window_;
+    Counters window_base_;  ///< totals_ at the last take_window().
     FaultHandler fault_handler_;
     /** Null when fault-free (the default): zero-overhead fast path. */
     std::unique_ptr<FaultInjector> faults_;

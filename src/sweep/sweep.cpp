@@ -2,13 +2,17 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <exception>
+#include <thread>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/thread_pool.hpp"
 
 namespace artmem::sweep {
 
@@ -59,29 +63,6 @@ class ProgressMeter
 
 }  // namespace
 
-SweepSpec
-SweepSpec::grid(const std::vector<std::string>& workloads,
-                const std::vector<std::string>& policies,
-                const std::vector<sim::RatioSpec>& ratios,
-                const sim::RunSpec& prototype)
-{
-    SweepSpec spec;
-    spec.jobs.reserve(workloads.size() * policies.size() * ratios.size());
-    for (const auto& workload : workloads) {
-        for (const auto& policy : policies) {
-            for (const auto& ratio : ratios) {
-                sim::RunSpec run = prototype;
-                run.workload = workload;
-                run.policy = policy;
-                run.ratio = ratio;
-                spec.add(std::move(run),
-                         {workload, policy, ratio.label()});
-            }
-        }
-    }
-    return spec;
-}
-
 void
 SweepSpec::derive_seeds(std::uint64_t base_seed)
 {
@@ -115,35 +96,39 @@ void
 SweepRunner::run_indexed(std::size_t n,
                          const std::function<void(std::size_t)>& fn)
 {
-    if (n == 0)
-        return;
-
     ProgressMeter progress(
         options_.progress && n > 1 && isatty(fileno(stderr)) != 0, n);
 
-    unsigned workers = options_.jobs;
-    if (workers == 0)
-        workers = std::max(1u, std::thread::hardware_concurrency());
-    if (static_cast<std::size_t>(workers) > n)
-        workers = static_cast<unsigned>(n);
-
-    if (workers <= 1) {
-        // Serial fast path: no pool, exceptions propagate directly.
-        for (std::size_t i = 0; i < n; ++i) {
-            fn(i);
+    // Each job writes only its own result and error slots, so neither
+    // the results nor the rethrown error depend on which thread took
+    // which index, or in what order the jobs finished.
+    std::vector<std::exception_ptr> errors(n);
+    std::atomic<std::size_t> next{0};
+    const auto take_jobs = [&] {
+        for (std::size_t i = next++; i < n; i = next++) {
+            try {
+                fn(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
             progress.job_done();
         }
-        return;
-    }
+    };
 
-    ThreadPool pool(workers);
-    for (std::size_t i = 0; i < n; ++i) {
-        pool.submit([&, i] {
-            fn(i);
-            progress.job_done();
-        });
+    const unsigned workers =
+        options_.jobs != 0 ? options_.jobs
+                           : std::max(1u, std::thread::hardware_concurrency());
+    {
+        std::vector<std::jthread> helpers;
+        for (std::size_t t = 1; t < std::min<std::size_t>(workers, n); ++t)
+            helpers.emplace_back(take_jobs);
+        take_jobs();
+    }  // The helpers join here, which publishes every slot they wrote.
+
+    for (const auto& error : errors) {
+        if (error)
+            std::rethrow_exception(error);
     }
-    pool.wait();
 }
 
 }  // namespace artmem::sweep

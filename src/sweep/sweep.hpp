@@ -6,8 +6,8 @@
  * (Figure 7 alone is 8 workloads x 6 ratios x 8 policies). A sweep is
  * described declaratively as a SweepSpec — an ordered list of SweepJob
  * entries, each carrying its labels and everything needed to run it —
- * and executed by a SweepRunner over a bounded worker pool
- * (util/thread_pool.hpp).
+ * and executed by a SweepRunner, whose threads take job indexes in
+ * order from one atomic counter.
  *
  * Determinism contract: a job is a pure function of its SweepJob.
  * Each job constructs its own generator, policy, and TieredMachine on
@@ -33,7 +33,7 @@ namespace artmem::sweep {
 /** One unit of work: a fully specified run plus its table labels. */
 struct SweepJob {
     /** Key cells identifying the job (workload, policy, ratio, ...);
-     *  carried through to the result assembly / ResultSink. */
+     *  carried through to the result assembly. */
     std::vector<std::string> labels;
 
     /** Consumed by the default runner (sim::run_experiment). */
@@ -98,17 +98,6 @@ struct SweepSpec {
     }
 
     /**
-     * The classic workload x policy x ratio grid, flattened in that
-     * nesting order with labels {workload, policy, ratio}. Every job
-     * copies @p prototype (accesses, seed, engine config) before the
-     * three key fields are overwritten.
-     */
-    static SweepSpec grid(const std::vector<std::string>& workloads,
-                          const std::vector<std::string>& policies,
-                          const std::vector<sim::RatioSpec>& ratios,
-                          const sim::RunSpec& prototype);
-
-    /**
      * Reseed every job with derive_seed(base_seed, SeedDomain::kJob,
      * index): independent per-job streams that depend only on the
      * job's position in the spec. The kJob domain is the legacy
@@ -134,8 +123,8 @@ struct SweepOptions {
 };
 
 /**
- * Executes SweepSpecs (and arbitrary indexed job sets) on a bounded
- * worker pool, collecting results in deterministic job order.
+ * Executes SweepSpecs (and arbitrary indexed job sets) on a fixed set
+ * of threads, collecting results in deterministic job order.
  */
 class SweepRunner
 {
@@ -144,17 +133,18 @@ class SweepRunner
 
     /**
      * Run every job of @p spec; result i corresponds to spec.jobs[i]
-     * regardless of completion order. The first exception a job throws
-     * is rethrown here after the remaining jobs finish.
+     * regardless of completion order. Every job runs even after one
+     * throws; once all have finished, the exception of the
+     * lowest-index failed job is rethrown here.
      */
     std::vector<sim::RunResult> run(const SweepSpec& spec);
 
     /**
      * Generic escape hatch for sweeps whose per-job product is not a
      * RunResult (heatmaps, MLC probes): apply @p fn to every index in
-     * [0, n) on the pool and collect the returns by index. T must be
-     * default-constructible; @p fn must follow the same isolation rule
-     * as SweepJob::run.
+     * [0, n) and collect the returns by index, with run()'s exception
+     * contract. T must be default-constructible; @p fn must follow the
+     * same isolation rule as SweepJob::run.
      */
     template <typename T>
     std::vector<T> map(std::size_t n,
@@ -166,7 +156,11 @@ class SweepRunner
     }
 
   private:
-    /** Shared driver: pool dispatch, progress, exception propagation. */
+    /**
+     * Shared body of run() and map(): options_.jobs - 1 threads plus
+     * the caller take indexes from one atomic counter until all n are
+     * taken; then the lowest-index exception, if any, is rethrown.
+     */
     void run_indexed(std::size_t n,
                      const std::function<void(std::size_t)>& fn);
 

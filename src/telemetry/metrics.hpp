@@ -92,7 +92,7 @@ class MetricsRegistry
     void write_json(std::ostream& os) const;
 
     /**
-     * Flattened {metric, value} rows for a ResultSink summary table:
+     * Flattened {metric, value} rows for a summary Table:
      * counters as integers, gauges as "last (min/mean/max)", histograms
      * as their total count. Registration order.
      */

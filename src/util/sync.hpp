@@ -9,21 +9,10 @@
  * the exact std primitives (no extra state, no extra branches). All
  * concurrent components must use them; detlint rule DL005 flags raw
  * std::mutex declarations anywhere outside this file.
- *
- * Pattern for condition variables: CondVar::wait requires the mutex,
- * and because lambda bodies do not inherit the caller's lock set, a
- * predicate reading guarded fields starts with `mutex.assert_held()`:
- *
- *     MutexLock lock(mutex_);
- *     cv_.wait(mutex_, [this] {
- *         mutex_.assert_held();
- *         return stopping_ || !queue_.empty();
- *     });
  */
 #ifndef ARTMEM_UTIL_SYNC_HPP
 #define ARTMEM_UTIL_SYNC_HPP
 
-#include <condition_variable>
 #include <mutex>  // lint:allow(DL005) the one sanctioned raw-mutex site
 
 #include "util/thread_annotations.hpp"
@@ -42,15 +31,7 @@ class ARTMEM_CAPABILITY("mutex") Mutex
     void unlock() ARTMEM_RELEASE() { mutex_.unlock(); }
     bool try_lock() ARTMEM_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 
-    /**
-     * Declares to the analysis that this mutex is held — the bridge
-     * into contexts the analysis cannot follow (condition-variable
-     * predicates, callbacks invoked under the lock). Zero runtime cost.
-     */
-    void assert_held() const ARTMEM_ASSERT_CAPABILITY(this) {}
-
   private:
-    friend class CondVar;
     std::mutex mutex_;
 };
 
@@ -70,39 +51,6 @@ class ARTMEM_SCOPED_CAPABILITY MutexLock
 
   private:
     Mutex& mutex_;
-};
-
-/**
- * Condition variable usable with Mutex. Built on
- * std::condition_variable_any, whose wait() takes any BasicLockable —
- * Mutex qualifies — so no std::unique_lock<std::mutex> (and therefore
- * no raw mutex exposure) appears at call sites.
- */
-class CondVar
-{
-  public:
-    CondVar() = default;
-    CondVar(const CondVar&) = delete;
-    CondVar& operator=(const CondVar&) = delete;
-
-    void notify_one() noexcept { cv_.notify_one(); }
-    void notify_all() noexcept { cv_.notify_all(); }
-
-    /**
-     * Block until @p pred holds; @p mutex must be held on entry and is
-     * held again on return (released while blocked, as usual). The
-     * predicate runs under the lock — start it with
-     * `mutex.assert_held()` if it reads guarded fields.
-     */
-    template <typename Predicate>
-    void
-    wait(Mutex& mutex, Predicate pred) ARTMEM_REQUIRES(mutex)
-    {
-        cv_.wait(mutex, pred);
-    }
-
-  private:
-    std::condition_variable_any cv_;
 };
 
 }  // namespace artmem

@@ -1,6 +1,7 @@
 #include "util/table.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -8,6 +9,62 @@
 #include "util/logging.hpp"
 
 namespace artmem {
+
+namespace {
+
+/**
+ * True when @p text is a plain JSON-compatible number (the output of
+ * format_fixed / std::to_string): optional sign, digits, optional
+ * fraction, optional exponent. "nan"/"inf" and ratio labels like
+ * "1:16" fail and are emitted as quoted strings instead.
+ */
+bool
+is_json_number(const std::string& text)
+{
+    std::size_t i = 0;
+    const auto digits = [&] {
+        std::size_t start = i;
+        while (i < text.size() &&
+               std::isdigit(static_cast<unsigned char>(text[i])))
+            ++i;
+        return i > start;
+    };
+    if (i < text.size() && text[i] == '-')
+        ++i;
+    if (!digits())
+        return false;
+    if (i < text.size() && text[i] == '.') {
+        ++i;
+        if (!digits())
+            return false;
+    }
+    if (i < text.size() && (text[i] == 'e' || text[i] == 'E')) {
+        ++i;
+        if (i < text.size() && (text[i] == '-' || text[i] == '+'))
+            ++i;
+        if (!digits())
+            return false;
+    }
+    return i == text.size();
+}
+
+void
+print_json_string(std::ostream& os, const std::string& text)
+{
+    os << '"';
+    for (char c : text) {
+        switch (c) {
+        case '"': os << "\\\""; break;
+        case '\\': os << "\\\\"; break;
+        case '\n': os << "\\n"; break;
+        case '\t': os << "\\t"; break;
+        default: os << c; break;
+        }
+    }
+    os << '"';
+}
+
+}  // namespace
 
 std::string
 format_fixed(double value, int precision)
@@ -61,12 +118,6 @@ Table&
 Table::cell(std::uint64_t value)
 {
     return cell(std::to_string(value));
-}
-
-void
-Table::flush()
-{
-    flush_pending();
 }
 
 void
@@ -125,6 +176,49 @@ Table::print_csv(std::ostream& os)
     emit_row(headers_);
     for (const auto& row : rows_)
         emit_row(row);
+}
+
+bool
+Table::emit(std::ostream& os, Format format)
+{
+    switch (format) {
+    case Format::kTable:
+        print(os);
+        break;
+    case Format::kCsv:
+        print_csv(os);
+        break;
+    case Format::kJson:
+        print_json(os);
+        break;
+    }
+    // Push the buffered rows to the OS before reporting success: a
+    // full disk or closed pipe only surfaces at flush time, and a
+    // table that never flushed would report good() on lost output.
+    os.flush();
+    return os.good();
+}
+
+void
+Table::print_json(std::ostream& os)
+{
+    flush_pending();
+    os << "[\n";
+    for (std::size_t r = 0; r < rows_.size(); ++r) {
+        os << "  {";
+        for (std::size_t c = 0; c < rows_[r].size(); ++c) {
+            print_json_string(os, headers_[c]);
+            os << ": ";
+            if (is_json_number(rows_[r][c]))
+                os << rows_[r][c];
+            else
+                print_json_string(os, rows_[r][c]);
+            if (c + 1 < rows_[r].size())
+                os << ", ";
+        }
+        os << (r + 1 < rows_.size() ? "},\n" : "}\n");
+    }
+    os << "]\n";
 }
 
 }  // namespace artmem

@@ -1,8 +1,13 @@
 /**
  * @file
- * Aligned text-table printer used by the bench harnesses to emit the
- * rows/series of each paper table and figure, plus CSV output for
- * downstream plotting.
+ * The one result-emission path: a labelled row store that prints as an
+ * aligned table, CSV, or JSON. The bench harnesses, `artmem sweep` and
+ * the examples build one per paper table or figure.
+ *
+ * Thread contract: a Table is confined to the harness thread. Sweep
+ * jobs never touch it; they return RunResults, and the harness folds
+ * them into rows in job-index order after SweepRunner returns, which
+ * keeps --jobs N output byte-identical to --jobs 1 (DESIGN.md §7).
  */
 #ifndef ARTMEM_UTIL_TABLE_HPP
 #define ARTMEM_UTIL_TABLE_HPP
@@ -13,10 +18,13 @@
 
 namespace artmem {
 
-/** Collects rows of string cells and prints them column-aligned. */
+/** Collects rows of string cells and prints them in one of three formats. */
 class Table
 {
   public:
+    /** Output format selected by the harness flags (--csv / --json). */
+    enum class Format { kTable, kCsv, kJson };
+
     /** Create a table with the given column headers. */
     explicit Table(std::vector<std::string> headers);
 
@@ -38,26 +46,24 @@ class Table
     /** Number of data rows. */
     std::size_t row_count() const { return rows_.size(); }
 
-    /** Finish the row under construction (print* do this implicitly). */
-    void flush();
-
-    /** Column headers. */
-    const std::vector<std::string>& headers() const { return headers_; }
-
-    /** Finished data rows; call flush() first if building a row. */
-    const std::vector<std::vector<std::string>>& rows() const
-    {
-        return rows_;
-    }
-
     /** Print aligned with a separator rule under the header. */
     void print(std::ostream& os);
 
-    /** Print as CSV (comma-separated, no quoting of commas needed here). */
-    void print_csv(std::ostream& os);
+    /**
+     * Print in @p format: aligned, CSV (comma-separated, no quoting of
+     * commas needed here), or a JSON array of row objects whose numeric
+     * cells are raw numbers and whose other cells are strings.
+     * @returns the stream's health after writing AND flushing
+     * (os.good()): a closed pipe or full disk only surfaces once the
+     * buffer reaches the OS, and neither must pass silently as a
+     * result file, so emit flushes and callers consume the status.
+     */
+    [[nodiscard]] bool emit(std::ostream& os, Format format);
 
   private:
     void flush_pending();
+    void print_csv(std::ostream& os);
+    void print_json(std::ostream& os);
 
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

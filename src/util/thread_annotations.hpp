@@ -4,10 +4,10 @@
  *
  * Under Clang the macros expand to the capability attributes consumed
  * by `-Wthread-safety` (promoted to an error by ARTMEM_STRICT), so
- * lock discipline on every concurrent component — the sweep thread
- * pool, the async sampler, progress metering — is checked at compile
- * time. Under GCC (the container toolchain) every macro compiles away
- * to nothing, so the annotated tree builds identically there.
+ * lock discipline on every concurrent component — today the sweep
+ * runner's progress meter — is checked at compile time. Under GCC
+ * every macro compiles away to nothing, so the annotated tree builds
+ * identically there.
  *
  * Conventions (DESIGN.md §11):
  *  - never declare a raw `std::mutex` member; use `artmem::Mutex`
@@ -16,9 +16,7 @@
  *  - every field touched by more than one thread is either an atomic
  *    or carries ARTMEM_GUARDED_BY(its mutex);
  *  - functions with a locking precondition say so with
- *    ARTMEM_REQUIRES; condition-variable predicates re-assert the
- *    capability with Mutex::assert_held() because lambda bodies do not
- *    inherit the caller's lock set.
+ *    ARTMEM_REQUIRES.
  */
 #ifndef ARTMEM_UTIL_THREAD_ANNOTATIONS_HPP
 #define ARTMEM_UTIL_THREAD_ANNOTATIONS_HPP

@@ -9,7 +9,8 @@
 # Cases: trace_page_past_footprint, trace_huge_footprint,
 # qtables_truncated, accesses_hex, accesses_signed, fault_config_nan,
 # fault_config_inf, fault_config_huge_factor, fault_config_no_period,
-# tx_write_ratio_nan.
+# tx_write_ratio_nan, and one flag each that sweep, run, train,
+# trace-record and trace-run do not read (<command>_<flag>).
 set -u
 artmem="$1"
 dir="$2"
@@ -115,6 +116,32 @@ fault_config_no_period)
 tx_write_ratio_nan)
     expect_exit1 "flag --tx-write-ratio must be finite, got 'nan'" \
         "${artmem}" run --accesses=100000 --tx-migration --tx-write-ratio=nan
+    ;;
+# A flag the subcommand does not read used to be dropped silently: the
+# sweep still ran every policy at every ratio, and trace-run printed
+# the fault-free result.
+sweep_policy)
+    expect_exit1 "unknown flag --policy (artmem sweep does not read it" \
+        "${artmem}" sweep --accesses=1000 --policy=tpp --ratio=1:8
+    ;;
+run_csv)
+    expect_exit1 "unknown flag --csv (artmem run does not read it" \
+        "${artmem}" run --accesses=1000 --csv --jobs=3
+    ;;
+train_metrics_out)
+    expect_exit1 "unknown flag --metrics-out (artmem train does not read it" \
+        "${artmem}" train --accesses=1000 --metrics-out="${dir}/train.json" \
+        --trace-out="${dir}/train" --out="${dir}/train.qtables"
+    ;;
+trace_record_fault_scenario)
+    expect_exit1 "unknown flag --fault-scenario (artmem trace-record does" \
+        "${artmem}" trace-record --accesses=1000 --fault-scenario=degrade \
+        --tenants=4 --out="${dir}/unused.trace"
+    ;;
+trace_run_tenants)
+    expect_exit1 "unknown flag --tenants (artmem trace-run does not read it" \
+        "${artmem}" trace-run --trace="${dir}/unused.trace" \
+        --fault-scenario=degrade --check-invariants --tenants=4
     ;;
 *)
     echo "unknown case '${case_name}'"

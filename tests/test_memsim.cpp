@@ -140,13 +140,29 @@ TEST(TieredMachine, TrapDeliversFaultOnceAndCharges)
 TEST(TieredMachine, WindowCountersReset)
 {
     TieredMachine m(small_machine(2, 2));
+    TxConfig tx;
+    tx.enabled = true;
+    m.install_tx(tx);
     m.access(0);
     m.access(1);
+    m.charge_overhead(500);
+    EXPECT_EQ(m.migrate(0, Tier::kSlow).status, MigrateStatus::kTxOpened);
+    EXPECT_EQ(m.migrate(0, Tier::kSlow).status, MigrateStatus::kTxInFlight);
     auto w1 = m.take_window();
     EXPECT_EQ(w1.total_accesses(), 2u);
+    EXPECT_EQ(w1.overhead_ns, 500u);
+    EXPECT_EQ(w1.tx_opened, 1u);
+    EXPECT_EQ(w1.failed_tx_busy, 1u);
+    m.charge_overhead(7);
     auto w2 = m.take_window();
     EXPECT_EQ(w2.total_accesses(), 0u);
+    EXPECT_EQ(w2.overhead_ns, 7u);
+    EXPECT_EQ(w2.tx_opened, 0u);
+    EXPECT_EQ(w2.failed_tx_busy, 0u);
     EXPECT_EQ(m.totals().total_accesses(), 2u);
+    EXPECT_EQ(m.totals().overhead_ns, 507u);
+    EXPECT_EQ(m.totals().tx_opened, 1u);
+    EXPECT_EQ(m.totals().failed_tx_busy, 1u);
 }
 
 TEST(TieredMachine, StreamChargesBandwidthTime)

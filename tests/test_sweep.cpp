@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the deterministic parallel sweep subsystem: seed
- * derivation, the thread pool, SweepRunner determinism across worker
- * counts, exception propagation, ResultSink emission, and the
- * BenchOptions --quick/--accesses contract.
+ * derivation, SweepRunner determinism across worker counts, exception
+ * propagation, result emission, and the BenchOptions --quick/--accesses
+ * contract.
  */
 #include <gtest/gtest.h>
 
@@ -13,15 +13,33 @@
 #include <stdexcept>
 
 #include "bench_common.hpp"
-#include "sweep/result_sink.hpp"
 #include "sweep/sweep.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
+#include "util/table.hpp"
 
 namespace artmem {
 namespace {
 
 using bench::BenchOptions;
+
+/** A workload x policy grid at one ratio, flattened in that nesting
+ *  order; every job keeps @p base's accesses and seed. */
+sweep::SweepSpec
+make_grid(const std::vector<std::string>& workloads,
+          const std::vector<std::string>& policies,
+          const sim::RunSpec& base)
+{
+    sweep::SweepSpec spec;
+    for (const auto& workload : workloads) {
+        for (const auto& policy : policies) {
+            sim::RunSpec run = base;
+            run.workload = workload;
+            run.policy = policy;
+            spec.add(std::move(run), {workload, policy});
+        }
+    }
+    return spec;
+}
 
 // ---------------------------------------------------------------- seeds
 
@@ -47,10 +65,10 @@ TEST(DeriveSeed, IndependentOfGridShape)
     // that produced it was shaped: 2x3 vs 3x2 vs a flat list of 6.
     sim::RunSpec prototype;
     prototype.accesses = 1000;
-    auto wide = sweep::SweepSpec::grid(
-        {"s1", "s2"}, {"static", "autonuma", "tpp"}, {{1, 1}}, prototype);
-    auto tall = sweep::SweepSpec::grid(
-        {"s1", "s2", "s3"}, {"static", "autonuma"}, {{1, 1}}, prototype);
+    auto wide =
+        make_grid({"s1", "s2"}, {"static", "autonuma", "tpp"}, prototype);
+    auto tall = make_grid({"s1", "s2", "s3"}, {"static", "autonuma"},
+                          prototype);
     wide.derive_seeds(42);
     tall.derive_seeds(42);
     ASSERT_EQ(wide.jobs.size(), tall.jobs.size());
@@ -73,48 +91,6 @@ TEST(SeedDomains, JobDomainIsTheLegacyStreamExactly)
     }
 }
 
-// ----------------------------------------------------------- ThreadPool
-
-TEST(ThreadPool, RunsEveryTask)
-{
-    ThreadPool pool(4);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&counter] { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, ReusableAcrossWaits)
-{
-    ThreadPool pool(2);
-    std::atomic<int> counter{0};
-    pool.submit([&counter] { ++counter; });
-    pool.wait();
-    pool.submit([&counter] { ++counter; });
-    pool.wait();
-    EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ThreadPool, PropagatesFirstExceptionWithoutDeadlock)
-{
-    ThreadPool pool(2);
-    std::atomic<int> completed{0};
-    for (int i = 0; i < 20; ++i) {
-        pool.submit([&completed, i] {
-            if (i == 3)
-                throw std::runtime_error("job 3 failed");
-            ++completed;
-        });
-    }
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // Every non-throwing task still ran; the pool stays usable.
-    EXPECT_EQ(completed.load(), 19);
-    pool.submit([&completed] { ++completed; });
-    pool.wait();
-    EXPECT_EQ(completed.load(), 20);
-}
-
 // ---------------------------------------------------------- SweepRunner
 
 TEST(SweepRunner, MapCollectsResultsInIndexOrder)
@@ -125,27 +101,6 @@ TEST(SweepRunner, MapCollectsResultsInIndexOrder)
     ASSERT_EQ(out.size(), 64u);
     for (std::size_t i = 0; i < out.size(); ++i)
         EXPECT_EQ(out[i], i * 3 + 1);
-}
-
-TEST(SweepRunner, GridShapeAndLabels)
-{
-    sim::RunSpec prototype;
-    prototype.accesses = 123;
-    prototype.seed = 9;
-    const auto spec = sweep::SweepSpec::grid(
-        {"s1", "s2"}, {"static", "tpp"}, {{1, 1}, {1, 4}}, prototype);
-    ASSERT_EQ(spec.jobs.size(), 8u);
-    // Nesting order: workload (outer), policy, ratio (inner).
-    EXPECT_EQ(spec.jobs[0].spec.workload, "s1");
-    EXPECT_EQ(spec.jobs[0].spec.policy, "static");
-    EXPECT_EQ(spec.jobs[0].spec.ratio.label(), "1:1");
-    EXPECT_EQ(spec.jobs[1].spec.ratio.label(), "1:4");
-    EXPECT_EQ(spec.jobs[2].spec.policy, "tpp");
-    EXPECT_EQ(spec.jobs[4].spec.workload, "s2");
-    const std::vector<std::string> labels{"s2", "tpp", "1:4"};
-    EXPECT_EQ(spec.jobs[7].labels, labels);
-    EXPECT_EQ(spec.jobs[7].spec.accesses, 123u);
-    EXPECT_EQ(spec.jobs[7].spec.seed, 9u);
 }
 
 /** The full result fields the benches consume, for exact comparison. */
@@ -166,9 +121,16 @@ TEST(SweepRunner, SerialAndParallelResultsIdentical)
     sim::RunSpec prototype;
     prototype.accesses = 60000;
     prototype.seed = 42;
-    const auto spec = sweep::SweepSpec::grid(
-        {"s1"}, {"static", "autonuma", "memtis", "artmem"},
-        {{1, 1}, {1, 4}}, prototype);
+    prototype.workload = "s1";
+    sweep::SweepSpec spec;
+    for (const char* policy : {"static", "autonuma", "memtis", "artmem"}) {
+        for (const sim::RatioSpec ratio : {sim::RatioSpec{1, 1}, {1, 4}}) {
+            sim::RunSpec run = prototype;
+            run.policy = policy;
+            run.ratio = ratio;
+            spec.add(std::move(run));
+        }
+    }
 
     sweep::SweepRunner serial({.jobs = 1, .progress = false});
     sweep::SweepRunner parallel({.jobs = 4, .progress = false});
@@ -218,36 +180,64 @@ TEST(SweepRunner, JobExceptionPropagates)
     EXPECT_THROW(runner.run(spec), std::runtime_error);
 }
 
+TEST(SweepRunner, EveryJobRunsAndLowestIndexErrorIsRethrown)
+{
+    for (const unsigned jobs : {1u, 2u, 4u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        sweep::SweepRunner runner({.jobs = jobs, .progress = false});
+        std::vector<std::atomic<int>> ran(20);
+        try {
+            (void)runner.map<int>(20, [&](std::size_t i) -> int {
+                ++ran[i];
+                if (i == 3 || i == 11)
+                    throw std::runtime_error("job " + std::to_string(i));
+                return 0;
+            });
+            ADD_FAILURE() << "no job error was rethrown";
+        } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "job 3");
+        }
+        for (std::size_t i = 0; i < ran.size(); ++i)
+            EXPECT_EQ(ran[i].load(), 1) << "job " << i;
+
+        // The runner holds no state from the failed map.
+        const auto out = runner.map<std::size_t>(
+            9, [](std::size_t i) { return i * i; });
+        for (std::size_t i = 0; i < out.size(); ++i)
+            EXPECT_EQ(out[i], i * i);
+    }
+}
+
 // ----------------------------------------------------------- ResultSink
 
+// Sweep results leave through util::Table::emit. Its CSV holds the same
+// rows and cells, in the same order, as the aligned table of those rows.
 TEST(ResultSink, CsvMatchesTableOutput)
 {
-    sweep::ResultSink sink({"workload", "runtime"});
-    sink.row().cell(std::string("s1")).cell(1.25, 2);
-    sink.row().cell(std::string("s2")).cell(0.5, 2);
-    std::ostringstream csv;
-    ASSERT_TRUE(sink.emit(csv, sweep::Format::kCsv));
-    EXPECT_EQ(csv.str(), "workload,runtime\ns1,1.25\ns2,0.50\n");
-
     Table table({"workload", "runtime"});
     table.row().cell(std::string("s1")).cell(1.25, 2);
     table.row().cell(std::string("s2")).cell(0.5, 2);
-    std::ostringstream table_csv;
-    table.print_csv(table_csv);
-    EXPECT_EQ(csv.str(), table_csv.str());
-}
+    std::ostringstream csv;
+    ASSERT_TRUE(table.emit(csv, Table::Format::kCsv));
+    EXPECT_EQ(csv.str(), "workload,runtime\ns1,1.25\ns2,0.50\n");
 
-TEST(ResultSink, JsonQuotesLabelsAndEmitsNumbersRaw)
-{
-    sweep::ResultSink sink({"policy", "ratio", "runtime"});
-    sink.row()
-        .cell(std::string("artmem"))
-        .cell(std::string("1:16"))
-        .cell(1.5, 3);
-    std::ostringstream os;
-    ASSERT_TRUE(sink.emit(os, sweep::Format::kJson));
-    EXPECT_EQ(os.str(), "[\n  {\"policy\": \"artmem\", "
-                        "\"ratio\": \"1:16\", \"runtime\": 1.500}\n]\n");
+    std::ostringstream aligned;
+    ASSERT_TRUE(table.emit(aligned, Table::Format::kTable));
+    // Skip the rule under the header; cells are whitespace-separated.
+    std::istringstream lines(aligned.str());
+    std::string line;
+    std::string from_table;
+    while (std::getline(lines, line)) {
+        if (line.find_first_not_of('-') == std::string::npos)
+            continue;
+        std::istringstream cells(line);
+        std::string cell;
+        std::string joined;
+        while (cells >> cell)
+            joined += (joined.empty() ? "" : ",") + cell;
+        from_table += joined + "\n";
+    }
+    EXPECT_EQ(csv.str(), from_table);
 }
 
 // ----------------------------------------------------------- bench CLI
@@ -277,9 +267,9 @@ TEST(BenchOptions, JobsAndFormatFlags)
 {
     EXPECT_EQ(parse_options({}).jobs, 0u);
     EXPECT_EQ(parse_options({"--jobs=4"}).jobs, 4u);
-    EXPECT_EQ(parse_options({}).format(), sweep::Format::kTable);
-    EXPECT_EQ(parse_options({"--csv"}).format(), sweep::Format::kCsv);
-    EXPECT_EQ(parse_options({"--json"}).format(), sweep::Format::kJson);
+    EXPECT_EQ(parse_options({}).format(), Table::Format::kTable);
+    EXPECT_EQ(parse_options({"--csv"}).format(), Table::Format::kCsv);
+    EXPECT_EQ(parse_options({"--json"}).format(), Table::Format::kJson);
 }
 
 }  // namespace

@@ -228,8 +228,21 @@ TEST(Table, CsvOutput)
     Table t({"a", "b"});
     t.add_row({"1", "2"});
     std::ostringstream os;
-    t.print_csv(os);
+    ASSERT_TRUE(t.emit(os, Table::Format::kCsv));
     EXPECT_EQ(os.str(), "a,b\n1,2\n");
+}
+
+TEST(Table, JsonQuotesLabelsAndEmitsNumbersRaw)
+{
+    Table t({"policy", "ratio", "runtime"});
+    t.row()
+        .cell(std::string("artmem"))
+        .cell(std::string("1:16"))
+        .cell(1.5, 3);
+    std::ostringstream os;
+    ASSERT_TRUE(t.emit(os, Table::Format::kJson));
+    EXPECT_EQ(os.str(), "[\n  {\"policy\": \"artmem\", "
+                        "\"ratio\": \"1:16\", \"runtime\": 1.500}\n]\n");
 }
 
 TEST(KvConfig, ParsesTypesAndComments)

@@ -13,9 +13,12 @@
  *   artmem trace-record --workload=s1 --out=s1.trace
  *   artmem trace-run --trace=s1.trace --policy=memtis
  *
- * Common flags: --accesses=N --seed=N --csv --json
+ * Common flags: --accesses=N --seed=N; --csv --json (sweep)
  * Observability (run and sweep; DESIGN.md section 8):
  *   --metrics-out=FILE --trace-out=BASE --trace-categories=LIST --profile
+ *
+ * Each subcommand accepts only the flags it reads and exits 1 naming
+ * any other, so a flag never looks as if it took effect when it did not.
  */
 #include <fstream>
 #include <iostream>
@@ -23,7 +26,6 @@
 
 #include "memsim/fault_injector.hpp"
 #include "sim/experiment.hpp"
-#include "sweep/result_sink.hpp"
 #include "sweep/sweep.hpp"
 #include "sweep/telemetry_merge.hpp"
 #include "telemetry/telemetry.hpp"
@@ -39,12 +41,30 @@ using namespace artmem;
 
 constexpr Bytes kPage = 2ull << 20;
 
-/** Every flag some subcommand reads, besides the tx and tenancy sets. */
-constexpr std::string_view kFlags[] = {
-    "workload", "policy", "ratio", "accesses", "seed", "check-invariants",
-    "fault-scenario", "fault-config", "fault-seed", "timeline", "qtables",
-    "jobs", "derive-seeds", "csv", "json", "out", "trace", "metrics-out",
-    "trace-out", "trace-categories", "profile"};
+// Flag groups read by parse_spec() and parse_telemetry(). Each
+// subcommand names the groups it reads (with sim::kTxFlags and
+// tenancy::kTenancyFlags) plus its own flags.
+
+/** The generated access stream. */
+constexpr std::string_view kStreamFlags[] = {"workload", "accesses", "seed"};
+/** The simulated system: policy and tier ratio. */
+constexpr std::string_view kSystemFlags[] = {"policy", "ratio"};
+/** Engine options besides the tx set: the audit and the fault model. */
+constexpr std::string_view kEngineFlags[] = {
+    "check-invariants", "fault-scenario", "fault-config", "fault-seed"};
+/** Telemetry outputs. */
+constexpr std::string_view kTelemetryFlags[] = {
+    "metrics-out", "trace-out", "trace-categories", "profile"};
+
+/** fatal() on the first flag @p command does not read, naming it. */
+void
+accept_only(const CliArgs& args, std::string_view command,
+            std::initializer_list<std::span<const std::string_view>> known)
+{
+    args.reject_unknown(known, "artmem " + std::string(command) +
+                                   " does not read it; run artmem with "
+                                   "no arguments for the flag list");
+}
 
 sim::RunSpec
 parse_spec(const CliArgs& args)
@@ -140,13 +160,13 @@ write_run_telemetry(const sim::RunResult& r, const TelemetryOutputs& outs)
 
 void
 write_sweep_telemetry(const std::vector<sim::RunResult>& runs,
-                      const TelemetryOutputs& outs, sweep::Format format)
+                      const TelemetryOutputs& outs, Table::Format format)
 {
     if (!outs.metrics_out.empty()) {
         const auto merged = sweep::merge_job_metrics(runs);
         auto out = open_out(outs.metrics_out);
         merged.write_json(out);
-        sweep::ResultSink table({"metric", "value"});
+        Table table({"metric", "value"});
         for (const auto& [name, value] : merged.summary_rows())
             table.row().cell(name).cell(value);
         std::cout << "merged metrics\n";
@@ -225,8 +245,9 @@ print_result(const sim::RunResult& r, const sim::RunSpec& spec)
 }
 
 int
-cmd_list()
+cmd_list(const CliArgs& args)
 {
+    accept_only(args, "list", {});
     std::cout << "workloads:";
     for (auto w : workloads::workload_names())
         std::cout << " " << w;
@@ -243,6 +264,10 @@ cmd_list()
 int
 cmd_run(const CliArgs& args)
 {
+    static constexpr std::string_view kOwn[] = {"timeline", "qtables"};
+    accept_only(args, "run",
+                {kStreamFlags, kSystemFlags, kEngineFlags, sim::kTxFlags,
+                 tenancy::kTenancyFlags, kTelemetryFlags, kOwn});
     auto spec = parse_spec(args);
     spec.engine.record_timeline = args.get_bool("timeline", false);
     TelemetryOutputs touts;
@@ -293,6 +318,13 @@ cmd_run(const CliArgs& args)
 int
 cmd_sweep(const CliArgs& args)
 {
+    // Every policy at every paper ratio: --policy and --ratio are not
+    // read.
+    static constexpr std::string_view kOwn[] = {"jobs", "derive-seeds",
+                                                "csv", "json"};
+    accept_only(args, "sweep",
+                {kStreamFlags, kEngineFlags, sim::kTxFlags,
+                 tenancy::kTenancyFlags, kTelemetryFlags, kOwn});
     auto spec = parse_spec(args);
     TelemetryOutputs touts;
     spec.engine.telemetry = parse_telemetry(args, touts);
@@ -322,7 +354,7 @@ cmd_sweep(const CliArgs& args)
     std::vector<std::string> headers = {"policy"};
     for (const auto& r : ratios)
         headers.push_back(r.label());
-    sweep::ResultSink table(std::move(headers));
+    Table table(std::move(headers));
     std::size_t job = 0;
     for (const auto policy : sim::policy_names()) {
         auto& row = table.row().cell(std::string(policy));
@@ -331,10 +363,10 @@ cmd_sweep(const CliArgs& args)
     }
     std::cout << "runtime (ms), workload=" << spec.workload << "\n";
     const auto format = args.get_bool("json", false)
-                            ? sweep::Format::kJson
+                            ? Table::Format::kJson
                             : (args.get_bool("csv", false)
-                                   ? sweep::Format::kCsv
-                                   : sweep::Format::kTable);
+                                   ? Table::Format::kCsv
+                                   : Table::Format::kTable);
     if (!table.emit(std::cout, format))
         fatal("result emission failed: output stream went bad");
     write_sweep_telemetry(runs, touts, format);
@@ -344,6 +376,11 @@ cmd_sweep(const CliArgs& args)
 int
 cmd_train(const CliArgs& args)
 {
+    // Always trains the artmem policy: --policy is not read.
+    static constexpr std::string_view kOwn[] = {"ratio", "out"};
+    accept_only(args, "train",
+                {kStreamFlags, kEngineFlags, sim::kTxFlags,
+                 tenancy::kTenancyFlags, kOwn});
     auto spec = parse_spec(args);
     const std::string out_path = args.get_string("out", "qtables.txt");
     core::ArtMemConfig cfg;
@@ -362,6 +399,8 @@ cmd_train(const CliArgs& args)
 int
 cmd_trace_record(const CliArgs& args)
 {
+    static constexpr std::string_view kOwn[] = {"out"};
+    accept_only(args, "trace-record", {kStreamFlags, kOwn});
     auto spec = parse_spec(args);
     const std::string out = args.get_string("out", spec.workload + ".trace");
     auto inner = workloads::make_workload(spec.workload, kPage,
@@ -378,6 +417,11 @@ cmd_trace_record(const CliArgs& args)
 int
 cmd_trace_run(const CliArgs& args)
 {
+    // The trace fixes the access stream, so only --seed (the policy's)
+    // is read of the stream flags; tenants need per-tenant generators.
+    static constexpr std::string_view kOwn[] = {"trace", "seed"};
+    accept_only(args, "trace-run",
+                {kSystemFlags, kEngineFlags, sim::kTxFlags, kOwn});
     const std::string path = args.get_string("trace", "");
     if (path.empty())
         fatal("trace-run requires --trace=<file>");
@@ -387,9 +431,8 @@ cmd_trace_run(const CliArgs& args)
         replay.footprint(), spec.ratio, replay.page_size());
     memsim::TieredMachine machine(machine_config);
     auto policy = sim::make_policy(spec.policy, spec.seed);
-    sim::EngineConfig engine;
-    engine.tx = spec.engine.tx;
-    const auto r = sim::run_simulation(replay, *policy, machine, engine);
+    const auto r =
+        sim::run_simulation(replay, *policy, machine, spec.engine);
     spec.workload = "trace:" + path;
     print_result(r, spec);
     return 0;
@@ -406,10 +449,11 @@ main(int argc, char** argv)
             << "usage: artmem <list|run|sweep|train|trace-record|"
                "trace-run> [flags]\n"
                "flags: --workload= --policy= --ratio=F:S --accesses=N "
-               "--seed=N --timeline --qtables= --out= --trace= --csv "
-               "--json\n"
-               "       --jobs=N --derive-seeds (sweep: parallel workers / "
-               "per-job seed streams)\n"
+               "--seed=N\n"
+               "       --timeline --qtables= (run) --out= (train, "
+               "trace-record) --trace= (trace-run)\n"
+               "       --csv --json --jobs=N --derive-seeds (sweep: output "
+               "format, parallel workers, per-job seed streams)\n"
                "       --fault-scenario=<none|migration|degrade|blackout|"
                "pressure|abort_storm> --fault-config=<file> --fault-seed=N\n"
                "       --tx-migration (transactional copy-then-commit "
@@ -427,16 +471,15 @@ main(int argc, char** argv)
                "       --check-invariants (audit simulator state every "
                "interval; see DESIGN.md section 6)\n"
                "       --metrics-out=FILE --trace-out=BASE (writes "
-               "BASE.jsonl + BASE.json) --profile\n"
+               "BASE.jsonl + BASE.json) --profile (run, sweep)\n"
                "       --trace-categories=<all|none|engine,migration,pebs,"
-               "rl,threshold> (default all; needs --trace-out)\n";
+               "rl,threshold> (default all; needs --trace-out)\n"
+               "Each subcommand rejects the flags it does not read.\n";
         return 1;
     }
-    args.reject_unknown({kFlags, sim::kTxFlags, tenancy::kTenancyFlags},
-                        "run artmem with no arguments for the flag list");
     const std::string& command = args.positional()[0];
     if (command == "list")
-        return cmd_list();
+        return cmd_list(args);
     if (command == "run")
         return cmd_run(args);
     if (command == "sweep")

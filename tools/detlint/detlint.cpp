@@ -34,8 +34,7 @@ const std::vector<RuleInfo> kCatalog = {
      "on the floor; consume it or cast to (void) with a suppression"},
     {"DL005", "raw std synchronization primitive",
      "std::mutex has no capability attribute, so Clang thread-safety "
-     "analysis cannot track it; use artmem::Mutex/CondVar "
-     "(util/sync.hpp)"},
+     "analysis cannot track it; use artmem::Mutex (util/sync.hpp)"},
     {"DL006", "shared mutable static",
      "writable static state is shared across sweep worker threads and "
      "across runs; make it const/constexpr or move it into the job"},
