@@ -3,7 +3,8 @@
  * Shared plumbing for the figure/table bench harnesses: common CLI
  * flags (--accesses, --seed, --quick, --csv, --json, --jobs), the
  * sweep-runner construction, result emission, and the normalization
- * helpers the figures share.
+ * helpers the figures share. Every harness returns from main through
+ * finish_stdout().
  */
 #ifndef ARTMEM_BENCH_COMMON_HPP
 #define ARTMEM_BENCH_COMMON_HPP
@@ -18,6 +19,7 @@
 #include "sweep/sweep.hpp"
 #include "util/cli.hpp"
 #include "util/logging.hpp"
+#include "util/output.hpp"
 #include "util/table.hpp"
 
 namespace artmem::bench {
@@ -80,14 +82,12 @@ struct BenchOptions {
     }
 };
 
-/** Print a finished table in the selected format; dies if the stream
- *  goes bad (a truncated result file must not look like a completed
- *  run to the golden diff). */
+/** Print a finished table in the selected format (main returns
+ *  through finish_stdout, which checks that it arrived). */
 inline void
 emit(Table& table, const BenchOptions& opt)
 {
-    if (!table.emit(std::cout, opt.format()))
-        fatal("result emission failed: output stream went bad");
+    table.emit(std::cout, opt.format());
 }
 
 /** Build the sweep runner configured by --jobs. */
@@ -133,8 +133,7 @@ inline std::size_t
 add_autonuma_baseline_job(sweep::SweepSpec& spec, const BenchOptions& opt,
                           const std::string& workload)
 {
-    return spec.add(make_spec(opt, workload, "autonuma", {1, 16}),
-                    {workload, "autonuma", "1:16"});
+    return spec.add(make_spec(opt, workload, "autonuma", {1, 16}));
 }
 
 }  // namespace artmem::bench

@@ -69,8 +69,7 @@ main(int argc, char** argv)
                 spec.engine.tx.write_ratio = 0.02;
                 spec.engine.check_invariants = true;
             }
-            sweepspec.add(std::move(spec),
-                          {std::string(scenario), std::string(policy)});
+            sweepspec.add(std::move(spec));
         }
     }
     const auto runs = make_runner(opt).run(sweepspec);
@@ -111,5 +110,5 @@ main(int argc, char** argv)
         }
         emit(table, opt);
     }
-    return 0;
+    return finish_stdout();
 }

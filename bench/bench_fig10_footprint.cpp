@@ -99,5 +99,5 @@ main(int argc, char** argv)
         }
         emit(table, opt);
     }
-    return 0;
+    return finish_stdout();
 }

@@ -23,8 +23,7 @@ main(int argc, char** argv)
     sweep::SweepSpec sweepspec;
     for (const auto& system : systems)
         for (const auto& workload : apps)
-            sweepspec.add(make_spec(opt, workload, system, {1, 1}),
-                          {workload, system, "1:1"});
+            sweepspec.add(make_spec(opt, workload, system, {1, 1}));
     const auto runs = make_runner(opt).run(sweepspec);
 
     std::cout << "Figure 11: page migration volume (1:1 ratio)\n"
@@ -50,5 +49,5 @@ main(int argc, char** argv)
                  "ArtMem's migration-thread CPU overhead; ArtMem and "
                  "AutoNUMA low; ArtMem's DLRM volume far below its CC "
                  "volume.\n";
-    return 0;
+    return finish_stdout();
 }

@@ -27,9 +27,8 @@ main(int argc, char** argv)
                                     : core::RewardMode::kLatency;
         auto spec = make_spec(opt, "xsbench", "artmem", {1, 2});
         spec.engine.record_timeline = true;
-        sweepspec.add_with_policy(
-            std::move(spec), {"xsbench", labels[mode], "1:2"},
-            [cfg] { return sim::make_artmem(cfg); });
+        sweepspec.add_with_policy(std::move(spec),
+                                  [cfg] { return sim::make_artmem(cfg); });
     }
     const auto results = make_runner(opt).run(sweepspec);
 
@@ -59,5 +58,5 @@ main(int argc, char** argv)
               << " ms  -> latency reward is "
               << format_fixed(delta, 1)
               << "% slower (paper: ~3.4% average)\n";
-    return 0;
+    return finish_stdout();
 }

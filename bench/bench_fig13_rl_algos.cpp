@@ -28,17 +28,12 @@ main(int argc, char** argv)
     for (const auto& workload : workloads) {
         for (const auto algo : algos) {
             for (const auto& ratio : ratios) {
-                sweepspec.add(make_spec(opt, workload, "static", ratio),
-                              {workload, "static", ratio.label()});
+                sweepspec.add(make_spec(opt, workload, "static", ratio));
                 core::ArtMemConfig cfg;
                 cfg.seed = opt.seed;
                 cfg.agent.algorithm = algo;
                 sweepspec.add_with_policy(
                     make_spec(opt, workload, "artmem", ratio),
-                    {workload,
-                     algo == rl::Algorithm::kQLearning ? "q-learning"
-                                                       : "sarsa",
-                     ratio.label()},
                     [cfg] { return sim::make_artmem(cfg); });
             }
         }
@@ -67,5 +62,5 @@ main(int argc, char** argv)
     emit(table, opt);
     std::cout << "\nExpected: both columns close to each other "
                  "(paper: similar performance).\n";
-    return 0;
+    return finish_stdout();
 }

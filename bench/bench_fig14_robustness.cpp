@@ -38,17 +38,16 @@ main(int argc, char** argv)
     sweep::SweepSpec train_spec;
     for (std::size_t i = 0; i < apps.size(); ++i) {
         auto spec = make_spec(opt, apps[i], "artmem", {1, 2});
-        train_spec.add_run(
-            {apps[i], "train"}, [&tables, i, spec, &opt] {
-                core::ArtMemConfig cfg;
-                cfg.seed = opt.seed;
-                auto policy = sim::make_artmem(cfg);
-                const auto r = sim::run_experiment(spec, *policy);
-                std::ostringstream os;
-                policy->save_qtables(os);
-                tables[i] = os.str();
-                return r;
-            });
+        train_spec.add_run([&tables, i, spec, &opt] {
+            core::ArtMemConfig cfg;
+            cfg.seed = opt.seed;
+            auto policy = sim::make_artmem(cfg);
+            const auto r = sim::run_experiment(spec, *policy);
+            std::ostringstream os;
+            policy->save_qtables(os);
+            tables[i] = os.str();
+            return r;
+        });
     }
     runner.run(train_spec);
 
@@ -59,14 +58,13 @@ main(int argc, char** argv)
             const std::size_t train_idx =
                 static_cast<std::size_t>(&train - apps.data());
             auto spec = make_spec(opt, eval, "artmem", {1, 2});
-            eval_spec.add_run(
-                {train, eval}, [&tables, train_idx, spec, &opt] {
-                    core::ArtMemConfig cfg;
-                    cfg.seed = opt.seed;
-                    auto policy = sim::make_artmem(cfg);
-                    policy->set_pretrained_qtables(tables[train_idx]);
-                    return sim::run_experiment(spec, *policy);
-                });
+            eval_spec.add_run([&tables, train_idx, spec, &opt] {
+                core::ArtMemConfig cfg;
+                cfg.seed = opt.seed;
+                auto policy = sim::make_artmem(cfg);
+                policy->set_pretrained_qtables(tables[train_idx]);
+                return sim::run_experiment(spec, *policy);
+            });
         }
     }
     const auto evals = runner.run(eval_spec);
@@ -101,5 +99,5 @@ main(int argc, char** argv)
     std::cout << "\nCombinations degrading more than 10%: " << above_10
               << " of " << apps.size() * (apps.size() - 1)
               << " cross pairs (paper: 7 of 25 incl. diagonal)\n";
-    return 0;
+    return finish_stdout();
 }

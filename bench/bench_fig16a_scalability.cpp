@@ -34,18 +34,14 @@ main(int argc, char** argv)
         auto params = workloads::GraphWorkload::cc(opt.accesses);
         params.footprint = footprint;
         auto add_job = [&](const std::string& system) {
-            sweepspec.add_run(
-                {std::to_string(footprint >> 30) + " GiB", system},
-                [params, footprint, system, &opt] {
-                    workloads::GraphWorkload gen(params, kPage, opt.seed);
-                    auto mc =
-                        sim::make_machine_config(footprint, kFast, kPage);
-                    memsim::TieredMachine machine(mc);
-                    auto policy = sim::make_policy(system, opt.seed);
-                    sim::EngineConfig engine;
-                    return sim::run_simulation(gen, *policy, machine,
-                                               engine);
-                });
+            sweepspec.add_run([params, footprint, system, &opt] {
+                workloads::GraphWorkload gen(params, kPage, opt.seed);
+                auto mc = sim::make_machine_config(footprint, kFast, kPage);
+                memsim::TieredMachine machine(mc);
+                auto policy = sim::make_policy(system, opt.seed);
+                sim::EngineConfig engine;
+                return sim::run_simulation(gen, *policy, machine, engine);
+            });
         };
         add_job("static");
         for (const auto& system : systems)
@@ -69,5 +65,5 @@ main(int argc, char** argv)
     emit(table, opt);
     std::cout << "\nExpected: ArtMem stays below 1.0 at every footprint "
                  "(the paper reports >= 6% improvement up to 290 GiB).\n";
-    return 0;
+    return finish_stdout();
 }

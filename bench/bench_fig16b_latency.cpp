@@ -42,20 +42,18 @@ main(int argc, char** argv)
 
     auto add_job = [&](sweep::SweepSpec& spec, const std::string& system,
                        const SlowTier& slow) {
-        return spec.add_run(
-            {system, slow.label},
-            [system, slow, &opt] {
-                auto gen = workloads::make_workload("sssp", kPage,
-                                                    opt.accesses, opt.seed);
-                auto mc = sim::make_machine_config(gen->footprint(), kFast,
-                                                   kPage);
-                mc.tiers[1].load_latency_ns = slow.latency_ns;
-                mc.tiers[1].bandwidth_gbps = slow.bandwidth_gbps;
-                memsim::TieredMachine machine(mc);
-                auto policy = sim::make_policy(system, opt.seed);
-                sim::EngineConfig engine;
-                return sim::run_simulation(*gen, *policy, machine, engine);
-            });
+        return spec.add_run([system, slow, &opt] {
+            auto gen = workloads::make_workload("sssp", kPage, opt.accesses,
+                                                opt.seed);
+            auto mc =
+                sim::make_machine_config(gen->footprint(), kFast, kPage);
+            mc.tiers[1].load_latency_ns = slow.latency_ns;
+            mc.tiers[1].bandwidth_gbps = slow.bandwidth_gbps;
+            memsim::TieredMachine machine(mc);
+            auto policy = sim::make_policy(system, opt.seed);
+            sim::EngineConfig engine;
+            return sim::run_simulation(*gen, *policy, machine, engine);
+        });
     };
 
     sweep::SweepSpec sweepspec;
@@ -77,5 +75,5 @@ main(int argc, char** argv)
             row.cell(normalized_runtime(runs[job++], base), 3);
     }
     emit(table, opt);
-    return 0;
+    return finish_stdout();
 }

@@ -55,23 +55,16 @@ main(int argc, char** argv)
 
     sweep::SweepSpec sweepspec;
     for (const auto& mix : mixes) {
-        std::string label = mix.names[0];
-        for (std::size_t i = 1; i < mix.names.size(); ++i)
-            label += "+" + mix.names[i];
         auto add_job = [&](const std::string& system) {
-            sweepspec.add_run(
-                {label, system},
-                [mix, system, &opt] {
-                    auto gen =
-                        make_mix(mix.names, kPage, opt.accesses, opt.seed);
-                    auto mc = sim::make_machine_config(gen->footprint(),
-                                                       mix.dram, kPage);
-                    memsim::TieredMachine machine(mc);
-                    auto policy = sim::make_policy(system, opt.seed);
-                    sim::EngineConfig engine;
-                    return sim::run_simulation(*gen, *policy, machine,
-                                               engine);
-                });
+            sweepspec.add_run([mix, system, &opt] {
+                auto gen = make_mix(mix.names, kPage, opt.accesses, opt.seed);
+                auto mc = sim::make_machine_config(gen->footprint(), mix.dram,
+                                                   kPage);
+                memsim::TieredMachine machine(mc);
+                auto policy = sim::make_policy(system, opt.seed);
+                sim::EngineConfig engine;
+                return sim::run_simulation(*gen, *policy, machine, engine);
+            });
         };
         add_job("static");
         for (const auto& system : systems)
@@ -98,5 +91,5 @@ main(int argc, char** argv)
     emit(table, opt);
     std::cout << "\nExpected: ArtMem lowest (paper: ~11% ahead of the "
                  "second-best method).\n";
-    return 0;
+    return finish_stdout();
 }

@@ -23,24 +23,20 @@ main(int argc, char** argv)
 
     sweep::SweepSpec sweepspec;
     for (const std::string system : {"artmem", "tpp"}) {
-        sweepspec.add_run(
-            {"sssp+xsbench", system},
-            [system, &opt] {
-                std::vector<std::unique_ptr<workloads::AccessGenerator>>
-                    children;
-                children.push_back(workloads::make_workload(
-                    "sssp", kPage, opt.accesses / 2, opt.seed));
-                children.push_back(workloads::make_workload(
-                    "xsbench", kPage, opt.accesses / 2, opt.seed + 1));
-                workloads::Mixer gen(std::move(children), kPage);
-                auto mc =
-                    sim::make_machine_config(gen.footprint(), kFast, kPage);
-                memsim::TieredMachine machine(mc);
-                auto policy = sim::make_policy(system, opt.seed);
-                sim::EngineConfig engine;
-                engine.record_timeline = true;
-                return sim::run_simulation(gen, *policy, machine, engine);
-            });
+        sweepspec.add_run([system, &opt] {
+            std::vector<std::unique_ptr<workloads::AccessGenerator>> children;
+            children.push_back(workloads::make_workload(
+                "sssp", kPage, opt.accesses / 2, opt.seed));
+            children.push_back(workloads::make_workload(
+                "xsbench", kPage, opt.accesses / 2, opt.seed + 1));
+            workloads::Mixer gen(std::move(children), kPage);
+            auto mc = sim::make_machine_config(gen.footprint(), kFast, kPage);
+            memsim::TieredMachine machine(mc);
+            auto policy = sim::make_policy(system, opt.seed);
+            sim::EngineConfig engine;
+            engine.record_timeline = true;
+            return sim::run_simulation(gen, *policy, machine, engine);
+        });
     }
     const auto runs = make_runner(opt).run(sweepspec);
 
@@ -76,5 +72,5 @@ main(int argc, char** argv)
                              1, artmem.totals.migrated_pages())),
                      1)
               << "x; paper: 17.5x)\n";
-    return 0;
+    return finish_stdout();
 }

@@ -38,13 +38,11 @@ main(int argc, char** argv)
         std::string pattern = "s";  // built up to dodge gcc-12 PR105651
         pattern += std::to_string(k);
         base_jobs.push_back(
-            sweepspec.add(make_spec(opt, pattern, "static", {1, 1}),
-                          {pattern, "static", "1:1"}));
+            sweepspec.add(make_spec(opt, pattern, "static", {1, 1})));
         auto& jobs = system_jobs.emplace_back();
         for (const auto& system : systems) {
             jobs.push_back(
-                sweepspec.add(make_spec(opt, pattern, system, {1, 1}),
-                              {pattern, system, "1:1"}));
+                sweepspec.add(make_spec(opt, pattern, system, {1, 1})));
         }
     }
     const auto runs = make_runner(opt).run(sweepspec);
@@ -79,5 +77,5 @@ main(int argc, char** argv)
     emit(ratio, opt);
     std::cout << "\nMigrated volume (GiB):\n";
     emit(volume, opt);
-    return 0;
+    return finish_stdout();
 }

@@ -27,8 +27,7 @@ main(int argc, char** argv)
     sweep::SweepSpec sweepspec;
     for (const auto& system : systems)
         for (const auto& workload : points)
-            sweepspec.add(make_spec(opt, workload, system, {1, 1}),
-                          {workload, system, "1:1"});
+            sweepspec.add(make_spec(opt, workload, system, {1, 1}));
     const auto runs = make_runner(opt).run(sweepspec);
 
     std::cout << "Figure 3: performance vs DRAM access ratio "
@@ -57,5 +56,5 @@ main(int argc, char** argv)
                   << format_fixed(pearson(xs, ys), 2)
                   << "  (paper: 0.81-0.89)\n\n";
     }
-    return 0;
+    return finish_stdout();
 }

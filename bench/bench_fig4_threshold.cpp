@@ -31,13 +31,11 @@ main(int argc, char** argv)
     for (const auto& workload : apps) {
         auto spec = make_spec(opt, workload, "memtis", {1, 2});
         default_jobs.push_back(sweepspec.add_with_policy(
-            spec, {workload, "default"},
-            [] { return std::make_unique<policies::Memtis>(); }));
+            spec, [] { return std::make_unique<policies::Memtis>(); }));
         auto& jobs = tuned_jobs.emplace_back();
         for (const auto threshold : thresholds) {
             jobs.push_back(sweepspec.add_with_policy(
-                spec, {workload, std::to_string(threshold)},
-                [threshold] {
+                spec, [threshold] {
                     policies::Memtis::Config cfg;
                     cfg.manual_threshold = threshold;
                     return std::make_unique<policies::Memtis>(cfg);
@@ -85,5 +83,5 @@ main(int argc, char** argv)
     emit(table, opt);
     std::cout << "\n'vs default' > 1.0 means the tuned threshold is "
                  "faster (paper: 1.47x Liblinear, 1.42x XSBench).\n";
-    return 0;
+    return finish_stdout();
 }

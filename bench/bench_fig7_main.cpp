@@ -40,8 +40,7 @@ main(int argc, char** argv)
             auto& by_ratio = by_system.emplace_back();
             for (const auto& ratio : ratios) {
                 by_ratio.push_back(sweepspec.add(
-                    make_spec(opt, std::string(workload), system, ratio),
-                    {std::string(workload), system, ratio.label()}));
+                    make_spec(opt, std::string(workload), system, ratio)));
             }
         }
     }
@@ -119,5 +118,5 @@ main(int argc, char** argv)
     std::cout << "\nOverall average improvement: "
               << format_fixed(improvement_all.mean() * 100.0, 1)
               << "% (paper: 114%)\n";
-    return 0;
+    return finish_stdout();
 }

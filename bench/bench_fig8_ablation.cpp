@@ -46,7 +46,6 @@ main(int argc, char** argv)
         cfg.use_dynamic_threshold = variant.use_dynamic_threshold;
         return sweepspec.add_with_policy(
             make_spec(opt, workload, "artmem", ratio),
-            {workload, variant.label, ratio.label()},
             [cfg] { return sim::make_artmem(cfg); });
     };
     std::vector<std::vector<std::size_t>> full_jobs;
@@ -108,5 +107,5 @@ main(int argc, char** argv)
         dram_row.cell(geomean(dram_norm), 3);
         emit(table, opt);
     }
-    return 0;
+    return finish_stdout();
 }

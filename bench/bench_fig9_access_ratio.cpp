@@ -27,7 +27,6 @@ main(int argc, char** argv)
                 cfg.use_rl = use_rl;
                 sweepspec.add_with_policy(
                     make_spec(opt, workload, "artmem", ratio),
-                    {workload, use_rl ? "RL" : "heuristic", ratio.label()},
                     [cfg] { return sim::make_artmem(cfg); });
             }
         }
@@ -64,5 +63,5 @@ main(int argc, char** argv)
                      "traffic)\n";
         emit(runtime_table, opt);
     }
-    return 0;
+    return finish_stdout();
 }

@@ -115,10 +115,7 @@ main(int argc, char** argv)
                 spec.tenancy.admission_target = admission_target;
                 spec.tenancy.admission_max = admission_max;
                 spec.engine.check_invariants = true;
-                sweepspec.add(std::move(spec),
-                              {std::to_string(tenants),
-                               std::string(admission),
-                               std::string(policy)});
+                sweepspec.add(std::move(spec));
             }
         }
     }
@@ -167,5 +164,5 @@ main(int argc, char** argv)
         }
         emit(table, opt);
     }
-    return 0;
+    return finish_stdout();
 }

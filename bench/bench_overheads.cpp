@@ -32,6 +32,7 @@
 #include "stats/ema_bins.hpp"
 #include "sweep/sweep.hpp"
 #include "telemetry/telemetry.hpp"
+#include "util/output.hpp"
 #include "util/rng.hpp"
 #include "workloads/factory.hpp"
 
@@ -462,5 +463,5 @@ main(int argc, char** argv)
         OverheadReporter reporter;
         benchmark::RunSpecifiedBenchmarks(&reporter);
     }
-    return 0;
+    return finish_stdout();
 }

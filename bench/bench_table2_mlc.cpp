@@ -47,5 +47,5 @@ main(int argc, char** argv)
             .cell(probes[i].bandwidth_gbps, 1);
     }
     emit(table, opt);
-    return 0;
+    return finish_stdout();
 }

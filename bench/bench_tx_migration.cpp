@@ -64,8 +64,7 @@ main(int argc, char** argv)
                     "abort_storm", fault_seed);
             }
             spec.engine.check_invariants = true;
-            sweepspec.add(std::move(spec),
-                          {std::string(engine), std::string(policy)});
+            sweepspec.add(std::move(spec));
         }
     }
     const auto runs = make_runner(opt).run(sweepspec);
@@ -101,5 +100,5 @@ main(int argc, char** argv)
         }
         emit(table, opt);
     }
-    return 0;
+    return finish_stdout();
 }

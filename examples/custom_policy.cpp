@@ -17,6 +17,7 @@
 #include "policies/policy.hpp"
 #include "sim/experiment.hpp"
 #include "util/cli.hpp"
+#include "util/output.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -82,6 +83,10 @@ int
 main(int argc, char** argv)
 {
     const auto args = CliArgs::parse(argc, argv);
+    static constexpr std::string_view kFlags[] = {"workload", "accesses",
+                                                  "seed"};
+    args.reject_unknown({kFlags},
+                        "custom_policy reads --workload --accesses --seed");
     sim::RunSpec spec;
     spec.workload = args.get_string("workload", "s1");
     spec.accesses = args.get_uint<std::uint64_t>("accesses", 4000000);
@@ -109,9 +114,9 @@ main(int argc, char** argv)
         .cell(art.fast_ratio, 3)
         .cell(art.totals.migrated_pages());
 
-    table.print(std::cout);
+    table.emit(std::cout, Table::Format::kTable);
     std::cout << "\nSimpleHot never demotes, so once DRAM fills with the "
                  "first warm pages it can no longer adapt — the gap to "
                  "ArtMem is the value of scope control + demotion.\n";
-    return 0;
+    return finish_stdout();
 }

@@ -14,6 +14,7 @@
 
 #include "sim/experiment.hpp"
 #include "util/cli.hpp"
+#include "util/output.hpp"
 #include "util/table.hpp"
 
 int
@@ -21,6 +22,10 @@ main(int argc, char** argv)
 {
     using namespace artmem;
     const auto args = CliArgs::parse(argc, argv);
+    static constexpr std::string_view kFlags[] = {"baseline", "accesses",
+                                                  "seed"};
+    args.reject_unknown({kFlags},
+                        "graph_analytics reads --baseline --accesses --seed");
     const auto accesses = args.get_uint<std::uint64_t>("accesses", 4000000);
     const std::string baseline = args.get_string("baseline", "autonuma");
     const auto seed = args.get_uint<std::uint64_t>("seed", 42);
@@ -56,8 +61,8 @@ main(int argc, char** argv)
                 .cell(art.fast_ratio, 3);
         }
         std::cout << "Workload: " << workload << "\n";
-        table.print(std::cout);
+        table.emit(std::cout, Table::Format::kTable);
         std::cout << "\n";
     }
-    return 0;
+    return finish_stdout();
 }

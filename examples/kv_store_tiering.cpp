@@ -15,6 +15,7 @@
 
 #include "sim/experiment.hpp"
 #include "util/cli.hpp"
+#include "util/output.hpp"
 #include "util/table.hpp"
 
 int
@@ -22,6 +23,10 @@ main(int argc, char** argv)
 {
     using namespace artmem;
     const auto args = CliArgs::parse(argc, argv);
+    static constexpr std::string_view kFlags[] = {"ratio", "accesses",
+                                                  "seed"};
+    args.reject_unknown({kFlags},
+                        "kv_store_tiering reads --ratio --accesses --seed");
 
     sim::RunSpec spec;
     spec.workload = "ycsb";
@@ -54,7 +59,7 @@ main(int argc, char** argv)
             .cell(iv.promoted)
             .cell(iv.demoted);
     }
-    table.print(std::cout);
+    table.emit(std::cout, Table::Format::kTable);
 
     std::cout << "\nOverall: runtime "
               << format_fixed(r.seconds() * 1e3, 1) << " ms, fast-tier "
@@ -62,5 +67,5 @@ main(int argc, char** argv)
               << r.totals.migrated_pages()
               << " pages.\nThe last ~20% of the run is workload D: watch "
                  "the ratio dip and recover as the hot set moves.\n";
-    return 0;
+    return finish_stdout();
 }

@@ -9,6 +9,7 @@
 
 #include "sim/experiment.hpp"
 #include "util/cli.hpp"
+#include "util/output.hpp"
 #include "util/table.hpp"
 
 int
@@ -16,6 +17,10 @@ main(int argc, char** argv)
 {
     using namespace artmem;
     const auto args = CliArgs::parse(argc, argv);
+    static constexpr std::string_view kFlags[] = {
+        "workload", "baseline", "ratio", "accesses", "seed"};
+    args.reject_unknown({kFlags}, "quickstart reads --workload --baseline "
+                                  "--ratio --accesses --seed");
 
     sim::RunSpec spec;
     spec.workload = args.get_string("workload", "ycsb");
@@ -49,8 +54,8 @@ main(int argc, char** argv)
                       static_cast<double>(r.runtime_ns),
                   2);
     }
-    table.print(std::cout);
+    table.emit(std::cout, Table::Format::kTable);
     std::cout << "\nHigher fast-tier ratio and fewer migrations at the "
                  "same speedup indicate better scope control.\n";
-    return 0;
+    return finish_stdout();
 }

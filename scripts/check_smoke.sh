@@ -7,7 +7,7 @@
 #   2. sweep determinism: bench_fig7_main --csv run twice, --jobs 1 vs
 #      --jobs 4, and the outputs diffed byte-for-byte (the parallel
 #      sweep runner must not change a single emitted number),
-#   3. telemetry smoke: a traced masim_runner run on
+#   3. telemetry smoke: a traced artmem run of the MASIM config
 #      configs/telemetry_smoke.cfg; the Chrome trace and metrics files
 #      must be valid JSON (python3 -m json.tool) and a second identical
 #      seeded run must reproduce the metrics and trace byte-for-byte,
@@ -50,15 +50,13 @@ cmp "${build}/fig7_jobs1.csv" "${build}/fig7_jobs4.csv"
 echo "sweep output identical across --jobs 1 and --jobs 4"
 
 echo "==> [smoke 3/5] telemetry smoke (traced run, JSON validity, byte-identity)"
-"${build}/examples/masim_runner" configs/telemetry_smoke.cfg \
-    --policy=artmem --ratio=1:4 \
-    --metrics-out="${build}/telemetry_a.metrics.json" \
+telemetry_run=("${build}/tools/artmem" run
+    --workload=configs/telemetry_smoke.cfg --policy=artmem --ratio=1:4)
+"${telemetry_run[@]}" --metrics-out="${build}/telemetry_a.metrics.json" \
     --trace-out="${build}/telemetry_a" --profile
 python3 -m json.tool "${build}/telemetry_a.metrics.json" > /dev/null
 python3 -m json.tool "${build}/telemetry_a.json" > /dev/null
-"${build}/examples/masim_runner" configs/telemetry_smoke.cfg \
-    --policy=artmem --ratio=1:4 \
-    --metrics-out="${build}/telemetry_b.metrics.json" \
+"${telemetry_run[@]}" --metrics-out="${build}/telemetry_b.metrics.json" \
     --trace-out="${build}/telemetry_b"
 cmp "${build}/telemetry_a.metrics.json" "${build}/telemetry_b.metrics.json"
 cmp "${build}/telemetry_a.jsonl" "${build}/telemetry_b.jsonl"

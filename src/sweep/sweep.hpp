@@ -5,7 +5,7 @@
  * Every evaluation in the paper is a grid of independent simulations
  * (Figure 7 alone is 8 workloads x 6 ratios x 8 policies). A sweep is
  * described declaratively as a SweepSpec — an ordered list of SweepJob
- * entries, each carrying its labels and everything needed to run it —
+ * entries, each carrying everything needed to run it —
  * and executed by a SweepRunner, whose threads take job indexes in
  * order from one atomic counter.
  *
@@ -23,19 +23,14 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "sim/experiment.hpp"
 
 namespace artmem::sweep {
 
-/** One unit of work: a fully specified run plus its table labels. */
+/** One unit of work: everything needed to run it. */
 struct SweepJob {
-    /** Key cells identifying the job (workload, policy, ratio, ...);
-     *  carried through to the result assembly. */
-    std::vector<std::string> labels;
-
     /** Consumed by the default runner (sim::run_experiment). */
     sim::RunSpec spec;
 
@@ -67,32 +62,28 @@ struct SweepSpec {
     }
 
     /** Append a default-runner job. */
-    std::size_t add(sim::RunSpec spec, std::vector<std::string> labels = {})
+    std::size_t add(sim::RunSpec spec)
     {
         SweepJob job;
-        job.labels = std::move(labels);
         job.spec = std::move(spec);
         return add(std::move(job));
     }
 
     /** Append a job with a custom policy factory. */
     std::size_t
-    add_with_policy(sim::RunSpec spec, std::vector<std::string> labels,
+    add_with_policy(sim::RunSpec spec,
                     std::function<std::unique_ptr<policies::Policy>()> make)
     {
         SweepJob job;
-        job.labels = std::move(labels);
         job.spec = std::move(spec);
         job.make_policy = std::move(make);
         return add(std::move(job));
     }
 
     /** Append a fully custom job (its own machine/generator/probe). */
-    std::size_t add_run(std::vector<std::string> labels,
-                        std::function<sim::RunResult()> run)
+    std::size_t add_run(std::function<sim::RunResult()> run)
     {
         SweepJob job;
-        job.labels = std::move(labels);
         job.run = std::move(run);
         return add(std::move(job));
     }

@@ -3,7 +3,7 @@
 #include <array>
 #include <ostream>
 
-#include "telemetry/json.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace artmem::telemetry {

@@ -1,18 +1,19 @@
 /**
  * @file
- * Tiny JSON emission helpers shared by the telemetry writers
- * (metrics.cpp, trace.cpp). Formatting is fully deterministic: the
- * same values always produce the same bytes, which is what the
- * bit-identity contract of the subsystem rests on (DESIGN.md §8).
+ * Tiny JSON emission helpers shared by Table's JSON writer and the
+ * telemetry writers (metrics.cpp, trace.cpp). Formatting is fully
+ * deterministic: the same values always produce the same bytes, which
+ * is what the bit-identity contract of the telemetry subsystem rests
+ * on (DESIGN.md §8).
  */
-#ifndef ARTMEM_TELEMETRY_JSON_HPP
-#define ARTMEM_TELEMETRY_JSON_HPP
+#ifndef ARTMEM_UTIL_JSON_HPP
+#define ARTMEM_UTIL_JSON_HPP
 
 #include <cstdio>
 #include <string>
 #include <string_view>
 
-namespace artmem::telemetry {
+namespace artmem {
 
 /** Append @p text JSON-escaped (quotes, backslashes, control chars). */
 inline void
@@ -66,6 +67,6 @@ json_fixed(double value, int precision)
     return buf;
 }
 
-}  // namespace artmem::telemetry
+}  // namespace artmem
 
-#endif  // ARTMEM_TELEMETRY_JSON_HPP
+#endif  // ARTMEM_UTIL_JSON_HPP

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace artmem {
@@ -46,22 +47,6 @@ is_json_number(const std::string& text)
             return false;
     }
     return i == text.size();
-}
-
-void
-print_json_string(std::ostream& os, const std::string& text)
-{
-    os << '"';
-    for (char c : text) {
-        switch (c) {
-        case '"': os << "\\\""; break;
-        case '\\': os << "\\\\"; break;
-        case '\n': os << "\\n"; break;
-        case '\t': os << "\\t"; break;
-        default: os << c; break;
-        }
-    }
-    os << '"';
 }
 
 }  // namespace
@@ -132,7 +117,7 @@ Table::flush_pending()
 }
 
 void
-Table::print(std::ostream& os)
+Table::print_aligned(std::ostream& os)
 {
     flush_pending();
     std::vector<std::size_t> widths(headers_.size());
@@ -178,12 +163,12 @@ Table::print_csv(std::ostream& os)
         emit_row(row);
 }
 
-bool
+void
 Table::emit(std::ostream& os, Format format)
 {
     switch (format) {
     case Format::kTable:
-        print(os);
+        print_aligned(os);
         break;
     case Format::kCsv:
         print_csv(os);
@@ -192,33 +177,29 @@ Table::emit(std::ostream& os, Format format)
         print_json(os);
         break;
     }
-    // Push the buffered rows to the OS before reporting success: a
-    // full disk or closed pipe only surfaces at flush time, and a
-    // table that never flushed would report good() on lost output.
-    os.flush();
-    return os.good();
 }
 
 void
 Table::print_json(std::ostream& os)
 {
     flush_pending();
-    os << "[\n";
+    std::string out = "[\n";
     for (std::size_t r = 0; r < rows_.size(); ++r) {
-        os << "  {";
+        out += "  {";
         for (std::size_t c = 0; c < rows_[r].size(); ++c) {
-            print_json_string(os, headers_[c]);
-            os << ": ";
+            append_json_escaped(out, headers_[c]);
+            out += ": ";
             if (is_json_number(rows_[r][c]))
-                os << rows_[r][c];
+                out += rows_[r][c];
             else
-                print_json_string(os, rows_[r][c]);
+                append_json_escaped(out, rows_[r][c]);
             if (c + 1 < rows_[r].size())
-                os << ", ";
+                out += ", ";
         }
-        os << (r + 1 < rows_.size() ? "},\n" : "}\n");
+        out += r + 1 < rows_.size() ? "},\n" : "}\n";
     }
-    os << "]\n";
+    out += "]\n";
+    os << out;
 }
 
 }  // namespace artmem

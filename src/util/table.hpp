@@ -46,22 +46,18 @@ class Table
     /** Number of data rows. */
     std::size_t row_count() const { return rows_.size(); }
 
-    /** Print aligned with a separator rule under the header. */
-    void print(std::ostream& os);
-
     /**
-     * Print in @p format: aligned, CSV (comma-separated, no quoting of
-     * commas needed here), or a JSON array of row objects whose numeric
-     * cells are raw numbers and whose other cells are strings.
-     * @returns the stream's health after writing AND flushing
-     * (os.good()): a closed pipe or full disk only surfaces once the
-     * buffer reaches the OS, and neither must pass silently as a
-     * result file, so emit flushes and callers consume the status.
+     * Print in @p format: aligned with a separator rule under the
+     * header, CSV (comma-separated, no quoting of commas needed here),
+     * or a JSON array of row objects whose numeric cells are raw
+     * numbers and whose other cells are strings. Whether the bytes
+     * arrived is checked once, at exit (finish_stdout, util/output.hpp).
      */
-    [[nodiscard]] bool emit(std::ostream& os, Format format);
+    void emit(std::ostream& os, Format format);
 
   private:
     void flush_pending();
+    void print_aligned(std::ostream& os);
     void print_csv(std::ostream& os);
     void print_json(std::ostream& os);
 

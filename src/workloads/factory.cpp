@@ -1,5 +1,6 @@
 #include "workloads/factory.hpp"
 
+#include "util/config.hpp"
 #include "util/logging.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/btree.hpp"
@@ -27,10 +28,21 @@ app_workload_names()
             "xsbench", "dlrm", "btree", "liblinear"};
 }
 
+bool
+is_masim_config(std::string_view name)
+{
+    return name.ends_with(".cfg");
+}
+
 std::unique_ptr<AccessGenerator>
 make_workload(std::string_view name, Bytes page_size,
               std::uint64_t total_accesses, std::uint64_t seed)
 {
+    if (is_masim_config(name)) {
+        return std::make_unique<Masim>(
+            Masim::parse_spec(KvConfig::load(std::string(name))), page_size,
+            seed);
+    }
     if (name == "ycsb") {
         Ycsb::Params p;
         p.total_accesses = total_accesses;

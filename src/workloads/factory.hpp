@@ -21,14 +21,18 @@ std::vector<std::string_view> workload_names();
 /** The eight Table 3 application names (no synthetic patterns). */
 std::vector<std::string_view> app_workload_names();
 
+/** True when @p name is a MASIM config file path (ends in ".cfg"). */
+bool is_masim_config(std::string_view name);
+
 /**
  * Build a workload by name ("ycsb", "cc", "sssp", "pr", "xsbench",
- * "dlrm", "btree", "liblinear", "s1".."s4", "uniform", "sequential").
- * fatal() on unknown names.
+ * "dlrm", "btree", "liblinear", "s1".."s4", "uniform", "sequential"),
+ * or from a MASIM config file (is_masim_config; Masim::parse_spec),
+ * whose phases set the accesses. fatal() on unknown names.
  *
- * @param name           Workload name.
+ * @param name           Workload name or MASIM config path.
  * @param page_size      Machine page size.
- * @param total_accesses Access budget.
+ * @param total_accesses Access budget; a MASIM config ignores it.
  * @param seed           RNG seed.
  */
 std::unique_ptr<AccessGenerator> make_workload(std::string_view name,

@@ -41,18 +41,18 @@ TraceWriter::TraceWriter(std::unique_ptr<AccessGenerator> inner,
     header.page_size_log2 =
         static_cast<std::uint32_t>(std::countr_zero(page_size));
     header.footprint = inner_->footprint();
-    header.count = 0;  // fixed up in the destructor
+    header.count = 0;  // fixed up by close()
     out_.write(reinterpret_cast<const char*>(&header), sizeof(header));
 }
 
-TraceWriter::~TraceWriter()
+void
+TraceWriter::close()
 {
-    // Seek back and finalize the access count.
     out_.seekp(offsetof(Header, count), std::ios::beg);
     out_.write(reinterpret_cast<const char*>(&written_), sizeof(written_));
-    out_.flush();
+    out_.close();
     if (!out_)
-        warn("TraceWriter: failed to finalize ", path_);
+        fatal("TraceWriter: cannot write ", path_);
 }
 
 std::size_t

@@ -36,8 +36,12 @@ class TraceWriter final : public AccessGenerator
     TraceWriter(std::unique_ptr<AccessGenerator> inner, std::string path,
                 Bytes page_size);
 
-    /** Flushes and finalizes the header counts. */
-    ~TraceWriter() override;
+    /**
+     * Write the access count into the header and close the file;
+     * fatal(), naming the file, if any write or the close failed. Until
+     * then the header count is 0, which TraceReplay rejects.
+     */
+    void close();
 
     std::string_view name() const override { return inner_->name(); }
     Bytes footprint() const override { return inner_->footprint(); }

@@ -1,16 +1,18 @@
 #!/bin/sh
-# Feeds one malformed input to the artmem CLI. Passes only when the
-# command exits 1 and prints the message naming the file and the bad
-# entry (or the flag): malformed input must neither crash the CLI nor be
-# silently misread.
+# Feeds one malformed input to the artmem CLI (or, for
+# example_unknown_flag, to an example). Passes only when the command
+# exits 1 and prints the message naming the file and the bad entry (or
+# the flag): malformed input must neither crash the CLI nor be silently
+# misread.
 #
-#   sh tests/cli_rejects_input.sh <artmem> <work-dir> <case>
+#   sh tests/cli_rejects_input.sh <artmem|example> <work-dir> <case>
 #
 # Cases: trace_page_past_footprint, trace_huge_footprint,
 # qtables_truncated, accesses_hex, accesses_signed, fault_config_nan,
 # fault_config_inf, fault_config_huge_factor, fault_config_no_period,
-# tx_write_ratio_nan, and one flag each that sweep, run, train,
-# trace-record and trace-run do not read (<command>_<flag>).
+# tx_write_ratio_nan, fault_seed_alone, accesses_with_masim_config, one
+# flag each that sweep, run, train, trace-record and trace-run do not
+# read (<command>_<flag>), and example_unknown_flag.
 set -u
 artmem="$1"
 dir="$2"
@@ -117,6 +119,20 @@ tx_write_ratio_nan)
     expect_exit1 "flag --tx-write-ratio must be finite, got 'nan'" \
         "${artmem}" run --accesses=100000 --tx-migration --tx-write-ratio=nan
     ;;
+# A fault seed without a fault model used to be ignored: the run printed
+# the same bytes as one without it.
+fault_seed_alone)
+    expect_exit1 "--fault-seed requires --fault-scenario or --fault-config" \
+        "${artmem}" run --accesses=1000 --fault-seed=7
+    ;;
+# A MASIM config's phases set its accesses, so a budget would be ignored.
+accesses_with_masim_config)
+    config="${dir}/one_phase.cfg"
+    printf 'footprint_mib = 64\nphases = 1\nphase0.accesses = 1000\nphase0.regions = 1\nphase0.region0 = 0 64 1\n' \
+        > "${config}"
+    expect_exit1 "--accesses does not apply to --workload=${config}" \
+        "${artmem}" run --workload="${config}" --accesses=5000
+    ;;
 # A flag the subcommand does not read used to be dropped silently: the
 # sweep still ran every policy at every ratio, and trace-run printed
 # the fault-free result.
@@ -142,6 +158,11 @@ trace_run_tenants)
     expect_exit1 "unknown flag --tenants (artmem trace-run does not read it" \
         "${artmem}" trace-run --trace="${dir}/unused.trace" \
         --fault-scenario=degrade --check-invariants --tenants=4
+    ;;
+# The examples used to run their default on a misspelled flag.
+example_unknown_flag)
+    expect_exit1 "unknown flag --baselin" \
+        "${artmem}" --accesses=1000 --baselin=tpp
     ;;
 *)
     echo "unknown case '${case_name}'"

@@ -80,6 +80,7 @@ TEST(TraceFrozen, PoliciesSeeIdenticalStreams)
         std::vector<PageId> buf(4096);
         while (writer.fill(buf) > 0) {
         }
+        writer.close();
     }
     auto run = [&](const char* policy_name) {
         workloads::TraceReplay replay(path);

@@ -35,7 +35,7 @@ make_grid(const std::vector<std::string>& workloads,
             sim::RunSpec run = base;
             run.workload = workload;
             run.policy = policy;
-            spec.add(std::move(run), {workload, policy});
+            spec.add(std::move(run));
         }
     }
     return spec;
@@ -151,12 +151,10 @@ TEST(SweepRunner, CustomRunAndPolicyFactoryJobs)
     run_spec.workload = "s1";
     run_spec.policy = "memtis";
     run_spec.accesses = 50000;
-    spec.add(run_spec, {"default"});
-    spec.add_with_policy(run_spec, {"factory"},
+    spec.add(run_spec);
+    spec.add_with_policy(run_spec,
                          [] { return sim::make_policy("memtis", 42); });
-    spec.add_run({"custom"}, [run_spec] {
-        return sim::run_experiment(run_spec);
-    });
+    spec.add_run([run_spec] { return sim::run_experiment(run_spec); });
     sweep::SweepRunner runner({.jobs = 3, .progress = false});
     const auto out = runner.run(spec);
     ASSERT_EQ(out.size(), 3u);
@@ -171,11 +169,9 @@ TEST(SweepRunner, JobExceptionPropagates)
     ok.workload = "s1";
     ok.policy = "static";
     ok.accesses = 20000;
-    spec.add(ok, {"ok"});
-    spec.add_run({"boom"}, []() -> sim::RunResult {
-        throw std::runtime_error("boom");
-    });
-    spec.add(ok, {"ok2"});
+    spec.add(ok);
+    spec.add_run([]() -> sim::RunResult { throw std::runtime_error("boom"); });
+    spec.add(ok);
     sweep::SweepRunner runner({.jobs = 2, .progress = false});
     EXPECT_THROW(runner.run(spec), std::runtime_error);
 }
@@ -218,11 +214,11 @@ TEST(ResultSink, CsvMatchesTableOutput)
     table.row().cell(std::string("s1")).cell(1.25, 2);
     table.row().cell(std::string("s2")).cell(0.5, 2);
     std::ostringstream csv;
-    ASSERT_TRUE(table.emit(csv, Table::Format::kCsv));
+    table.emit(csv, Table::Format::kCsv);
     EXPECT_EQ(csv.str(), "workload,runtime\ns1,1.25\ns2,0.50\n");
 
     std::ostringstream aligned;
-    ASSERT_TRUE(table.emit(aligned, Table::Format::kTable));
+    table.emit(aligned, Table::Format::kTable);
     // Skip the rule under the header; cells are whitespace-separated.
     std::istringstream lines(aligned.str());
     std::string line;

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <map>
 
 #include "workloads/apps.hpp"
@@ -401,6 +402,31 @@ TEST(Factory, AppListIsTable3)
     EXPECT_EQ(app_workload_names().size(), 8u);
 }
 
+TEST(Factory, MasimConfigFileSetsItsOwnAccesses)
+{
+    const std::string path = ::testing::TempDir() + "/two_phase.cfg";
+    {
+        std::ofstream out(path);
+        out << "name = two-phase\nfootprint_mib = 256\nphases = 2\n"
+               "phase0.accesses = 300\nphase0.regions = 1\n"
+               "phase0.region0 = 0 64 1\n"
+               "phase1.accesses = 200\nphase1.regions = 2\n"
+               "phase1.region0 = 128 128 3\nphase1.region1 = 0 256 1 seq\n";
+    }
+    EXPECT_TRUE(is_masim_config(path));
+    EXPECT_FALSE(is_masim_config("s1"));
+    // The budget is ignored: the phases set the accesses.
+    auto gen = make_workload(path, kPage, 123456, 7);
+    EXPECT_EQ(gen->name(), "two-phase");
+    EXPECT_EQ(gen->total_accesses(), 500u);
+    Masim reference(Masim::parse_spec(KvConfig::load(path)), kPage, 7);
+    std::vector<PageId> got(600);
+    std::vector<PageId> want(600);
+    ASSERT_EQ(gen->fill(got), 500u);
+    ASSERT_EQ(reference.fill(want), 500u);
+    EXPECT_EQ(got, want);
+}
+
 TEST(Trace, RecordAndReplayRoundTrip)
 {
     const std::string path = ::testing::TempDir() + "/artmem_trace.bin";
@@ -423,7 +449,8 @@ TEST(Trace, RecordAndReplayRoundTrip)
         while (writer.fill(buf) > 0) {
         }
         EXPECT_EQ(writer.written(), original.size());
-    }  // destructor finalizes the header
+        writer.close();
+    }
 
     TraceReplay replay(path);
     EXPECT_EQ(replay.page_size(), kPage);

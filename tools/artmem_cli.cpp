@@ -4,6 +4,8 @@
  *
  *   artmem list                              inventory of workloads/policies
  *   artmem run --workload=cc --policy=artmem --ratio=1:4 [--timeline]
+ *   artmem run --workload=configs/s1.cfg     a MASIM config file; its
+ *     phases set the accesses, so --accesses is rejected with it
  *   artmem sweep --workload=ycsb             all policies x all ratios
  *     sweep-only: --jobs=N (parallel workers; results are bit-identical
  *     to --jobs=1), --derive-seeds (per-job seed streams via
@@ -19,6 +21,8 @@
  *
  * Each subcommand accepts only the flags it reads and exits 1 naming
  * any other, so a flag never looks as if it took effect when it did not.
+ * Result files go through write_file() and main returns through
+ * finish_stdout(), so output that did not arrive exits 1.
  */
 #include <fstream>
 #include <iostream>
@@ -32,6 +36,7 @@
 #include "util/cli.hpp"
 #include "util/config.hpp"
 #include "util/logging.hpp"
+#include "util/output.hpp"
 #include "util/table.hpp"
 #include "workloads/trace.hpp"
 
@@ -71,6 +76,9 @@ parse_spec(const CliArgs& args)
 {
     sim::RunSpec spec;
     spec.workload = args.get_string("workload", "ycsb");
+    if (workloads::is_masim_config(spec.workload) && args.has("accesses"))
+        fatal("--accesses does not apply to --workload=", spec.workload,
+              ": a MASIM config's phases set its accesses");
     spec.policy = args.get_string("policy", "artmem");
     spec.ratio = sim::parse_ratio_cli(args, {1, 1});
     spec.accesses = args.get_uint<std::uint64_t>("accesses", 6000000);
@@ -83,6 +91,8 @@ parse_spec(const CliArgs& args)
     const std::string fault_file = args.get_string("fault-config", "");
     if (!scenario.empty() && !fault_file.empty())
         fatal("--fault-scenario and --fault-config are mutually exclusive");
+    if (scenario.empty() && fault_file.empty() && args.has("fault-seed"))
+        fatal("--fault-seed requires --fault-scenario or --fault-config");
     if (!scenario.empty()) {
         spec.engine.faults = memsim::make_fault_scenario(
             scenario, args.get_uint<std::uint64_t>("fault-seed", 1));
@@ -128,30 +138,22 @@ parse_telemetry(const CliArgs& args, TelemetryOutputs& outs)
     return config;
 }
 
-std::ofstream
-open_out(const std::string& path)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot write ", path);
-    return out;
-}
-
 void
 write_run_telemetry(const sim::RunResult& r, const TelemetryOutputs& outs)
 {
     if (r.telemetry == nullptr)
         return;
     if (!outs.metrics_out.empty()) {
-        auto out = open_out(outs.metrics_out);
-        r.telemetry->metrics_registry().write_json(out);
+        write_file(outs.metrics_out, [&](std::ostream& os) {
+            r.telemetry->metrics_registry().write_json(os);
+        });
     }
     if (!outs.trace_out.empty()) {
         if (const auto* sink = r.telemetry->sink()) {
-            auto jsonl = open_out(outs.trace_out + ".jsonl");
-            sink->write_jsonl(jsonl);
-            auto chrome = open_out(outs.trace_out + ".json");
-            sink->write_chrome(chrome);
+            write_file(outs.trace_out + ".jsonl",
+                       [&](std::ostream& os) { sink->write_jsonl(os); });
+            write_file(outs.trace_out + ".json",
+                       [&](std::ostream& os) { sink->write_chrome(os); });
         }
     }
     if (outs.profile)
@@ -164,20 +166,21 @@ write_sweep_telemetry(const std::vector<sim::RunResult>& runs,
 {
     if (!outs.metrics_out.empty()) {
         const auto merged = sweep::merge_job_metrics(runs);
-        auto out = open_out(outs.metrics_out);
-        merged.write_json(out);
+        write_file(outs.metrics_out,
+                   [&](std::ostream& os) { merged.write_json(os); });
         Table table({"metric", "value"});
         for (const auto& [name, value] : merged.summary_rows())
             table.row().cell(name).cell(value);
         std::cout << "merged metrics\n";
-        if (!table.emit(std::cout, format))
-            fatal("metrics emission failed: output stream went bad");
+        table.emit(std::cout, format);
     }
     if (!outs.trace_out.empty()) {
-        auto jsonl = open_out(outs.trace_out + ".jsonl");
-        sweep::write_merged_jsonl(jsonl, runs);
-        auto chrome = open_out(outs.trace_out + ".json");
-        sweep::write_merged_chrome(chrome, runs);
+        write_file(outs.trace_out + ".jsonl", [&](std::ostream& os) {
+            sweep::write_merged_jsonl(os, runs);
+        });
+        write_file(outs.trace_out + ".json", [&](std::ostream& os) {
+            sweep::write_merged_chrome(os, runs);
+        });
     }
     if (outs.profile)
         sweep::merge_job_profiles(runs).write_table(std::cerr);
@@ -196,6 +199,9 @@ print_result(const sim::RunResult& r, const sim::RunSpec& spec)
               << " exchanged=" << r.totals.exchanges
               << ") hint_faults=" << r.totals.hint_faults
               << " pebs=" << r.pebs_recorded;
+    // Named only when the sample buffer overflowed between two drains.
+    if (r.pebs_dropped > 0)
+        std::cout << " pebs_dropped=" << r.pebs_dropped;
     if (r.totals.migration_failures() > 0 || r.pebs_suppressed > 0) {
         std::cout << " migration_failures=" << r.totals.migration_failures()
                   << " (pinned=" << r.totals.failed_pinned
@@ -240,11 +246,11 @@ print_result(const sim::RunResult& r, const sim::RunSpec& spec)
                 .cell(ts.quota_denied + ts.admission_denied)
                 .cell(ts.admission_grants);
         }
-        table.print(std::cout);
+        table.emit(std::cout, Table::Format::kTable);
     }
 }
 
-int
+void
 cmd_list(const CliArgs& args)
 {
     accept_only(args, "list", {});
@@ -258,10 +264,9 @@ cmd_list(const CliArgs& args)
     for (const auto& r : sim::paper_ratios())
         std::cout << " " << r.label();
     std::cout << "\n";
-    return 0;
 }
 
-int
+void
 cmd_run(const CliArgs& args)
 {
     static constexpr std::string_view kOwn[] = {"timeline", "qtables"};
@@ -302,20 +307,22 @@ cmd_run(const CliArgs& args)
     print_result(r, spec);
     write_run_telemetry(r, touts);
     if (spec.engine.record_timeline) {
-        Table table({"t (ms)", "ratio", "promoted", "demoted"});
+        Table table({"t (ms)", "accesses", "ratio", "promoted", "demoted",
+                     "exchanges"});
         for (const auto& iv : r.timeline) {
             table.row()
                 .cell(static_cast<double>(iv.end_time) * 1e-6, 1)
+                .cell(iv.accesses)
                 .cell(iv.fast_ratio, 3)
                 .cell(iv.promoted)
-                .cell(iv.demoted);
+                .cell(iv.demoted)
+                .cell(iv.exchanges);
         }
-        table.print(std::cout);
+        table.emit(std::cout, Table::Format::kTable);
     }
-    return 0;
 }
 
-int
+void
 cmd_sweep(const CliArgs& args)
 {
     // Every policy at every paper ratio: --policy and --ratio are not
@@ -336,9 +343,7 @@ cmd_sweep(const CliArgs& args)
             auto job = spec;
             job.policy = std::string(policy);
             job.ratio = ratio;
-            sweepspec.add(std::move(job), {spec.workload,
-                                           std::string(policy),
-                                           ratio.label()});
+            sweepspec.add(std::move(job));
         }
     }
     // Opt-in per-job seed streams; the default (one shared seed for
@@ -367,13 +372,11 @@ cmd_sweep(const CliArgs& args)
                             : (args.get_bool("csv", false)
                                    ? Table::Format::kCsv
                                    : Table::Format::kTable);
-    if (!table.emit(std::cout, format))
-        fatal("result emission failed: output stream went bad");
+    table.emit(std::cout, format);
     write_sweep_telemetry(runs, touts, format);
-    return 0;
 }
 
-int
+void
 cmd_train(const CliArgs& args)
 {
     // Always trains the artmem policy: --policy is not read.
@@ -387,16 +390,13 @@ cmd_train(const CliArgs& args)
     cfg.seed = spec.seed;
     auto policy = sim::make_artmem(cfg);
     const auto r = sim::run_experiment(spec, *policy);
-    std::ofstream out(out_path);
-    if (!out)
-        fatal("cannot write ", out_path);
-    policy->save_qtables(out);
+    write_file(out_path,
+               [&](std::ostream& os) { policy->save_qtables(os); });
     print_result(r, spec);
     std::cout << "Q-tables written to " << out_path << "\n";
-    return 0;
 }
 
-int
+void
 cmd_trace_record(const CliArgs& args)
 {
     static constexpr std::string_view kOwn[] = {"out"};
@@ -409,12 +409,12 @@ cmd_trace_record(const CliArgs& args)
     std::vector<PageId> buf(8192);
     while (writer.fill(buf) > 0) {
     }
+    writer.close();
     std::cout << "recorded " << writer.written() << " accesses of "
               << spec.workload << " to " << out << "\n";
-    return 0;
 }
 
-int
+void
 cmd_trace_run(const CliArgs& args)
 {
     // The trace fixes the access stream, so only --seed (the policy's)
@@ -435,7 +435,6 @@ cmd_trace_run(const CliArgs& args)
         sim::run_simulation(replay, *policy, machine, spec.engine);
     spec.workload = "trace:" + path;
     print_result(r, spec);
-    return 0;
 }
 
 }  // namespace
@@ -448,8 +447,8 @@ main(int argc, char** argv)
         std::cerr
             << "usage: artmem <list|run|sweep|train|trace-record|"
                "trace-run> [flags]\n"
-               "flags: --workload= --policy= --ratio=F:S --accesses=N "
-               "--seed=N\n"
+               "flags: --workload=<name|FILE.cfg> --policy= --ratio=F:S "
+               "--accesses=N --seed=N\n"
                "       --timeline --qtables= (run) --out= (train, "
                "trace-record) --trace= (trace-run)\n"
                "       --csv --json --jobs=N --derive-seeds (sweep: output "
@@ -479,16 +478,18 @@ main(int argc, char** argv)
     }
     const std::string& command = args.positional()[0];
     if (command == "list")
-        return cmd_list(args);
-    if (command == "run")
-        return cmd_run(args);
-    if (command == "sweep")
-        return cmd_sweep(args);
-    if (command == "train")
-        return cmd_train(args);
-    if (command == "trace-record")
-        return cmd_trace_record(args);
-    if (command == "trace-run")
-        return cmd_trace_run(args);
-    artmem::fatal("unknown command '", command, "'");
+        cmd_list(args);
+    else if (command == "run")
+        cmd_run(args);
+    else if (command == "sweep")
+        cmd_sweep(args);
+    else if (command == "train")
+        cmd_train(args);
+    else if (command == "trace-record")
+        cmd_trace_record(args);
+    else if (command == "trace-run")
+        cmd_trace_run(args);
+    else
+        artmem::fatal("unknown command '", command, "'");
+    return artmem::finish_stdout();
 }
