@@ -7,8 +7,8 @@
  * system by ~11% on average thanks to accurate page classification.
  */
 #include "bench_common.hpp"
+#include "tenancy/tenant_set.hpp"
 #include "workloads/factory.hpp"
-#include "workloads/mixer.hpp"
 
 namespace {
 
@@ -23,7 +23,10 @@ make_mix(const std::vector<std::string>& names, Bytes page,
         children.push_back(workloads::make_workload(
             names[i], page, accesses / names.size(), seed + i));
     }
-    return std::make_unique<workloads::Mixer>(std::move(children), page);
+    // Equal weights, 256-access turns, no de-phasing.
+    std::vector<std::size_t> weights(names.size(), 1);
+    return std::make_unique<tenancy::TenantSet>(
+        std::move(children), std::move(weights), page, 256, 0);
 }
 
 }  // namespace

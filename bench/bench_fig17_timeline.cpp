@@ -8,8 +8,8 @@
  * ArtMem) and fails to respond when the ratio later drops.
  */
 #include "bench_common.hpp"
+#include "tenancy/tenant_set.hpp"
 #include "workloads/factory.hpp"
-#include "workloads/mixer.hpp"
 
 int
 main(int argc, char** argv)
@@ -29,7 +29,8 @@ main(int argc, char** argv)
                 "sssp", kPage, opt.accesses / 2, opt.seed));
             children.push_back(workloads::make_workload(
                 "xsbench", kPage, opt.accesses / 2, opt.seed + 1));
-            workloads::Mixer gen(std::move(children), kPage);
+            tenancy::TenantSet gen(std::move(children), {1, 1}, kPage, 256,
+                                   0);
             auto mc = sim::make_machine_config(gen.footprint(), kFast, kPage);
             memsim::TieredMachine machine(mc);
             auto policy = sim::make_policy(system, opt.seed);

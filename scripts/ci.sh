@@ -2,23 +2,19 @@
 # The full local CI gauntlet, in the order .github/workflows/ci.yml runs
 # it remotely:
 #
-#   1. default build + ctest (tier-1 gate),
+#   1. default build + ctest (tier-1 gate; its golden.* cases compare
+#      every harness and smoke run with the committed outputs),
 #   2. strict build: ARTMEM_STRICT=ON (-Wpedantic -Wconversion -Wshadow
 #      -Wold-style-cast -Werror) must compile every target warning-free,
 #   3. lint: scripts/check_lint.sh (clang-tidy when available + custom
 #      nondeterminism lint),
-#   4. end-to-end smoke checks: scripts/check_smoke.sh runs the
-#      invariant-checked fault sweep, the --jobs 1 vs --jobs 4 sweep
-#      determinism diff, and the telemetry, transactional-migration
-#      and multi-tenant smokes (each traced run executed twice and
-#      compared byte-for-byte),
-#   5. perf-regression smoke: scripts/check_perf.sh runs the end-to-end
+#   4. perf-regression smoke: scripts/check_perf.sh runs the end-to-end
 #      hot-path throughput benchmarks (bench_overheads --quick) and
 #      compares accesses/sec against BENCH_hotpath.json with a 30%
 #      tolerance,
-#   6. (optional, slow) sanitizers: pass --sanitizers to append
+#   5. (optional, slow) sanitizers: pass --sanitizers to append
 #      scripts/check_sanitizers.sh,
-#   7. (optional, slow) coverage: pass --coverage to append
+#   6. (optional, slow) coverage: pass --coverage to append
 #      scripts/check_coverage.sh (instrumented build + line-coverage
 #      floor on src/memsim and src/lru).
 #
@@ -40,16 +36,16 @@ for arg in "$@"; do
     esac
 done
 
-echo "==> [1/5] default build + tests"
+echo "==> [1/4] default build + tests"
 cmake -B build -S . > /dev/null
 cmake --build build -j "${jobs}"
 ctest --test-dir build --output-on-failure -j "${jobs}"
 
-echo "==> [2/5] strict build (ARTMEM_STRICT=ON)"
+echo "==> [2/4] strict build (ARTMEM_STRICT=ON)"
 cmake -B build-strict -S . -DARTMEM_STRICT=ON > /dev/null
 cmake --build build-strict -j "${jobs}"
 
-echo "==> [3/5] lint"
+echo "==> [3/4] lint"
 # In CI (GitHub Actions sets CI=true) a missing clang-tidy is a
 # failure, not a silent skip; locally the detlint half alone passes.
 if [[ -n "${CI:-}" ]]; then
@@ -58,10 +54,7 @@ else
     scripts/check_lint.sh build
 fi
 
-echo "==> [4/5] end-to-end smoke checks"
-scripts/check_smoke.sh build
-
-echo "==> [5/5] perf-regression smoke (hot-path throughput)"
+echo "==> [4/4] perf-regression smoke (hot-path throughput)"
 scripts/check_perf.sh build
 
 if [[ "${run_sanitizers}" -eq 1 ]]; then

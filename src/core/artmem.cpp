@@ -103,7 +103,6 @@ ArtMem::init(memsim::TieredMachine& machine)
     threshold_ = config_.min_threshold;
     tau_prev_ = static_cast<double>(config_.k);
     migrated_last_period_ = 0;
-    last_budget_ = 0;
     periods_ = 0;
     cold_scan_cursor_ = 0;
     latency_ema_ns_ =
@@ -610,7 +609,6 @@ ArtMem::on_interval(SimTimeNs now)
         reg->set(reg->gauge("artmem.reward"), reward);
     }
 
-    last_budget_ = budget;
     migrated_last_period_ = perform_migration(budget);
     tau_prev_ = tau_i;
 }

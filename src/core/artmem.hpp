@@ -102,9 +102,6 @@ class ArtMem final : public policies::Policy
     /** Hotness threshold currently in force. */
     std::uint32_t current_threshold() const { return threshold_; }
 
-    /** Migration budget chosen in the last period (bytes). */
-    Bytes last_migration_budget() const { return last_budget_; }
-
     /** The migration-number agent (Q-table inspection / Fig. 14). */
     rl::TdAgent& migration_agent() { return *migration_agent_; }
 
@@ -203,7 +200,6 @@ class ArtMem final : public policies::Policy
     std::uint32_t threshold_ = 16;
     double tau_prev_ = 0.0;
     std::uint64_t migrated_last_period_ = 0;
-    Bytes last_budget_ = 0;
     std::uint64_t periods_ = 0;
     PageId cold_scan_cursor_ = 0;
     // Latency-reward bookkeeping.

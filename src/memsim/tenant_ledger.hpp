@@ -16,17 +16,12 @@
  *    kTenantQuota invariant (verify/invariant_checker.hpp),
  *  - per-tenant access / PEBS-sample attribution counters,
  *  - per-tenant fast-tier quotas enforced at migration and placement
- *    time, and
- *  - the injected co-tenant reservation (fault_injector pressure
- *    class), which a multi-tenant machine routes through the ledger so
- *    the soft "co-tenant holds" model and the hard quota accounting
- *    share one accessor instead of the split bookkeeping the fault
- *    layer originally carried.
+ *    time.
  *
  * The ledger is null on a single-tenant machine (the default), in which
  * case every hook below compiles down to one untaken branch on a null
- * pointer — a `--tenants 1` run is byte-identical to the seed goldens
- * (scripts/ci.sh diffs it).
+ * pointer — a `--tenants=1` run prints the plain run's bytes (ctest
+ * golden.tenancy_off_explicit).
  */
 #ifndef ARTMEM_MEMSIM_TENANT_LEDGER_HPP
 #define ARTMEM_MEMSIM_TENANT_LEDGER_HPP
@@ -36,7 +31,6 @@
 #include <string_view>
 #include <vector>
 
-#include "memsim/fault_injector.hpp"
 #include "memsim/tier.hpp"
 #include "util/types.hpp"
 
@@ -143,17 +137,6 @@ class TenantLedger
         admission_ = std::move(admission);
     }
 
-    /**
-     * Route the injected co-tenant reservation (pressure fault class)
-     * through the ledger. The computation stays the injector's pure
-     * window function; the ledger is just the one accessor both the
-     * quota checks and the machine's free-slot math read.
-     */
-    void set_fault_reservation(const FaultInjector* faults)
-    {
-        faults_ = faults;
-    }
-
     std::uint32_t tenant_count() const { return tenants_; }
     std::size_t page_count() const { return owner_.size(); }
 
@@ -171,12 +154,6 @@ class TenantLedger
     std::size_t quota(std::uint32_t tenant) const
     {
         return quota_[tenant];
-    }
-
-    /** Fast-tier slots held by the injected co-tenant at @p now. */
-    std::size_t reserved_fast(SimTimeNs now) const
-    {
-        return faults_ != nullptr ? faults_->reserved_fast_pages(now) : 0;
     }
 
     const Totals& totals(std::uint32_t tenant) const
@@ -288,7 +265,6 @@ class TenantLedger
     std::vector<Totals> totals_;
     std::vector<Totals> window_base_;        ///< Snapshot at last roll.
     std::unique_ptr<AdmissionController> admission_;
-    const FaultInjector* faults_ = nullptr;  ///< Co-tenant reservation.
 };
 
 }  // namespace artmem::memsim

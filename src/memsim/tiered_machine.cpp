@@ -830,15 +830,11 @@ TieredMachine::install_faults(const FaultConfig& config)
     config.validate();
     if (!config.any_enabled()) {
         faults_.reset();
-        if (tenants_ != nullptr)
-            tenants_->set_fault_reservation(nullptr);
         return;
     }
     faults_ = std::make_unique<FaultInjector>(config, capacity_[0]);
     if (telemetry_ != nullptr)
         faults_->set_telemetry(telemetry_);
-    if (tenants_ != nullptr)
-        tenants_->set_fault_reservation(faults_.get());
 }
 
 void
@@ -852,7 +848,6 @@ TieredMachine::install_tenants(std::unique_ptr<TenantLedger> ledger)
         fatal("install_tenants: ledger covers ", ledger->page_count(),
               " pages but the machine has ", flags_.size());
     tenants_ = std::move(ledger);
-    tenants_->set_fault_reservation(faults_.get());
     // Adopt pages already resident (a prefault that ran before the
     // install): charge the current primary census to the owners. The
     // ledger must be installed before any transactional copies exist.

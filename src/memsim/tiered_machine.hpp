@@ -359,19 +359,14 @@ class TieredMachine
     const FaultInjector* fault_injector() const { return faults_.get(); }
 
     /**
-     * Fast-tier slots currently held by the injected co-tenant. One
-     * source of truth: the reservation is always the fault injector's
-     * pure window function, read through the tenant ledger when one is
-     * installed (the ledger owns every "who holds fast slots" query)
-     * and straight from the injector otherwise.
+     * Fast-tier slots currently held by the injected co-tenant: the
+     * fault injector's pure window function (pressure class).
      */
     std::size_t reserved_pages(Tier t) const
     {
-        if (t != Tier::kFast)
+        if (t != Tier::kFast || faults_ == nullptr)
             return 0;
-        if (tenants_ != nullptr) [[unlikely]]
-            return tenants_->reserved_fast(now_);
-        return faults_ != nullptr ? faults_->reserved_fast_pages(now_) : 0;
+        return faults_->reserved_fast_pages(now_);
     }
 
     // --- multi-tenant serving (DESIGN.md §13) ---------------------------

@@ -87,9 +87,6 @@ class TdAgent
     /** Hyperparameters in use. */
     const AgentConfig& config() const { return config_; }
 
-    /** Override the exploration rate (sensitivity sweeps). */
-    void set_epsilon(double epsilon) { config_.epsilon = epsilon; }
-
     /** TD updates performed so far. */
     std::uint64_t updates() const { return updates_; }
 

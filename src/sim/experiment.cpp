@@ -66,22 +66,13 @@ parse_tx_cli(const CliArgs& args)
 {
     memsim::TxConfig tx;
     tx.enabled = args.get_bool("tx-migration", false);
-    for (const auto& name : args.flag_names()) {
-        if (name.rfind("tx-", 0) != 0)
-            continue;
-        bool known = false;
-        for (const auto k : kTxFlags)
-            known = known || name == k;
-        if (!known) {
-            fatal("unknown transactional-migration flag --", name,
-                  " (known: --tx-migration --tx-seed --tx-write-ratio "
-                  "--tx-max-inflight --tx-exclusive)");
+    if (!tx.enabled) {
+        for (const auto name : kTxFlags) {
+            if (name != "tx-migration" && args.has(std::string(name)))
+                fatal("--", name, " requires --tx-migration");
         }
-        if (!tx.enabled && name != "tx-migration")
-            fatal("--", name, " requires --tx-migration");
-    }
-    if (!tx.enabled)
         return tx;
+    }
     tx.seed = args.get_uint("tx-seed", tx.seed);
     tx.write_ratio = args.get_double("tx-write-ratio", tx.write_ratio);
     tx.max_inflight = args.get_uint("tx-max-inflight", tx.max_inflight);
@@ -103,8 +94,9 @@ run_experiment(const RunSpec& spec, policies::Policy& policy)
     const Bytes page_size = 2ull << 20;
     spec.tenancy.validate();
     // Multi-tenant runs interleave N per-tenant generators; the plain
-    // path below is untouched at tenants <= 1 (scripts/ci.sh diffs
-    // --tenants=1 against the seed goldens).
+    // path below is untouched at tenants <= 1 (ctest
+    // golden.tenancy_off_explicit runs --tenants=1 against the plain
+    // run's golden).
     std::unique_ptr<tenancy::TenantSet> set;
     std::unique_ptr<workloads::AccessGenerator> gen;
     if (spec.tenancy.enabled()) {

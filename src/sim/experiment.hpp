@@ -89,11 +89,10 @@ inline constexpr std::string_view kTxFlags[] = {
     "tx-exclusive"};
 
 /**
- * Parse the transactional-migration flags shared by the CLI and the
- * bench harnesses: --tx-migration plus the --tx-seed, --tx-write-ratio,
- * --tx-max-inflight and --tx-exclusive knobs. Validation is strict:
- * CliArgs keeps unknown flags, so any other "--tx-"-prefixed flag is a
- * typo and fatal()s, as does a tx knob given without --tx-migration.
+ * Parse the transactional-migration flags of the artmem CLI:
+ * --tx-migration plus the --tx-seed, --tx-write-ratio,
+ * --tx-max-inflight and --tx-exclusive knobs. A tx knob given without
+ * --tx-migration fatal()s; the caller rejects flags outside kTxFlags.
  */
 memsim::TxConfig parse_tx_cli(const CliArgs& args);
 

@@ -15,7 +15,8 @@
  * the spec is built (optionally via derive_seed(base, index), never
  * from scheduling), and results land in a vector ordered by job index.
  * Emitted numbers are therefore bit-identical between --jobs 1 and
- * --jobs N; scripts/ci.sh diffs a two-way run byte-for-byte.
+ * --jobs N; ctest golden.fig7_main_csv_jobs1 and golden.fig7_main_csv
+ * compare both runs with one golden.
  */
 #ifndef ARTMEM_SWEEP_SWEEP_HPP
 #define ARTMEM_SWEEP_SWEEP_HPP

@@ -120,20 +120,6 @@ parse_tenancy_config(const KvConfig& config)
 TenancyConfig
 parse_tenancy_cli(const CliArgs& args)
 {
-    for (const auto& name : args.flag_names()) {
-        if (name.rfind("tenant", 0) != 0 &&
-            name.rfind("admission", 0) != 0)
-            continue;
-        bool known = false;
-        for (const auto k : kTenancyFlags)
-            known = known || name == k;
-        if (!known)
-            fatal("unknown tenancy flag --", name,
-                  " (known: --tenants --tenant-config --tenant-quota "
-                  "--tenant-quota-share --tenant-mix --tenant-weights "
-                  "--tenant-quantum --tenant-phase-stride --admission "
-                  "--admission-rate --admission-target --admission-max)");
-    }
     TenancyConfig tc;
     if (args.has("tenant-config"))
         tc = parse_tenancy_config(

@@ -6,8 +6,9 @@
  * single-workload RunSpec into an N-tenant run: tenant count, the
  * workload mix, scheduler shape, per-tenant fast-tier quotas, and the
  * admission policy. tenants <= 1 means the feature is off and the run
- * takes the plain single-tenant path untouched (scripts/ci.sh diffs
- * --tenants=1 against the seed goldens byte-for-byte).
+ * takes the plain single-tenant path untouched (ctest
+ * golden.tenancy_off_explicit checks that --tenants=1 prints the plain
+ * run's bytes).
  */
 #ifndef ARTMEM_TENANCY_TENANCY_HPP
 #define ARTMEM_TENANCY_TENANCY_HPP
@@ -87,14 +88,14 @@ inline constexpr std::string_view kTenancyFlags[] = {
     "admission-rate",  "admission-target",    "admission-max"};
 
 /**
- * Parse the multi-tenant flags shared by the CLI and the bench
- * harnesses: --tenants, --tenant-quota, --tenant-quota-share,
- * --tenant-mix, --tenant-weights, --tenant-quantum,
- * --tenant-phase-stride, --admission, --admission-rate,
- * --admission-target, --admission-max, plus --tenant-config=FILE to
- * load a "tenancy.*" section first (explicit flags override the file).
- * Validation is strict: any other "tenant"/"admission"-prefixed flag is
- * a typo and fatal()s, as does a tenancy knob without --tenants > 1.
+ * Parse the multi-tenant flags of the artmem CLI: --tenants,
+ * --tenant-quota, --tenant-quota-share, --tenant-mix, --tenant-weights,
+ * --tenant-quantum, --tenant-phase-stride, --admission,
+ * --admission-rate, --admission-target, --admission-max, plus
+ * --tenant-config=FILE to load a "tenancy.*" section first (explicit
+ * flags override the file). TenancyConfig::validate() fatal()s on a
+ * tenancy knob without --tenants > 1; the caller rejects flags outside
+ * kTenancyFlags.
  */
 TenancyConfig parse_tenancy_cli(const CliArgs& args);
 

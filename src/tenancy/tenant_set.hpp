@@ -12,7 +12,8 @@
  *
  * The set exposes the per-tenant page spans so the experiment layer can
  * build the matching memsim::TenantLedger ownership map; workload
- * generation itself stays tenancy-agnostic.
+ * generation itself stays tenancy-agnostic. The co-running mixes of
+ * Fig. 16c and Fig. 17 are TenantSets too, without a ledger.
  */
 #ifndef ARTMEM_TENANCY_TENANT_SET_HPP
 #define ARTMEM_TENANCY_TENANT_SET_HPP
@@ -63,12 +64,6 @@ class TenantSet final : public workloads::AccessGenerator
     std::size_t span_pages(std::uint32_t i) const
     {
         return tenants_[i].span_pages;
-    }
-
-    /** Tenant @p i's workload name (reporting). */
-    std::string_view tenant_workload(std::uint32_t i) const
-    {
-        return tenants_[i].gen->name();
     }
 
   private:

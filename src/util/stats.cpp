@@ -30,12 +30,6 @@ OnlineStats::variance() const
     return m2_ / static_cast<double>(n_ - 1);
 }
 
-double
-OnlineStats::stddev() const
-{
-    return std::sqrt(variance());
-}
-
 void
 OnlineStats::merge(const OnlineStats& other)
 {

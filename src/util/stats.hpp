@@ -27,9 +27,6 @@ class OnlineStats
     /** Unbiased sample variance (0 if fewer than two observations). */
     double variance() const;
 
-    /** Sample standard deviation. */
-    double stddev() const;
-
     /** Smallest observation seen (0 if empty). */
     double min() const { return n_ ? min_ : 0.0; }
 

@@ -29,7 +29,6 @@ class ARTMEM_CAPABILITY("mutex") Mutex
 
     void lock() ARTMEM_ACQUIRE() { mutex_.lock(); }
     void unlock() ARTMEM_RELEASE() { mutex_.unlock(); }
-    bool try_lock() ARTMEM_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 
   private:
     std::mutex mutex_;

@@ -6,7 +6,6 @@
 #include "workloads/btree.hpp"
 #include "workloads/graph.hpp"
 #include "workloads/masim.hpp"
-#include "workloads/mixer.hpp"
 #include "workloads/patterns.hpp"
 #include "workloads/simple.hpp"
 #include "workloads/ycsb.hpp"

@@ -1,12 +1,14 @@
 #!/bin/sh
 # Runs one front end with an output on /dev/full. Passes only when the
-# command exits 1 and prints the message naming the lost output: a
-# result that was never written must not pass as a completed run.
+# command exits 1 (detlint: 2, its I/O error status) and prints the
+# message naming the lost output: a result that was never written must
+# not pass as a completed run.
 #
 #   sh tests/cli_output_full.sh <binary> <work-dir> <case> [flags...]
 #
 # Cases:
 #   stdout            <binary> [flags...] with stdout on /dev/full
+#   detlint_stdout    detlint [flags...] with stdout on /dev/full
 #   trace_run_stdout  artmem trace-run with stdout on /dev/full
 #   run_metrics_out   artmem run --metrics-out=/dev/full
 #   train_out         artmem train --out=/dev/full
@@ -20,16 +22,17 @@ case_name="$3"
 shift 3
 mkdir -p "${dir}"
 
-# expect_exit1 <stdout> <message> <command...>: runs the command with
-# its stdout on <stdout>.
-expect_exit1() {
-    target="$1"
-    want="$2"
-    shift 2
+# expect_exit <status> <stdout> <message> <command...>: runs the
+# command with its stdout on <stdout>.
+expect_exit() {
+    status="$1"
+    target="$2"
+    want="$3"
+    shift 3
     err=$("$@" 2>&1 > "${target}")
     rc=$?
-    if [ "${rc}" -ne 1 ]; then
-        echo "FAIL: exit ${rc}, expected 1: $* > ${target}"
+    if [ "${rc}" -ne "${status}" ]; then
+        echo "FAIL: exit ${rc}, expected ${status}: $* > ${target}"
         echo "${err}"
         exit 1
     fi
@@ -45,30 +48,33 @@ expect_exit1() {
 
 case "${case_name}" in
 stdout)
-    expect_exit1 /dev/full "cannot write standard output" "${bin}" "$@"
+    expect_exit 1 /dev/full "cannot write standard output" "${bin}" "$@"
+    ;;
+detlint_stdout)
+    expect_exit 2 /dev/full "cannot write standard output" "${bin}" "$@"
     ;;
 trace_run_stdout)
     trace="${dir}/s2_2000.trace"
     "${bin}" trace-record --workload=s2 --accesses=2000 --out="${trace}" \
         > /dev/null || exit 1
-    expect_exit1 /dev/full "cannot write standard output" \
+    expect_exit 1 /dev/full "cannot write standard output" \
         "${bin}" trace-run --trace="${trace}"
     ;;
 run_metrics_out)
-    expect_exit1 /dev/null "cannot write /dev/full" \
+    expect_exit 1 /dev/null "cannot write /dev/full" \
         "${bin}" run --accesses=2000 --metrics-out=/dev/full
     ;;
 train_out)
-    expect_exit1 /dev/null "cannot write /dev/full" \
+    expect_exit 1 /dev/null "cannot write /dev/full" \
         "${bin}" train --accesses=2000 --out=/dev/full
     ;;
 trace_record_out)
-    expect_exit1 /dev/null "cannot write /dev/full" \
+    expect_exit 1 /dev/null "cannot write /dev/full" \
         "${bin}" trace-record --accesses=2000 --out=/dev/full
     ;;
 run_trace_out)
     ln -sf /dev/full "${dir}/full.jsonl"
-    expect_exit1 /dev/null "cannot write ${dir}/full.jsonl" \
+    expect_exit 1 /dev/null "cannot write ${dir}/full.jsonl" \
         "${bin}" run --accesses=2000 --trace-out="${dir}/full"
     ;;
 *)

@@ -144,6 +144,10 @@ run_csv)
     expect_exit1 "unknown flag --csv (artmem run does not read it" \
         "${artmem}" run --accesses=1000 --csv --jobs=3
     ;;
+run_tx_writes)
+    expect_exit1 "unknown flag --tx-writes (artmem run does not read it" \
+        "${artmem}" run --accesses=1000 --tx-migration --tx-writes=0.5
+    ;;
 train_metrics_out)
     expect_exit1 "unknown flag --metrics-out (artmem train does not read it" \
         "${artmem}" train --accesses=1000 --metrics-out="${dir}/train.json" \

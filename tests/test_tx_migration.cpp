@@ -89,19 +89,6 @@ TEST(TxConfigValidate, RejectsBadRatesAndEmptyTable)
     EXPECT_EXIT(empty.validate(), ::testing::ExitedWithCode(1), "");
 }
 
-TEST(TxCli, UnknownTxFlagIsFatal)
-{
-    std::vector<std::string> argv_s = {"prog", "--tx-migration",
-                                       "--tx-writes=0.5"};
-    std::vector<char*> argv;
-    for (auto& a : argv_s)
-        argv.push_back(a.data());
-    const auto args =
-        CliArgs::parse(static_cast<int>(argv.size()), argv.data());
-    EXPECT_EXIT((void)sim::parse_tx_cli(args),
-                ::testing::ExitedWithCode(1), "");
-}
-
 TEST(TxCli, KnobWithoutMasterSwitchIsFatal)
 {
     std::vector<std::string> argv_s = {"prog", "--tx-write-ratio=0.5"};

@@ -1,8 +1,7 @@
 /**
  * @file
  * Unit tests for the workload generators: MASIM, the S1-S4 patterns,
- * YCSB, graph emulations, B-tree, app specs, the mixer, and the
- * factory.
+ * YCSB, graph emulations, B-tree, app specs, and the factory.
  */
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include "workloads/factory.hpp"
 #include "workloads/graph.hpp"
 #include "workloads/masim.hpp"
-#include "workloads/mixer.hpp"
 #include "workloads/patterns.hpp"
 #include "workloads/simple.hpp"
 #include "workloads/trace.hpp"
@@ -353,36 +351,6 @@ TEST(Apps, SpecsMatchTable3Footprints)
     EXPECT_EQ(dlrm_spec(1).footprint, 72ull << 30);
     EXPECT_EQ(liblinear_spec(1).footprint, 68ull << 30);
     EXPECT_EQ(liblinear_spec(1000).phases.size(), 3u);
-}
-
-TEST(Mixer, StacksFootprintsAndInterleaves)
-{
-    std::vector<std::unique_ptr<AccessGenerator>> children;
-    children.push_back(std::make_unique<SequentialScan>(
-        4 * kPage, kPage, 100));
-    children.push_back(std::make_unique<SequentialScan>(
-        4 * kPage, kPage, 100));
-    Mixer mix(std::move(children), kPage, 8);
-    EXPECT_EQ(mix.footprint(), 8 * kPage);
-    EXPECT_EQ(mix.total_accesses(), 200u);
-    auto counts = histogram(mix);
-    // Child 1's pages are offset by 4.
-    EXPECT_GT(counts[0], 0u);
-    EXPECT_GT(counts[4], 0u);
-    EXPECT_EQ(counts.rbegin()->first, 7u);
-}
-
-TEST(Mixer, FinishesWhenAllChildrenDone)
-{
-    std::vector<std::unique_ptr<AccessGenerator>> children;
-    children.push_back(std::make_unique<SequentialScan>(kPage, kPage, 10));
-    children.push_back(std::make_unique<SequentialScan>(kPage, kPage, 50));
-    Mixer mix(std::move(children), kPage, 4);
-    std::vector<PageId> buf(1000);
-    std::uint64_t total = 0, n;
-    while ((n = mix.fill(buf)) > 0)
-        total += n;
-    EXPECT_EQ(total, 60u);
 }
 
 TEST(Factory, BuildsEveryAdvertisedWorkload)

@@ -335,19 +335,38 @@ matches_float_accumulate(const std::string& code)
 }
 
 /**
+ * DL004's call patterns, one per configured status function: a call
+ * chain ending in the function, terminated with ";". Entries starting
+ * with '.' only match member calls (obj.fn(...)). Built once per run
+ * and passed down, since compiling them per line dominated the scan.
+ */
+std::vector<std::regex>
+status_patterns(const Config& config)
+{
+    std::vector<std::regex> patterns;
+    for (const auto& entry : config.status_functions) {
+        const bool member_only = !entry.empty() && entry.front() == '.';
+        const std::string fn = member_only ? entry.substr(1) : entry;
+        const std::string chain = member_only
+            ? R"(^[A-Za-z_][A-Za-z0-9_]*((::|\.|->)[A-Za-z_][A-Za-z0-9_]*)*(\.|->))"
+            : R"(^([A-Za-z_][A-Za-z0-9_]*(::|\.|->))*)";
+        patterns.emplace_back(chain + fn + R"(\s*\(.*\)\s*;$)");
+    }
+    return patterns;
+}
+
+/**
  * DL004: a full-statement call to a status-returning function whose
- * result is discarded. Heuristic: the trimmed line is exactly a call
- * chain ending in one of the configured functions, terminated with
- * ";", with no assignment/return/branch/cast consuming the value.
- * Entries starting with '.' only match member calls (obj.fn(...)).
- * @p prev_tail is the last character of the previous code line: a
- * statement can only start after ';', '{', '}' or ')' — anything else
- * (an operator, a type name) means this line continues an expression
- * or declaration that does consume the value.
+ * result is discarded. Heuristic: the trimmed line matches one of
+ * @p patterns, with no assignment/return/branch/cast consuming the
+ * value. @p prev_tail is the last character of the previous code line:
+ * a statement can only start after ';', '{', '}' or ')' — anything
+ * else (an operator, a type name) means this line continues an
+ * expression or declaration that does consume the value.
  */
 bool
 matches_discarded_status(const std::string& code, char prev_tail,
-                         const std::vector<std::string>& functions)
+                         const std::vector<std::regex>& patterns)
 {
     if (prev_tail != '\0' && prev_tail != ';' && prev_tail != '{' &&
         prev_tail != '}' && prev_tail != ')')
@@ -365,17 +384,10 @@ matches_discarded_status(const std::string& code, char prev_tail,
     static const std::regex kBranch(R"(^(if|while|for|switch|case|do)\b)");
     if (std::regex_search(line, kBranch))
         return false;
-    for (const auto& entry : functions) {
-        const bool member_only = !entry.empty() && entry.front() == '.';
-        const std::string fn = member_only ? entry.substr(1) : entry;
-        const std::string chain = member_only
-            ? R"(^[A-Za-z_][A-Za-z0-9_]*((::|\.|->)[A-Za-z_][A-Za-z0-9_]*)*(\.|->))"
-            : R"(^([A-Za-z_][A-Za-z0-9_]*(::|\.|->))*)";
-        const std::regex call(chain + fn + R"(\s*\(.*\)\s*;$)");
-        if (std::regex_search(line, call))
-            return true;
-    }
-    return false;
+    return std::any_of(patterns.begin(), patterns.end(),
+                       [&line](const std::regex& call) {
+                           return std::regex_search(line, call);
+                       });
 }
 
 // ---------------------------------------------------------------------
@@ -479,9 +491,12 @@ known_rule(std::string_view id)
                        [id](const RuleInfo& info) { return info.id == id; });
 }
 
+namespace {
+
+/** lint_text() with DL004's patterns built once by the caller. */
 std::vector<Finding>
-lint_text(std::string_view path, std::string_view text,
-          const Config& config)
+lint_source(std::string_view path, std::string_view text,
+            const Config& config, const std::vector<std::regex>& status)
 {
     std::vector<Finding> findings;
     const std::string spath(path);
@@ -540,8 +555,7 @@ lint_text(std::string_view path, std::string_view text,
             if (std::regex_search(line.code, rule.pattern))
                 emit_finding(rule.id, line_no, rule.detail, raw, sup);
         }
-        if (matches_discarded_status(line.code, prev_tail,
-                                     config.status_functions))
+        if (matches_discarded_status(line.code, prev_tail, status))
             emit_finding("DL004", line_no, "status-returning call used as "
                          "a bare statement", raw, sup);
         if (matches_mutable_static(line.code))
@@ -554,6 +568,15 @@ lint_text(std::string_view path, std::string_view text,
             prev_tail = tail.back();
     }
     return findings;
+}
+
+}  // namespace
+
+std::vector<Finding>
+lint_text(std::string_view path, std::string_view text,
+          const Config& config)
+{
+    return lint_source(path, text, config, status_patterns(config));
 }
 
 bool
@@ -728,6 +751,7 @@ lint_paths(const std::vector<std::string>& paths, const Config& config,
     std::sort(files.begin(), files.end());
     files.erase(std::unique(files.begin(), files.end()), files.end());
 
+    const std::vector<std::regex> status = status_patterns(config);
     std::vector<Finding> findings;
     for (const auto& file : files) {
         std::ifstream is(file, std::ios::binary);
@@ -737,7 +761,7 @@ lint_paths(const std::vector<std::string>& paths, const Config& config,
         }
         std::ostringstream text;
         text << is.rdbuf();
-        auto file_findings = lint_text(file, text.str(), config);
+        auto file_findings = lint_source(file, text.str(), config, status);
         findings.insert(findings.end(),
                         std::make_move_iterator(file_findings.begin()),
                         std::make_move_iterator(file_findings.end()));

@@ -5,7 +5,8 @@
  *     detlint [--config FILE] [--json] [--list-rules] PATH...
  *
  * Exit status: 0 clean, 1 findings, 2 usage/config/I-O error — the
- * same convention scripts/check_lint.sh and CI rely on.
+ * same convention scripts/check_lint.sh and CI rely on. Standard output
+ * that cannot be written is an I/O error.
  */
 #include "detlint.hpp"
 
@@ -28,6 +29,18 @@ usage(std::ostream& os, int status)
     return status;
 }
 
+/** @p status, or 2 when standard output could not be written. */
+int
+finish(int status)
+{
+    std::cout.flush();
+    if (!std::cout) {
+        std::cerr << "detlint: cannot write standard output\n";
+        return 2;
+    }
+    return status;
+}
+
 }  // namespace
 
 int
@@ -42,12 +55,12 @@ main(int argc, char** argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
-            return usage(std::cout, 0);
+            return finish(usage(std::cout, 0));
         } else if (arg == "--list-rules") {
             for (const auto& rule : rule_catalog())
                 std::cout << rule.id << "  " << rule.title << "\n      "
                           << rule.rationale << "\n";
-            return 0;
+            return finish(0);
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--config") {
@@ -83,6 +96,6 @@ main(int argc, char** argv)
         write_text(std::cout, findings);
 
     if (!errors.empty())
-        return 2;
-    return findings.empty() ? 0 : 1;
+        return finish(2);
+    return finish(findings.empty() ? 0 : 1);
 }
