@@ -1,7 +1,7 @@
 /**
  * @file
  * Shared plumbing for the figure/table bench harnesses: common CLI
- * flags (--accesses, --seed, --quick, --csv, --json, --jobs), the
+ * flags (--accesses, --seed, --quick, --csv, --jobs), the
  * sweep-runner construction, result emission, and the normalization
  * helpers the figures share. Every harness returns from main through
  * finish_stdout().
@@ -36,7 +36,6 @@ struct BenchOptions {
     std::uint64_t accesses = 8000000;
     std::uint64_t seed = 42;
     bool csv = false;
-    bool json = false;
     /** Sweep worker threads (--jobs); 0 = one per hardware thread. */
     unsigned jobs = 0;
 
@@ -52,12 +51,11 @@ struct BenchOptions {
     {
         const auto args = CliArgs::parse(argc, argv);
         static constexpr std::string_view kShared[] = {
-            "accesses", "seed", "quick", "csv", "json", "jobs"};
+            "accesses", "seed", "quick", "csv", "jobs"};
         args.reject_unknown(
             {kShared, {extra_flags.begin(), extra_flags.size()}},
-            "known flags: --accesses --seed --quick --csv --json --jobs "
-            "and harness-specific ones; see the file header of this "
-            "bench");
+            "known flags: --accesses --seed --quick --csv --jobs and "
+            "harness-specific ones; see the file header of this bench");
         BenchOptions opt;
         if (args.has("accesses")) {
             opt.accesses = args.get_uint("accesses", default_accesses);
@@ -68,16 +66,13 @@ struct BenchOptions {
         }
         opt.seed = args.get_uint<std::uint64_t>("seed", 42);
         opt.csv = args.get_bool("csv", false);
-        opt.json = args.get_bool("json", false);
         opt.jobs = args.get_uint<unsigned>("jobs", 0);
         return opt;
     }
 
-    /** Output format selected by --csv / --json (table otherwise). */
+    /** Output format selected by --csv (table otherwise). */
     Table::Format format() const
     {
-        if (json)
-            return Table::Format::kJson;
         return csv ? Table::Format::kCsv : Table::Format::kTable;
     }
 };

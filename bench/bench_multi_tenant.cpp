@@ -1,8 +1,8 @@
 /**
  * @file
  * Multi-tenant serving study (DESIGN.md §13): N heterogeneous tenants
- * (a cycled workload mix, each tenant on its own SeedDomain::kTenant
- * stream) share one tiered machine under per-tenant fast-tier quotas,
+ * (a cycled workload mix, each tenant on its own tenant_seed() stream)
+ * share one tiered machine under per-tenant fast-tier quotas,
  * and every policy runs under three admission regimes —
  *
  *   none      quota-only enforcement (the no-admission baseline),

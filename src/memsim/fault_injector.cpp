@@ -130,14 +130,7 @@ FaultConfig::validate() const
 FaultConfig
 parse_fault_config(const KvConfig& config)
 {
-    FaultConfig fc;
-    // Millisecond-denominated window keys are scaled to simulated ns.
-    const auto ms = [&](const std::string& key) {
-        constexpr SimTimeNs kNsPerMs = 1000000;
-        return config.get_uint<SimTimeNs>(key, 0, ~SimTimeNs{0} / kNsPerMs) *
-               kNsPerMs;
-    };
-    static const char* kKnown[] = {
+    static constexpr std::string_view kKnown[] = {
         "fault.seed",
         "fault.pinned_fraction",
         "fault.transient_rate",
@@ -157,36 +150,40 @@ parse_fault_config(const KvConfig& config)
         "fault.write_storm_period_ms",
         "fault.write_storm_duration_ms",
     };
-    for (const auto& key : config.keys()) {
-        const bool known =
-            std::find_if(std::begin(kKnown), std::end(kKnown),
-                         [&](const char* k) { return key == k; }) !=
-            std::end(kKnown);
-        if (!known)
-            fatal("fault config: unknown key '", key, "'");
-    }
-    fc.seed = config.get_uint<std::uint64_t>("fault.seed", 1);
-    fc.pinned_fraction = config.get_double("fault.pinned_fraction", 0.0);
-    fc.transient_rate = config.get_double("fault.transient_rate", 0.0);
-    fc.contended_rate = config.get_double("fault.contended_rate", 0.0);
-    fc.degrade_tier = static_cast<int>(
-        config.get_uint<unsigned>("fault.degrade_tier", 1,
-                                  static_cast<unsigned>(kTierCount - 1)));
-    fc.degrade_latency_factor =
-        config.get_double("fault.degrade_latency_factor", 1.0);
-    fc.degrade_bandwidth_factor =
-        config.get_double("fault.degrade_bandwidth_factor", 1.0);
-    fc.degrade_period_ns = ms("fault.degrade_period_ms");
-    fc.degrade_duration_ns = ms("fault.degrade_duration_ms");
-    fc.blackout_period_ns = ms("fault.blackout_period_ms");
-    fc.blackout_duration_ns = ms("fault.blackout_duration_ms");
-    fc.sample_drop_rate = config.get_double("fault.sample_drop_rate", 0.0);
-    fc.pressure_fraction = config.get_double("fault.pressure_fraction", 0.0);
-    fc.pressure_period_ns = ms("fault.pressure_period_ms");
-    fc.pressure_duration_ns = ms("fault.pressure_duration_ms");
-    fc.write_storm_rate = config.get_double("fault.write_storm_rate", 0.0);
-    fc.write_storm_period_ns = ms("fault.write_storm_period_ms");
-    fc.write_storm_duration_ns = ms("fault.write_storm_duration_ms");
+    config.reject_unknown(kKnown);
+    FaultConfig fc;
+    // Each getter falls back to the field's default. Millisecond keys
+    // read into simulated-ns fields.
+    const auto get = [&](const char* key, double& field) {
+        field = config.get_double(key, field);
+    };
+    const auto get_ms = [&](const char* key, SimTimeNs& field) {
+        constexpr SimTimeNs kNsPerMs = 1000000;
+        if (config.has(key))
+            field = config.get_uint<SimTimeNs>(key, 0,
+                                               ~SimTimeNs{0} / kNsPerMs) *
+                    kNsPerMs;
+    };
+    fc.seed = config.get_uint("fault.seed", fc.seed);
+    get("fault.pinned_fraction", fc.pinned_fraction);
+    get("fault.transient_rate", fc.transient_rate);
+    get("fault.contended_rate", fc.contended_rate);
+    fc.degrade_tier = static_cast<int>(config.get_uint(
+        "fault.degrade_tier", static_cast<unsigned>(fc.degrade_tier),
+        static_cast<unsigned>(kTierCount - 1)));
+    get("fault.degrade_latency_factor", fc.degrade_latency_factor);
+    get("fault.degrade_bandwidth_factor", fc.degrade_bandwidth_factor);
+    get_ms("fault.degrade_period_ms", fc.degrade_period_ns);
+    get_ms("fault.degrade_duration_ms", fc.degrade_duration_ns);
+    get_ms("fault.blackout_period_ms", fc.blackout_period_ns);
+    get_ms("fault.blackout_duration_ms", fc.blackout_duration_ns);
+    get("fault.sample_drop_rate", fc.sample_drop_rate);
+    get("fault.pressure_fraction", fc.pressure_fraction);
+    get_ms("fault.pressure_period_ms", fc.pressure_period_ns);
+    get_ms("fault.pressure_duration_ms", fc.pressure_duration_ns);
+    get("fault.write_storm_rate", fc.write_storm_rate);
+    get_ms("fault.write_storm_period_ms", fc.write_storm_period_ns);
+    get_ms("fault.write_storm_duration_ms", fc.write_storm_duration_ns);
     fc.validate();
     return fc;
 }

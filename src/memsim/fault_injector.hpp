@@ -118,11 +118,10 @@ struct FaultConfig {
 };
 
 /**
- * Parse a FaultConfig from "fault.*" keys of a KvConfig. Unknown
- * "fault."-prefixed keys (and any non-"fault." key, which would
- * indicate the wrong file was passed) produce a fatal() naming the
- * offending key. Durations are given in milliseconds of simulated time
- * (e.g. "fault.blackout_period_ms = 50").
+ * Parse a FaultConfig from "fault.*" keys of a KvConfig. Any other key
+ * fatal()s naming the file and the key; a missing key keeps the
+ * field's default. Durations are given in milliseconds of simulated
+ * time (e.g. "fault.blackout_period_ms = 50").
  */
 FaultConfig parse_fault_config(const KvConfig& config);
 

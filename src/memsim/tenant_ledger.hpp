@@ -44,8 +44,8 @@ class TenantLedger;
  * promotion passes the quota check; a denial returns
  * MigrateStatus::kAdmissionDenied with no state change and no fault
  * draws consumed. Implementations live in src/tenancy/admission.cpp
- * (allow_all, static rate limit, aggregate-hit-ratio feedback); the
- * interface lives here so memsim never depends on the tenancy layer.
+ * (static rate limit, aggregate-hit-ratio feedback); the interface
+ * lives here so memsim never depends on the tenancy layer.
  *
  * Determinism contract: admit() and on_interval() must be pure
  * functions of the call sequence and the ledger's deterministic
@@ -56,7 +56,7 @@ class AdmissionController
   public:
     virtual ~AdmissionController() = default;
 
-    /** Registry name ("allow_all", "static", "feedback"). */
+    /** Registry name ("static", "feedback"). */
     virtual std::string_view name() const = 0;
 
     /**

@@ -734,18 +734,12 @@ TieredMachine::tx_commit_entry(const TxState::Entry& entry)
             f |= kTierBit;
         else
             f &= static_cast<std::uint8_t>(~kTierBit);
+        // The source copy is still clean (a write would have aborted):
+        // keep it resident until the slot is wanted.
         const int s = static_cast<int>(entry.src);
-        if (tx_->config.non_exclusive) {
-            // The source copy is still clean (a write would have
-            // aborted): keep it resident until the slot is wanted.
-            f |= kDualBit;
-            ++tx_->reclaimable[s];
-            tx_->reclaim_queue[s].push_back(entry.page);
-        } else {
-            --used_[s];
-            if (tenants_ != nullptr) [[unlikely]]
-                tenants_->charge(entry.page, entry.src, -1);
-        }
+        f |= kDualBit;
+        ++tx_->reclaimable[s];
+        tx_->reclaim_queue[s].push_back(entry.page);
         if (tenants_ != nullptr) [[unlikely]]
             tenants_->note_migration(entry.page, entry.dst);
         if (entry.dst == Tier::kFast)

@@ -48,9 +48,6 @@ struct TxConfig {
     /** Maximum concurrently open transactions; opens beyond this are
      *  refused with MigrateStatus::kTxBusy. */
     std::size_t max_inflight = 64;
-    /** Keep the clean source copy resident after commit (non-exclusive
-     *  dual residency); false releases the source slot at commit. */
-    bool non_exclusive = true;
 
     /** fatal() on out-of-range rates or a zero in-flight table. */
     void validate() const;

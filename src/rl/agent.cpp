@@ -23,26 +23,9 @@ TdAgent::step(double reward, int new_state)
     // Choose the next action first: SARSA's target needs it.
     const int next_action = table_.select(new_state, config_.epsilon, rng_);
     if (prev_state_ >= 0) {
-        double future = 0.0;
-        switch (config_.algorithm) {
-          case Algorithm::kQLearning:
-            future = table_.max_q(new_state);
-            break;
-          case Algorithm::kSarsa:
-            future = table_.at(new_state, next_action);
-            break;
-          case Algorithm::kExpectedSarsa: {
-            // E_pi[Q(s',.)] under epsilon-greedy: the greedy action with
-            // probability (1 - eps), uniform exploration otherwise.
-            double sum = 0.0;
-            for (int a = 0; a < table_.actions(); ++a)
-                sum += table_.at(new_state, a);
-            const double uniform = sum / table_.actions();
-            future = (1.0 - config_.epsilon) * table_.max_q(new_state) +
-                     config_.epsilon * uniform;
-            break;
-          }
-        }
+        const double future = config_.algorithm == Algorithm::kSarsa
+                                  ? table_.at(new_state, next_action)
+                                  : table_.max_q(new_state);
         double& q = table_.at(prev_state_, prev_action_);
         q += config_.alpha * (reward + config_.gamma * future - q);
         ++updates_;

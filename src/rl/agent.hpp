@@ -26,12 +26,6 @@ namespace artmem::rl {
 enum class Algorithm {
     kQLearning,  ///< target = r + gamma * max_a' Q(s', a')
     kSarsa,      ///< target = r + gamma * Q(s', a') for the chosen a'
-    /**
-     * Expected SARSA: target = r + gamma * E_pi[Q(s', .)] under the
-     * epsilon-greedy policy. Lower-variance extension beyond the
-     * paper's two algorithms.
-     */
-    kExpectedSarsa,
 };
 
 /** Hyperparameters; defaults are the paper's tuned values (Fig. 15). */

@@ -76,7 +76,6 @@ parse_tx_cli(const CliArgs& args)
     tx.seed = args.get_uint("tx-seed", tx.seed);
     tx.write_ratio = args.get_double("tx-write-ratio", tx.write_ratio);
     tx.max_inflight = args.get_uint("tx-max-inflight", tx.max_inflight);
-    tx.non_exclusive = !args.get_bool("tx-exclusive", false);
     tx.validate();
     return tx;
 }

@@ -85,14 +85,13 @@ RatioSpec parse_ratio_cli(const CliArgs& args, RatioSpec fallback);
 
 /** The transactional-migration flags parse_tx_cli() reads. */
 inline constexpr std::string_view kTxFlags[] = {
-    "tx-migration", "tx-seed", "tx-write-ratio", "tx-max-inflight",
-    "tx-exclusive"};
+    "tx-migration", "tx-seed", "tx-write-ratio", "tx-max-inflight"};
 
 /**
  * Parse the transactional-migration flags of the artmem CLI:
- * --tx-migration plus the --tx-seed, --tx-write-ratio,
- * --tx-max-inflight and --tx-exclusive knobs. A tx knob given without
- * --tx-migration fatal()s; the caller rejects flags outside kTxFlags.
+ * --tx-migration plus the --tx-seed, --tx-write-ratio and
+ * --tx-max-inflight knobs. A tx knob given without --tx-migration
+ * fatal()s; the caller rejects flags outside kTxFlags.
  */
 memsim::TxConfig parse_tx_cli(const CliArgs& args);
 

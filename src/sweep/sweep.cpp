@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/rng.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -62,13 +61,6 @@ class ProgressMeter
 };
 
 }  // namespace
-
-void
-SweepSpec::derive_seeds(std::uint64_t base_seed)
-{
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        jobs[i].spec.seed = derive_seed(base_seed, SeedDomain::kJob, i);
-}
 
 sim::RunResult
 run_job(const SweepJob& job)

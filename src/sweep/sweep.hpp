@@ -12,8 +12,8 @@
  * Determinism contract: a job is a pure function of its SweepJob.
  * Each job constructs its own generator, policy, and TieredMachine on
  * the worker thread (no shared mutable state), its seed is fixed when
- * the spec is built (optionally via derive_seed(base, index), never
- * from scheduling), and results land in a vector ordered by job index.
+ * the spec is built (never by scheduling), and results land in a vector
+ * ordered by job index.
  * Emitted numbers are therefore bit-identical between --jobs 1 and
  * --jobs N; ctest golden.fig7_main_csv_jobs1 and golden.fig7_main_csv
  * compare both runs with one golden.
@@ -88,18 +88,6 @@ struct SweepSpec {
         job.run = std::move(run);
         return add(std::move(job));
     }
-
-    /**
-     * Reseed every job with derive_seed(base_seed, SeedDomain::kJob,
-     * index): independent per-job streams that depend only on the
-     * job's position in the spec. The kJob domain is the legacy
-     * two-argument stream, so existing goldens are unchanged; tenant
-     * streams derive from the disjoint kTenant domain, so job i and
-     * tenant i of any job can never share a stream (util/rng.hpp). Off
-     * by default — the paper convention runs every cell at one shared
-     * seed — and therefore opt-in (artmem sweep --derive-seeds).
-     */
-    void derive_seeds(std::uint64_t base_seed);
 };
 
 /** Execution knobs for SweepRunner. */

@@ -58,12 +58,9 @@ TenancyConfig::validate() const
     if (!enabled()) {
         // Knobs without --tenants > 1 are silent no-ops waiting to
         // mislead an experiment; refuse them outright.
-        const bool knobs = !mix.empty() || !weights.empty() ||
-                           quantum != 256 || phase_stride != 0 ||
-                           quota_pages != 0 || quota_share != 0.0 ||
-                           admission != "none" || admission_rate != 64 ||
-                           admission_target != 0.5 || admission_max != 256;
-        if (knobs)
+        TenancyConfig defaults;
+        defaults.tenants = tenants;
+        if (*this != defaults)
             fatal("tenancy: quota/mix/admission knobs require "
                   "tenants > 1");
         return;
@@ -80,39 +77,32 @@ TenancyConfig::validate() const
 TenancyConfig
 parse_tenancy_config(const KvConfig& config)
 {
-    TenancyConfig tc;
-    static const char* kKnown[] = {
-        "tenancy.tenants",        "tenancy.mix",
-        "tenancy.weights",        "tenancy.quantum",
-        "tenancy.phase_stride",   "tenancy.quota_pages",
-        "tenancy.quota_share",    "tenancy.admission",
-        "tenancy.admission_rate", "tenancy.admission_target",
-        "tenancy.admission_max",
+    static constexpr std::string_view kKnown[] = {
+        "tenancy.tenants",         "tenancy.mix",
+        "tenancy.weights",         "tenancy.quantum",
+        "tenancy.phase_stride",    "tenancy.quota_share",
+        "tenancy.admission",       "tenancy.admission_rate",
+        "tenancy.admission_target", "tenancy.admission_max",
     };
-    for (const auto& key : config.keys()) {
-        if (key.rfind("tenancy.", 0) != 0)
-            continue;
-        const bool known =
-            std::find_if(std::begin(kKnown), std::end(kKnown),
-                         [&](const char* k) { return key == k; }) !=
-            std::end(kKnown);
-        if (!known)
-            fatal("tenancy config: unknown key '", key, "'");
-    }
-    tc.tenants = config.get_uint<std::uint32_t>("tenancy.tenants", 1);
-    tc.mix = split_list(config.get_string("tenancy.mix", ""));
-    tc.weights = parse_weights(config.get_string("tenancy.weights", ""));
-    tc.quantum = config.get_uint<std::size_t>("tenancy.quantum", 256);
+    config.reject_unknown(kKnown);
+    TenancyConfig tc;
+    tc.tenants = config.get_uint("tenancy.tenants", tc.tenants);
+    if (config.has("tenancy.mix"))
+        tc.mix = split_list(config.get_string("tenancy.mix", ""));
+    if (config.has("tenancy.weights"))
+        tc.weights = parse_weights(config.get_string("tenancy.weights", ""));
+    tc.quantum = config.get_uint("tenancy.quantum", tc.quantum);
     tc.phase_stride =
-        config.get_uint<std::uint64_t>("tenancy.phase_stride", 0);
-    tc.quota_pages = config.get_uint<std::size_t>("tenancy.quota_pages", 0);
-    tc.quota_share = config.get_double("tenancy.quota_share", 0.0);
-    tc.admission = config.get_string("tenancy.admission", "none");
+        config.get_uint("tenancy.phase_stride", tc.phase_stride);
+    tc.quota_share =
+        config.get_double("tenancy.quota_share", tc.quota_share);
+    tc.admission = config.get_string("tenancy.admission", tc.admission);
     tc.admission_rate =
-        config.get_uint<std::uint64_t>("tenancy.admission_rate", 64);
-    tc.admission_target = config.get_double("tenancy.admission_target", 0.5);
+        config.get_uint("tenancy.admission_rate", tc.admission_rate);
+    tc.admission_target =
+        config.get_double("tenancy.admission_target", tc.admission_target);
     tc.admission_max =
-        config.get_uint<std::uint64_t>("tenancy.admission_max", 256);
+        config.get_uint("tenancy.admission_max", tc.admission_max);
     tc.validate();
     return tc;
 }
@@ -131,7 +121,6 @@ parse_tenancy_cli(const CliArgs& args)
         tc.weights = parse_weights(args.get_string("tenant-weights", ""));
     tc.quantum = args.get_uint("tenant-quantum", tc.quantum);
     tc.phase_stride = args.get_uint("tenant-phase-stride", tc.phase_stride);
-    tc.quota_pages = args.get_uint("tenant-quota", tc.quota_pages);
     tc.quota_share =
         args.get_double("tenant-quota-share", tc.quota_share);
     tc.admission = args.get_string("admission", tc.admission);
@@ -141,6 +130,12 @@ parse_tenancy_cli(const CliArgs& args)
     tc.admission_max = args.get_uint("admission-max", tc.admission_max);
     tc.validate();
     return tc;
+}
+
+std::uint64_t
+tenant_seed(std::uint64_t base_seed, std::uint32_t tenant)
+{
+    return derive_seed(base_seed ^ 0xc2b2ae3d27d4eb4full, tenant);
 }
 
 std::unique_ptr<TenantSet>
@@ -162,8 +157,7 @@ make_tenant_set(const TenancyConfig& config, std::string_view base_workload,
                                : std::string_view(
                                      config.mix[i % config.mix.size()]);
         generators.push_back(workloads::make_workload(
-            name, page_size, per_tenant,
-            derive_seed(base_seed, SeedDomain::kTenant, i)));
+            name, page_size, per_tenant, tenant_seed(base_seed, i)));
         weights.push_back(config.weights.empty()
                               ? 1
                               : config.weights[i % config.weights.size()]);
@@ -180,9 +174,7 @@ make_tenant_ledger(const TenancyConfig& config, const TenantSet& set,
     auto ledger = std::make_unique<memsim::TenantLedger>(
         set.tenant_count(), total_pages);
     std::size_t quota = memsim::TenantLedger::kNoQuota;
-    if (config.quota_pages > 0)
-        quota = config.quota_pages;
-    else if (config.quota_share > 0.0)
+    if (config.quota_share > 0.0)
         quota = std::max<std::size_t>(
             1, static_cast<std::size_t>(
                    static_cast<double>(fast_pages) * config.quota_share));

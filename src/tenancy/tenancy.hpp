@@ -44,16 +44,11 @@ struct TenancyConfig {
     /** Tenant i discards i * phase_stride leading accesses. */
     std::uint64_t phase_stride = 0;
     /**
-     * Per-tenant fast-tier quota in pages; 0 = derive from quota_share,
-     * and if that is also unset, unlimited.
-     */
-    std::size_t quota_pages = 0;
-    /**
-     * Per-tenant quota as a fraction of fast-tier capacity in (0, 1];
-     * 0 = unset. Ignored when quota_pages is given.
+     * Per-tenant fast-tier quota as a fraction of fast-tier capacity in
+     * (0, 1]; 0 = unlimited.
      */
     double quota_share = 0.0;
-    /** Admission policy: none | allow_all | static | feedback. */
+    /** Admission policy: none | static | feedback. */
     std::string admission = "none";
     /** Per-tenant grants per decision interval ("static"). */
     std::uint64_t admission_rate = 64;
@@ -67,29 +62,30 @@ struct TenancyConfig {
 
     /** fatal() on out-of-range values or knobs without tenants > 1. */
     void validate() const;
+
+    /** Field-wise; validate() compares with the defaults. */
+    bool operator==(const TenancyConfig&) const = default;
 };
 
 /**
- * Parse a TenancyConfig from "tenancy.*" keys of a KvConfig
- * (tenancy.tenants, tenancy.mix, tenancy.weights, tenancy.quantum,
- * tenancy.phase_stride, tenancy.quota_pages, tenancy.quota_share,
- * tenancy.admission, tenancy.admission_rate, tenancy.admission_target,
- * tenancy.admission_max). Unknown "tenancy."-prefixed keys fatal();
- * keys outside the prefix are ignored so the section can share a file
- * with fault.* / tx.* sections.
+ * Parse a TenancyConfig from the keys of a KvConfig (tenancy.tenants,
+ * tenancy.mix, tenancy.weights, tenancy.quantum, tenancy.phase_stride,
+ * tenancy.quota_share, tenancy.admission, tenancy.admission_rate,
+ * tenancy.admission_target, tenancy.admission_max). Any other key
+ * fatal()s naming the file and the key.
  */
 TenancyConfig parse_tenancy_config(const KvConfig& config);
 
 /** The multi-tenant flags parse_tenancy_cli() reads. */
 inline constexpr std::string_view kTenancyFlags[] = {
-    "tenants",         "tenant-config",       "tenant-quota",
-    "tenant-quota-share", "tenant-mix",       "tenant-weights",
-    "tenant-quantum",  "tenant-phase-stride", "admission",
-    "admission-rate",  "admission-target",    "admission-max"};
+    "tenants",          "tenant-config",  "tenant-quota-share",
+    "tenant-mix",       "tenant-weights", "tenant-quantum",
+    "tenant-phase-stride", "admission",   "admission-rate",
+    "admission-target", "admission-max"};
 
 /**
  * Parse the multi-tenant flags of the artmem CLI: --tenants,
- * --tenant-quota, --tenant-quota-share, --tenant-mix, --tenant-weights,
+ * --tenant-quota-share, --tenant-mix, --tenant-weights,
  * --tenant-quantum, --tenant-phase-stride, --admission,
  * --admission-rate, --admission-target, --admission-max, plus
  * --tenant-config=FILE to load a "tenancy.*" section first (explicit
@@ -100,10 +96,18 @@ inline constexpr std::string_view kTenancyFlags[] = {
 TenancyConfig parse_tenancy_cli(const CliArgs& args);
 
 /**
+ * Seed of tenant @p tenant's workload stream in a run seeded with
+ * @p base_seed: derive_seed() of the base xor a fixed salt, so tenant
+ * i never draws derive_seed(base_seed, i). The goldens pin every
+ * tenant stream, and with them the salt.
+ */
+std::uint64_t tenant_seed(std::uint64_t base_seed, std::uint32_t tenant);
+
+/**
  * Build the N-tenant interleaved workload: tenant i runs
  * mix[i % size] (or @p base_workload when the mix is empty) with seed
- * derive_seed(base_seed, SeedDomain::kTenant, i) and an access budget
- * of @p total_accesses / tenants.
+ * tenant_seed(base_seed, i) and an access budget of
+ * @p total_accesses / tenants.
  */
 std::unique_ptr<TenantSet> make_tenant_set(const TenancyConfig& config,
                                            std::string_view base_workload,

@@ -3,12 +3,11 @@
  * Multi-tenant workload interleaver (DESIGN.md §13).
  *
  * A TenantSet models N tenants sharing one tiered machine: each tenant
- * is an independent workloads::* generator with its own tagged seed
- * stream (SeedDomain::kTenant, so tenant 3 never collides with sweep
- * job 3) and an optional phase offset, stacked onto disjoint
- * contiguous spans of the simulated address space and scheduled by a
- * deterministic weighted round-robin (a time-sliced multi-tenant host's
- * view of its guests).
+ * is an independent workloads::* generator with its own seed stream
+ * (tenancy::tenant_seed) and an optional phase offset, stacked onto
+ * disjoint contiguous spans of the simulated address space and
+ * scheduled by a deterministic weighted round-robin (a time-sliced
+ * multi-tenant host's view of its guests).
  *
  * The set exposes the per-tenant page spans so the experiment layer can
  * build the matching memsim::TenantLedger ownership map; workload

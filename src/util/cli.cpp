@@ -35,16 +35,6 @@ CliArgs::has(const std::string& name) const
     return flags_.count(name) != 0;
 }
 
-std::vector<std::string>
-CliArgs::flag_names() const
-{
-    std::vector<std::string> out;
-    out.reserve(flags_.size());
-    for (const auto& [name, value] : flags_)
-        out.push_back(name);
-    return out;
-}
-
 void
 CliArgs::reject_unknown(
     std::initializer_list<std::span<const std::string_view>> known,

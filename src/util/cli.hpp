@@ -58,9 +58,6 @@ class CliArgs
     /** Positional (non-flag) arguments in order. */
     const std::vector<std::string>& positional() const { return positional_; }
 
-    /** All flag names given, sorted (allowlist validation). */
-    std::vector<std::string> flag_names() const;
-
     /**
      * fatal() on the first flag given that is in none of the @p known
      * name lists, naming it and then @p hint (where the valid flags are

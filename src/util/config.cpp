@@ -65,9 +65,10 @@ parse_double(const std::string& text, std::string_view what)
 }
 
 KvConfig
-KvConfig::parse(std::string_view text)
+KvConfig::parse(std::string_view text, std::string source)
 {
     KvConfig cfg;
+    cfg.source_ = std::move(source);
     std::size_t pos = 0;
     int line_no = 0;
     while (pos <= text.size()) {
@@ -85,11 +86,12 @@ KvConfig::parse(std::string_view text)
             continue;
         const std::size_t eq = stripped.find('=');
         if (eq == std::string::npos)
-            fatal("KvConfig: missing '=' on line ", line_no, ": ", stripped);
+            fatal(cfg.source_, ": missing '=' on line ", line_no, ": ",
+                  stripped);
         std::string key = trim(std::string_view(stripped).substr(0, eq));
         std::string value = trim(std::string_view(stripped).substr(eq + 1));
         if (key.empty())
-            fatal("KvConfig: empty key on line ", line_no);
+            fatal(cfg.source_, ": empty key on line ", line_no);
         cfg.set(std::move(key), std::move(value));
         if (pos > text.size())
             break;
@@ -105,7 +107,22 @@ KvConfig::load(const std::string& path)
         fatal("KvConfig: cannot open ", path);
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    return parse(buffer.str());
+    return parse(buffer.str(), path);
+}
+
+void
+KvConfig::reject_unknown(std::span<const std::string_view> known) const
+{
+    for (const auto& [key, value] : values_) {
+        if (std::find(known.begin(), known.end(), key) == known.end())
+            fatal(source_, ": unknown key '", key, "'");
+    }
+}
+
+std::string
+KvConfig::key_what(const std::string& key) const
+{
+    return source_ + ": key '" + key + "'";
 }
 
 void
@@ -140,7 +157,7 @@ double
 KvConfig::get_double(const std::string& key, double fallback) const
 {
     auto v = get(key);
-    return v ? parse_double(*v, "KvConfig: key '" + key + "'") : fallback;
+    return v ? parse_double(*v, key_what(key)) : fallback;
 }
 
 std::vector<std::string>
@@ -166,7 +183,7 @@ KvConfig::get_bool(const std::string& key, bool fallback) const
         return true;
     if (lower == "false" || lower == "0" || lower == "no")
         return false;
-    fatal("KvConfig: key '", key, "' is not a boolean: ", *v);
+    fatal(key_what(key), " is not a boolean: ", *v);
 }
 
 }  // namespace artmem

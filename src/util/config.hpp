@@ -2,7 +2,8 @@
  * @file
  * Minimal key=value configuration store, in the spirit of MASIM's plain
  * text workload configs. Supports '#' comments, section-free files, and
- * typed getters with defaults.
+ * typed getters with defaults. Every error names the source: the file
+ * load() read, or "KvConfig" for text given to parse().
  */
 #ifndef ARTMEM_UTIL_CONFIG_HPP
 #define ARTMEM_UTIL_CONFIG_HPP
@@ -11,6 +12,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -41,11 +43,24 @@ class KvConfig
   public:
     KvConfig() = default;
 
-    /** Parse "key = value" lines (comments with '#'); fatal on syntax error. */
-    static KvConfig parse(std::string_view text);
+    /**
+     * Parse "key = value" lines (comments with '#'); fatal on syntax
+     * error, naming @p source and the line.
+     */
+    static KvConfig parse(std::string_view text,
+                          std::string source = "KvConfig");
 
-    /** Load and parse a file; fatal if unreadable. */
+    /** Load and parse a file; fatal if unreadable. Errors name @p path. */
     static KvConfig load(const std::string& path);
+
+    /** What errors name: the path load() read, or parse()'s source. */
+    const std::string& source() const { return source_; }
+
+    /**
+     * fatal() on the first key not in @p known, naming the source and
+     * the key: a typo must fail, not fall back to the default.
+     */
+    void reject_unknown(std::span<const std::string_view> known) const;
 
     /** Set or overwrite a key. */
     void set(std::string key, std::string value);
@@ -69,8 +84,7 @@ class KvConfig
     {
         static_assert(std::is_unsigned_v<T>);
         auto v = get(key);
-        return v ? static_cast<T>(parse_uint(*v, max, "KvConfig: key '" +
-                                                           key + "'"))
+        return v ? static_cast<T>(parse_uint(*v, max, key_what(key)))
                  : fallback;
     }
 
@@ -88,6 +102,10 @@ class KvConfig
     std::vector<std::string> keys() const;
 
   private:
+    /** "<source>: key '<key>'", the start of a value error. */
+    std::string key_what(const std::string& key) const;
+
+    std::string source_ = "KvConfig";
     std::map<std::string, std::string> values_;
 };
 

@@ -12,18 +12,6 @@ derive_seed(std::uint64_t base_seed, std::uint64_t index)
     return splitmix64(state);
 }
 
-std::uint64_t
-derive_seed(std::uint64_t base_seed, SeedDomain domain, std::uint64_t index)
-{
-    // kJob must reduce to the legacy formula bit-for-bit, so that
-    // --derive-seeds sweeps keep their seeds (ctest
-    // SeedDomains.JobDomainIsTheLegacyStreamExactly).
-    if (domain == SeedDomain::kJob)
-        return derive_seed(base_seed, index);
-    return derive_seed(base_seed ^ static_cast<std::uint64_t>(domain),
-                       index);
-}
-
 Rng::Rng(std::uint64_t seed_value)
 {
     seed(seed_value);

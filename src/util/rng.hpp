@@ -32,45 +32,12 @@ splitmix64(std::uint64_t& state)
 }
 
 /**
- * Seed for job @p index of a sweep with @p base_seed.
+ * Seed for stream @p index derived from @p base_seed.
  *
- * A pure function of (base_seed, index) — never of grid shape,
- * scheduling order, or worker count — so every job in a parallel sweep
- * draws from the same RNG stream it would get in a serial run. Two
- * SplitMix64 steps decorrelate neighbouring indices.
- *
- * This two-argument form IS the kJob domain of the namespaced overload
- * below, frozen exactly as-is because sweep goldens (EXPERIMENTS.md)
- * bake in its values.
+ * A pure function of (base_seed, index), never of scheduling order or
+ * worker count. Two SplitMix64 steps decorrelate neighbouring indices.
  */
 std::uint64_t derive_seed(std::uint64_t base_seed, std::uint64_t index);
-
-/**
- * Derivation namespace for nested seed streams (DESIGN.md §13).
- *
- * A sweep derives per-job seeds, and a multi-tenant run derives
- * per-tenant streams from its run seed. Without namespacing, "job 3 of
- * the sweep" and "tenant 3 of a run" would collide whenever a run seed
- * equals the sweep base seed (e.g. job 0 with --derive-seeds off). Each
- * domain salts the derivation so the index spaces cannot overlap.
- *
- * The enum values are the salts. kJob is 0 and is special-cased to the
- * legacy two-argument formula so every existing sweep golden stays
- * byte-identical; new domains must use large odd constants.
- */
-enum class SeedDomain : std::uint64_t {
-    kJob = 0,                          ///< Sweep jobs (legacy stream).
-    kTenant = 0xc2b2ae3d27d4eb4full,   ///< Per-tenant workload streams.
-};
-
-/**
- * Seed for @p index within @p domain, derived from @p base_seed.
- * derive_seed(b, SeedDomain::kJob, i) == derive_seed(b, i) exactly;
- * any other domain yields a stream disjoint from the job stream
- * (tests/test_tenancy.cpp checks tenant i never meets job i).
- */
-std::uint64_t derive_seed(std::uint64_t base_seed, SeedDomain domain,
-                          std::uint64_t index);
 
 /**
  * xoshiro256** pseudo-random generator.

@@ -1,55 +1,13 @@
 #include "util/table.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 
-#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace artmem {
-
-namespace {
-
-/**
- * True when @p text is a plain JSON-compatible number (the output of
- * format_fixed / std::to_string): optional sign, digits, optional
- * fraction, optional exponent. "nan"/"inf" and ratio labels like
- * "1:16" fail and are emitted as quoted strings instead.
- */
-bool
-is_json_number(const std::string& text)
-{
-    std::size_t i = 0;
-    const auto digits = [&] {
-        std::size_t start = i;
-        while (i < text.size() &&
-               std::isdigit(static_cast<unsigned char>(text[i])))
-            ++i;
-        return i > start;
-    };
-    if (i < text.size() && text[i] == '-')
-        ++i;
-    if (!digits())
-        return false;
-    if (i < text.size() && text[i] == '.') {
-        ++i;
-        if (!digits())
-            return false;
-    }
-    if (i < text.size() && (text[i] == 'e' || text[i] == 'E')) {
-        ++i;
-        if (i < text.size() && (text[i] == '-' || text[i] == '+'))
-            ++i;
-        if (!digits())
-            return false;
-    }
-    return i == text.size();
-}
-
-}  // namespace
 
 std::string
 format_fixed(double value, int precision)
@@ -173,33 +131,7 @@ Table::emit(std::ostream& os, Format format)
     case Format::kCsv:
         print_csv(os);
         break;
-    case Format::kJson:
-        print_json(os);
-        break;
     }
-}
-
-void
-Table::print_json(std::ostream& os)
-{
-    flush_pending();
-    std::string out = "[\n";
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        out += "  {";
-        for (std::size_t c = 0; c < rows_[r].size(); ++c) {
-            append_json_escaped(out, headers_[c]);
-            out += ": ";
-            if (is_json_number(rows_[r][c]))
-                out += rows_[r][c];
-            else
-                append_json_escaped(out, rows_[r][c]);
-            if (c + 1 < rows_[r].size())
-                out += ", ";
-        }
-        out += r + 1 < rows_.size() ? "},\n" : "}\n";
-    }
-    out += "]\n";
-    os << out;
 }
 
 }  // namespace artmem

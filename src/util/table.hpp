@@ -1,8 +1,8 @@
 /**
  * @file
  * The one result-emission path: a labelled row store that prints as an
- * aligned table, CSV, or JSON. The bench harnesses, `artmem sweep` and
- * the examples build one per paper table or figure.
+ * aligned table or as CSV. The bench harnesses, `artmem sweep` and the
+ * examples build one per paper table or figure.
  *
  * Thread contract: a Table is confined to the harness thread. Sweep
  * jobs never touch it; they return RunResults, and the harness folds
@@ -18,12 +18,12 @@
 
 namespace artmem {
 
-/** Collects rows of string cells and prints them in one of three formats. */
+/** Collects rows of string cells and prints them aligned or as CSV. */
 class Table
 {
   public:
-    /** Output format selected by the harness flags (--csv / --json). */
-    enum class Format { kTable, kCsv, kJson };
+    /** Output format selected by the harness flag --csv. */
+    enum class Format { kTable, kCsv };
 
     /** Create a table with the given column headers. */
     explicit Table(std::vector<std::string> headers);
@@ -48,10 +48,9 @@ class Table
 
     /**
      * Print in @p format: aligned with a separator rule under the
-     * header, CSV (comma-separated, no quoting of commas needed here),
-     * or a JSON array of row objects whose numeric cells are raw
-     * numbers and whose other cells are strings. Whether the bytes
-     * arrived is checked once, at exit (finish_stdout, util/output.hpp).
+     * header, or CSV (comma-separated, no quoting of commas needed
+     * here). Whether the bytes arrived is checked once, at exit
+     * (finish_stdout, util/output.hpp).
      */
     void emit(std::ostream& os, Format format);
 
@@ -59,7 +58,6 @@ class Table
     void flush_pending();
     void print_aligned(std::ostream& os);
     void print_csv(std::ostream& os);
-    void print_json(std::ostream& os);
 
     std::vector<std::string> headers_;
     std::vector<std::vector<std::string>> rows_;

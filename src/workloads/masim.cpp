@@ -150,19 +150,19 @@ Masim::fill(std::span<PageId> out)
 namespace {
 
 /**
- * The bytes of region field @p field (@p mib MiB), fatal naming @p key
- * unless it lies within [0, footprint]: a negative double or one past
- * 2^64 bytes would cast to garbage.
+ * The bytes of region field @p field (@p mib MiB), fatal naming the
+ * config's @p source and @p key unless it lies within [0, footprint]: a
+ * negative double or one past 2^64 bytes would cast to garbage.
  */
 Bytes
-region_bytes(const std::string& key, const char* field, double mib,
-             Bytes footprint)
+region_bytes(const std::string& source, const std::string& key,
+             const char* field, double mib, Bytes footprint)
 {
     if (!(mib >= 0.0))
-        fatal("masim spec: ", key, ": ", field, " must not be negative");
+        fatal(source, ": ", key, ": ", field, " must not be negative");
     // footprint is a whole number of MiB, so this compares exactly.
     if (mib > static_cast<double>(footprint >> 20))
-        fatal("masim spec: ", key, ": ", field, " ", mib,
+        fatal(source, ": ", key, ": ", field, " ", mib,
               " MiB is out of range (footprint_mib ", footprint >> 20, ")");
     return static_cast<Bytes>(mib * (1 << 20));
 }
@@ -172,6 +172,8 @@ region_bytes(const std::string& key, const char* field, double mib,
 MasimSpec
 Masim::parse_spec(const KvConfig& config)
 {
+    // Every error names the file the spec came from.
+    const std::string& source = config.source();
     MasimSpec spec;
     spec.name = config.get_string("name", "masim");
     spec.footprint =
@@ -182,7 +184,7 @@ Masim::parse_spec(const KvConfig& config)
     const auto phase_count =
         config.get_uint<std::size_t>("phases", 0, max_count);
     if (phase_count == 0)
-        fatal("masim spec: 'phases' must be positive");
+        fatal(source, ": 'phases' must be positive");
     // Reject keys the schema does not define: a typo like
     // "phase0.acesses = 1000" would otherwise silently fall back to the
     // default and produce a mysteriously different workload.
@@ -206,7 +208,7 @@ Masim::parse_spec(const KvConfig& config)
             }
         }
         if (!known)
-            fatal("masim spec: unknown key '", key,
+            fatal(source, ": unknown key '", key,
                   "' (expected name, footprint_mib, phases, ",
                   "phase<N>.accesses, phase<N>.regions, phase<N>.region<M>)");
     }
@@ -221,28 +223,29 @@ Masim::parse_spec(const KvConfig& config)
             const auto key = prefix + "region" + std::to_string(r);
             const auto text = config.get(key);
             if (!text)
-                fatal("masim spec: missing ", key);
+                fatal(source, ": missing ", key);
             std::istringstream in(*text);
             double offset_mib = 0, size_mib = 0, weight = 0;
             std::string seq;
             if (!(in >> offset_mib >> size_mib >> weight))
-                fatal("masim spec: malformed ", key, ": '", *text,
+                fatal(source, ": malformed ", key, ": '", *text,
                       "' (expected '<offset_mib> <size_mib> <weight> ",
                       "[seq|rand]')");
             in >> seq;
             if (!seq.empty() && seq != "seq" && seq != "rand")
-                fatal("masim spec: ", key, ": unknown access mode '", seq,
+                fatal(source, ": ", key, ": unknown access mode '", seq,
                       "' (expected seq or rand)");
             std::string trailing;
             if (in >> trailing)
-                fatal("masim spec: ", key, ": trailing garbage '", trailing,
+                fatal(source, ": ", key, ": trailing garbage '", trailing,
                       "'");
             MasimRegion region;
-            region.offset =
-                region_bytes(key, "offset", offset_mib, spec.footprint);
-            region.size = region_bytes(key, "size", size_mib, spec.footprint);
+            region.offset = region_bytes(source, key, "offset", offset_mib,
+                                         spec.footprint);
+            region.size =
+                region_bytes(source, key, "size", size_mib, spec.footprint);
             if (region.size > spec.footprint - region.offset)
-                fatal("masim spec: ", key,
+                fatal(source, ": ", key,
                       ": region ends past footprint_mib ",
                       spec.footprint >> 20);
             region.weight = weight;

@@ -63,6 +63,8 @@ class Masim final : public AccessGenerator
      *   phase0.accesses = 1000000
      *   phase0.regions = 2
      *   phase0.region0 = offset_mib size_mib weight [seq]
+     * A malformed or unknown key fatal()s naming config.source(), the
+     * file it came from, and the key.
      */
     static MasimSpec parse_spec(const KvConfig& config);
 

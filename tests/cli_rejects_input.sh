@@ -10,9 +10,10 @@
 # Cases: trace_page_past_footprint, trace_huge_footprint,
 # qtables_truncated, accesses_hex, accesses_signed, fault_config_nan,
 # fault_config_inf, fault_config_huge_factor, fault_config_no_period,
-# tx_write_ratio_nan, fault_seed_alone, accesses_with_masim_config, one
-# flag each that sweep, run, train, trace-record and trace-run do not
-# read (<command>_<flag>), and example_unknown_flag.
+# tx_write_ratio_nan, fault_seed_alone, accesses_with_masim_config,
+# masim_config_missing_equals, tenant_config_unknown_key, one flag each
+# that sweep, run, train, trace-record and trace-run do not read
+# (<command>_<flag>), and example_unknown_flag.
 set -u
 artmem="$1"
 dir="$2"
@@ -91,7 +92,7 @@ fault_config_nan | fault_config_inf)
     config="${dir}/degrade_${value}.cfg"
     printf 'fault.degrade_latency_factor = %s\nfault.degrade_period_ms = 1\nfault.degrade_duration_ms = 1\n' \
         "${value}" > "${config}"
-    expect_exit1 "key 'fault.degrade_latency_factor' must be finite, got '${value}'" \
+    expect_exit1 "${config}: key 'fault.degrade_latency_factor' must be finite, got '${value}'" \
         "${artmem}" run --accesses=100000 --fault-config="${config}"
     ;;
 fault_config_huge_factor)
@@ -133,12 +134,30 @@ accesses_with_masim_config)
     expect_exit1 "--accesses does not apply to --workload=${config}" \
         "${artmem}" run --workload="${config}" --accesses=5000
     ;;
+# A config file's syntax and key errors name the file.
+masim_config_missing_equals)
+    config="${dir}/missing_equals.cfg"
+    printf 'footprint_mib = 64\nphases = 1\nphase0.accesses 1000\n' \
+        > "${config}"
+    expect_exit1 "${config}: missing '=' on line 3: phase0.accesses 1000" \
+        "${artmem}" run --workload="${config}"
+    ;;
+tenant_config_unknown_key)
+    config="${dir}/tenant_typo.cfg"
+    printf 'tenancy.tenants = 4\ntenancy.quotta = 0.25\n' > "${config}"
+    expect_exit1 "${config}: unknown key 'tenancy.quotta'" \
+        "${artmem}" run --accesses=1000 --tenant-config="${config}"
+    ;;
 # A flag the subcommand does not read used to be dropped silently: the
 # sweep still ran every policy at every ratio, and trace-run printed
 # the fault-free result.
 sweep_policy)
     expect_exit1 "unknown flag --policy (artmem sweep does not read it" \
         "${artmem}" sweep --accesses=1000 --policy=tpp --ratio=1:8
+    ;;
+sweep_json)
+    expect_exit1 "unknown flag --json (artmem sweep does not read it" \
+        "${artmem}" sweep --accesses=1000 --json
     ;;
 run_csv)
     expect_exit1 "unknown flag --csv (artmem run does not read it" \

@@ -106,15 +106,6 @@ TEST(FixtureCorpus, EveryRuleFiresBothDirections)
     }
     EXPECT_FALSE(by_file.count("suppression_good.cpp"))
         << "valid suppressions must silence their findings";
-    // Path-scoped rules: the nested src/tenancy fixtures exercise the
-    // seed-domain ban that only applies inside the tenancy subsystem.
-    ASSERT_TRUE(by_file.count("dl002_tenancy_bad.cpp"))
-        << "tenancy kJob misuse produced no findings";
-    for (const auto& seen : by_file["dl002_tenancy_bad.cpp"])
-        EXPECT_EQ(seen, "DL002") << "stray finding in dl002_tenancy_bad";
-    EXPECT_GE(by_file["dl002_tenancy_bad.cpp"].size(), 2u);
-    EXPECT_FALSE(by_file.count("dl002_tenancy_good.cpp"))
-        << "dl002_tenancy_good.cpp must be clean";
     // Known-bad counts: each bad fixture exercises several constructs.
     EXPECT_GE(by_file["dl001_bad.cpp"].size(), 5u);
     EXPECT_GE(by_file["dl002_bad.cpp"].size(), 5u);
@@ -156,28 +147,6 @@ TEST(Rules, SeededEngineDoesNotFire)
     EXPECT_TRUE(lint_snippet("std::mt19937 rng(seed);\n").empty());
     EXPECT_EQ(rules_of(lint_snippet("std::mt19937 rng;\n")),
               std::vector<std::string>{"DL002"});
-}
-
-TEST(Rules, FrozenJobSeedFiresOnlyInsideTenancy)
-{
-    // The kJob domain is fine everywhere else (sweep, engine, tests);
-    // only src/tenancy is held to the kTenant tagging rule.
-    const std::string code =
-        "const auto s = derive_seed(base, SeedDomain::kJob, i);\n";
-    EXPECT_EQ(rules_of(lint_text("src/tenancy/tenant_set.cpp", code,
-                                 Config())),
-              std::vector<std::string>{"DL002"});
-    EXPECT_EQ(rules_of(lint_text("/root/repo/src/tenancy/admission.cpp",
-                                 code, Config())),
-              std::vector<std::string>{"DL002"});
-    EXPECT_TRUE(lint_text("src/sweep/runner.cpp", code, Config()).empty());
-    EXPECT_TRUE(lint_text("src/sim/engine.cpp", code, Config()).empty());
-    // The sanctioned domain is silent even inside the subsystem.
-    EXPECT_TRUE(lint_text("src/tenancy/tenant_set.cpp",
-                          "const auto s = derive_seed(base, "
-                          "SeedDomain::kTenant, i);\n",
-                          Config())
-                    .empty());
 }
 
 TEST(Rules, DiscardedStatusHonoursConsumers)

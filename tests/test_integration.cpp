@@ -13,7 +13,6 @@
 #include "sim/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/registry.hpp"
-#include "util/cli.hpp"
 #include "workloads/masim.hpp"
 #include "workloads/simple.hpp"
 #include "workloads/trace.hpp"
@@ -248,16 +247,6 @@ TEST(ShippedConfigs, AllPassTheStrictKeyValidation)
             workloads::Masim::parse_spec(KvConfig::load(path));
         EXPECT_FALSE(spec.phases.empty()) << name;
     }
-}
-
-TEST(CliEdges, FlagNamesEnumeratesParsedFlags)
-{
-    const char* argv[] = {"prog", "--seed=7", "--csv", "run"};
-    const auto args = CliArgs::parse(4, const_cast<char**>(argv));
-    const auto names = args.flag_names();
-    ASSERT_EQ(names.size(), 2u);
-    EXPECT_EQ(names[0], "csv");  // sorted
-    EXPECT_EQ(names[1], "seed");
 }
 
 TEST(BenchOptionsEdges, UnknownFlagIsFatalAndNamed)

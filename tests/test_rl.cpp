@@ -237,22 +237,7 @@ TEST_P(GridWorldConvergence, LearnsShortestChain)
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, GridWorldConvergence,
                          ::testing::Values(Algorithm::kQLearning,
-                                           Algorithm::kSarsa,
-                                           Algorithm::kExpectedSarsa));
-
-TEST(TdAgent, ExpectedSarsaUsesPolicyExpectation)
-{
-    AgentConfig cfg = greedy_config(Algorithm::kExpectedSarsa);
-    cfg.epsilon = 0.5;
-    TdAgent agent(2, 2, cfg, 1);
-    agent.reset(0, 0);
-    agent.table().at(1, 0) = 2.0;
-    agent.table().at(1, 1) = 6.0;
-    agent.step(1.0, 1);
-    // E[Q(1,.)] = 0.5 * max(6) + 0.5 * mean(4) = 5
-    // Q(0,0) += 0.5 * (1 + 0.5*5 - 0) = 1.75
-    EXPECT_DOUBLE_EQ(agent.table().at(0, 0), 1.75);
-}
+                                           Algorithm::kSarsa));
 
 }  // namespace
 }  // namespace artmem::rl

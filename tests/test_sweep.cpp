@@ -22,25 +22,6 @@ namespace {
 
 using bench::BenchOptions;
 
-/** A workload x policy grid at one ratio, flattened in that nesting
- *  order; every job keeps @p base's accesses and seed. */
-sweep::SweepSpec
-make_grid(const std::vector<std::string>& workloads,
-          const std::vector<std::string>& policies,
-          const sim::RunSpec& base)
-{
-    sweep::SweepSpec spec;
-    for (const auto& workload : workloads) {
-        for (const auto& policy : policies) {
-            sim::RunSpec run = base;
-            run.workload = workload;
-            run.policy = policy;
-            spec.add(std::move(run));
-        }
-    }
-    return spec;
-}
-
 // ---------------------------------------------------------------- seeds
 
 TEST(DeriveSeed, PureFunctionOfBaseAndIndex)
@@ -57,38 +38,6 @@ TEST(DeriveSeed, DecorrelatedAcrossIndices)
     for (std::uint64_t i = 0; i < 1000; ++i)
         seen.insert(derive_seed(7, i));
     EXPECT_EQ(seen.size(), 1000u);
-}
-
-TEST(DeriveSeed, IndependentOfGridShape)
-{
-    // The same job index gets the same seed no matter how the grid
-    // that produced it was shaped: 2x3 vs 3x2 vs a flat list of 6.
-    sim::RunSpec prototype;
-    prototype.accesses = 1000;
-    auto wide =
-        make_grid({"s1", "s2"}, {"static", "autonuma", "tpp"}, prototype);
-    auto tall = make_grid({"s1", "s2", "s3"}, {"static", "autonuma"},
-                          prototype);
-    wide.derive_seeds(42);
-    tall.derive_seeds(42);
-    ASSERT_EQ(wide.jobs.size(), tall.jobs.size());
-    for (std::size_t i = 0; i < wide.jobs.size(); ++i) {
-        EXPECT_EQ(wide.jobs[i].spec.seed, tall.jobs[i].spec.seed);
-        EXPECT_EQ(wide.jobs[i].spec.seed, derive_seed(42, i));
-    }
-}
-
-TEST(SeedDomains, JobDomainIsTheLegacyStreamExactly)
-{
-    // Sweep goldens pin the legacy two-argument stream; the namespaced
-    // overload must reproduce it bit-for-bit under kJob.
-    for (const std::uint64_t base : {0ull, 42ull, 0xdeadbeefull,
-                                     0x9e3779b97f4a7c15ull}) {
-        for (std::uint64_t i = 0; i < 256; ++i)
-            ASSERT_EQ(derive_seed(base, SeedDomain::kJob, i),
-                      derive_seed(base, i))
-                << "base=" << base << " i=" << i;
-    }
 }
 
 // ---------------------------------------------------------- SweepRunner
@@ -265,7 +214,6 @@ TEST(BenchOptions, JobsAndFormatFlags)
     EXPECT_EQ(parse_options({"--jobs=4"}).jobs, 4u);
     EXPECT_EQ(parse_options({}).format(), Table::Format::kTable);
     EXPECT_EQ(parse_options({"--csv"}).format(), Table::Format::kCsv);
-    EXPECT_EQ(parse_options({"--json"}).format(), Table::Format::kJson);
 }
 
 }  // namespace

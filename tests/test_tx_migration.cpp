@@ -105,7 +105,7 @@ TEST(TxCli, ParsesAllKnobs)
 {
     std::vector<std::string> argv_s = {
         "prog", "--tx-migration", "--tx-seed=11", "--tx-write-ratio=0.1",
-        "--tx-max-inflight=3", "--tx-exclusive"};
+        "--tx-max-inflight=3"};
     std::vector<char*> argv;
     for (auto& a : argv_s)
         argv.push_back(a.data());
@@ -116,7 +116,6 @@ TEST(TxCli, ParsesAllKnobs)
     EXPECT_EQ(tx.seed, 11u);
     EXPECT_DOUBLE_EQ(tx.write_ratio, 0.1);
     EXPECT_EQ(tx.max_inflight, 3u);
-    EXPECT_FALSE(tx.non_exclusive);
 }
 
 // --- tx off: the strict no-op contract -------------------------------
@@ -197,22 +196,6 @@ TEST(TxLifecycle, OpenChargesShadowAndCommitFlipsResidency)
     EXPECT_EQ(m.totals().tx_committed, 1u);
     EXPECT_EQ(m.totals().demoted_pages, 1u);
     EXPECT_GT(m.totals().migration_busy_ns, 0u);
-}
-
-TEST(TxLifecycle, ExclusiveModeReleasesTheSourceSlot)
-{
-    TieredMachine m(small_machine(4, 12));
-    auto tx = tx_on();
-    tx.non_exclusive = false;
-    m.install_tx(tx);
-    m.prefault_range(0, 12);
-    ASSERT_TRUE(m.migrate(0, Tier::kSlow).pending());
-    m.advance(kWholeWindow);
-    EXPECT_EQ(m.poll_tx(), 1u);
-    EXPECT_EQ(m.tier_of(0), Tier::kSlow);
-    EXPECT_FALSE(m.tx_page_dual(0));
-    EXPECT_EQ(m.used_pages(Tier::kFast), 3u);
-    EXPECT_EQ(m.tx_reclaimable_pages(Tier::kFast), 0u);
 }
 
 TEST(TxLifecycle, AccessesDuringWindowServeFromSource)

@@ -232,19 +232,6 @@ TEST(Table, CsvOutput)
     EXPECT_EQ(os.str(), "a,b\n1,2\n");
 }
 
-TEST(Table, JsonQuotesLabelsAndEmitsNumbersRaw)
-{
-    Table t({"policy", "ratio", "runtime"});
-    t.row()
-        .cell(std::string("artmem"))
-        .cell(std::string("1:16"))
-        .cell(1.5, 3);
-    std::ostringstream os;
-    t.emit(os, Table::Format::kJson);
-    EXPECT_EQ(os.str(), "[\n  {\"policy\": \"artmem\", "
-                        "\"ratio\": \"1:16\", \"runtime\": 1.500}\n]\n");
-}
-
 TEST(KvConfig, ParsesTypesAndComments)
 {
     const auto cfg = KvConfig::parse(
@@ -364,9 +351,9 @@ TEST(CliArgs, LibraryFlagParsersRejectWrappedIntegers)
     EXPECT_EXIT((void)tenancy::parse_tenancy_cli(cli({"--tenants=-1"})),
                 ::testing::ExitedWithCode(1), "--tenants must not be negative");
     EXPECT_EXIT((void)tenancy::parse_tenancy_cli(
-                    cli({"--tenants=2", "--tenant-quota=-4"})),
+                    cli({"--tenants=2", "--tenant-quantum=-4"})),
                 ::testing::ExitedWithCode(1),
-                "--tenant-quota must not be negative");
+                "--tenant-quantum must not be negative");
     EXPECT_EXIT((void)sim::parse_tx_cli(
                     cli({"--tx-migration", "--tx-max-inflight=-1"})),
                 ::testing::ExitedWithCode(1),

@@ -8,14 +8,13 @@
  *     phases set the accesses, so --accesses is rejected with it
  *   artmem sweep --workload=ycsb             all policies x all ratios
  *     sweep-only: --jobs=N (parallel workers; results are bit-identical
- *     to --jobs=1), --derive-seeds (per-job seed streams via
- *     derive_seed(seed, job_index) instead of one shared seed)
+ *     to --jobs=1), --csv
  *   artmem train --workload=cc --out=q.tbl   save converged Q-tables
  *   artmem run ... --qtables=q.tbl           start from trained tables
  *   artmem trace-record --workload=s1 --out=s1.trace
  *   artmem trace-run --trace=s1.trace --policy=memtis
  *
- * Common flags: --accesses=N --seed=N; --csv --json (sweep)
+ * Common flags: --accesses=N --seed=N
  * Observability (run and sweep; DESIGN.md section 8):
  *   --metrics-out=FILE --trace-out=BASE --trace-categories=LIST --profile
  *
@@ -327,8 +326,7 @@ cmd_sweep(const CliArgs& args)
 {
     // Every policy at every paper ratio: --policy and --ratio are not
     // read.
-    static constexpr std::string_view kOwn[] = {"jobs", "derive-seeds",
-                                                "csv", "json"};
+    static constexpr std::string_view kOwn[] = {"jobs", "csv"};
     accept_only(args, "sweep",
                 {kStreamFlags, kEngineFlags, sim::kTxFlags,
                  tenancy::kTenancyFlags, kTelemetryFlags, kOwn});
@@ -346,10 +344,6 @@ cmd_sweep(const CliArgs& args)
             sweepspec.add(std::move(job));
         }
     }
-    // Opt-in per-job seed streams; the default (one shared seed for
-    // every cell) matches the paper's evaluation convention.
-    if (args.get_bool("derive-seeds", false))
-        sweepspec.derive_seeds(spec.seed);
 
     sweep::SweepRunner runner(
         {.jobs = args.get_uint<unsigned>("jobs", 0),
@@ -367,11 +361,8 @@ cmd_sweep(const CliArgs& args)
             row.cell(runs[job++].seconds() * 1e3, 1);
     }
     std::cout << "runtime (ms), workload=" << spec.workload << "\n";
-    const auto format = args.get_bool("json", false)
-                            ? Table::Format::kJson
-                            : (args.get_bool("csv", false)
-                                   ? Table::Format::kCsv
-                                   : Table::Format::kTable);
+    const auto format = args.get_bool("csv", false) ? Table::Format::kCsv
+                                                    : Table::Format::kTable;
     table.emit(std::cout, format);
     write_sweep_telemetry(runs, touts, format);
 }
@@ -451,21 +442,19 @@ main(int argc, char** argv)
                "--accesses=N --seed=N\n"
                "       --timeline --qtables= (run) --out= (train, "
                "trace-record) --trace= (trace-run)\n"
-               "       --csv --json --jobs=N --derive-seeds (sweep: output "
-               "format, parallel workers, per-job seed streams)\n"
+               "       --csv --jobs=N (sweep: CSV output, parallel "
+               "workers)\n"
                "       --fault-scenario=<none|migration|degrade|blackout|"
                "pressure|abort_storm> --fault-config=<file> --fault-seed=N\n"
                "       --tx-migration (transactional copy-then-commit "
                "migrations; DESIGN.md section 10)\n"
-               "       --tx-write-ratio=R --tx-max-inflight=N --tx-seed=N "
-               "--tx-exclusive (release the source slot at commit)\n"
+               "       --tx-write-ratio=R --tx-max-inflight=N --tx-seed=N\n"
                "       --tenants=N (interleave N tenant workloads; "
-               "DESIGN.md section 13) --tenant-quota=PAGES "
-               "--tenant-quota-share=F\n"
+               "DESIGN.md section 13) --tenant-quota-share=F\n"
                "       --tenant-mix=w1,w2,... --tenant-weights=a,b,... "
                "--tenant-quantum=N --tenant-phase-stride=N "
                "--tenant-config=<file>\n"
-               "       --admission=<none|allow_all|static|feedback> "
+               "       --admission=<none|static|feedback> "
                "--admission-rate=N --admission-target=R --admission-max=N\n"
                "       --check-invariants (audit simulator state every "
                "interval; see DESIGN.md section 6)\n"

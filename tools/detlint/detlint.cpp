@@ -245,10 +245,6 @@ struct RegexRule {
     const char* id;
     std::regex pattern;
     const char* detail;  ///< Appended to the catalog title.
-    /** Path prefix the rule is scoped to (nullptr = every file). Lets a
-     *  pattern that is fine in general — e.g. drawing from the frozen
-     *  SeedDomain::kJob stream — be banned inside one subsystem. */
-    const char* only = nullptr;
 };
 
 const std::vector<RegexRule>&
@@ -257,9 +253,8 @@ regex_rules()
     static const std::vector<RegexRule> kRules = [] {
         std::vector<RegexRule> rules;
         const auto add = [&rules](const char* id, const char* pattern,
-                                  const char* detail,
-                                  const char* only = nullptr) {
-            rules.push_back({id, std::regex(pattern), detail, only});
+                                  const char* detail) {
+            rules.push_back({id, std::regex(pattern), detail});
         };
         // DL001 — wall-clock / CPU-clock reads.
         add("DL001",
@@ -279,13 +274,6 @@ regex_rules()
         add("DL002",
             R"(std::(mt19937(_64)?|default_random_engine|minstd_rand0?)\s*\(\s*\))",
             "default-seeded engine construction");
-        // DL002 (src/tenancy only) — the frozen kJob domain belongs to
-        // sweep jobs; tenant streams must be tagged SeedDomain::kTenant
-        // or tenant 3 collides with sweep job 3 (util/rng.hpp).
-        add("DL002", R"(\bSeedDomain::kJob\b)",
-            "frozen kJob seed stream in tenancy code (tenant streams "
-            "must derive from SeedDomain::kTenant)",
-            "src/tenancy");
         // DL003 — hash-order iteration sources.
         add("DL003", R"(std::unordered_(map|set|multimap|multiset)\b)",
             "std::unordered_* container");
@@ -550,8 +538,6 @@ lint_source(std::string_view path, std::string_view text,
             carried.clear();
 
         for (const auto& rule : regex_rules()) {
-            if (rule.only != nullptr && !path_matches(spath, rule.only))
-                continue;
             if (std::regex_search(line.code, rule.pattern))
                 emit_finding(rule.id, line_no, rule.detail, raw, sup);
         }
