@@ -8,14 +8,15 @@
 # huge or NaN fault factor scaled into simulated nanoseconds) is
 # reported and halts the run. Then come the suites that exercise
 # threads (sweep job counter, telemetry merge, transactional
-# migration) plus a real parallel --jobs 4 sweep under TSan. Any
-# sanitizer report fails the run
-# (halt_on_error / abort_on_error below). The TSan half is the runtime
-# complement of the compile-time Clang -Wthread-safety annotations
-# (DESIGN.md §11): the annotations prove lock discipline, TSan catches
-# what they cannot see (data races outside a capability, join
-# lifecycles). The ci.yml `sanitizers` job runs this script; the `tsan`
-# CMake preset builds the same TSan tree for local use.
+# migration) plus a real parallel --jobs 4 sweep under TSan. That
+# sweep runs under script(1), so its stderr is a pseudo-terminal and
+# the progress meter, the one cross-thread writer besides the job
+# counter, prints. Any sanitizer report fails the run
+# (halt_on_error / abort_on_error below). TSan is the repository's one
+# runtime concurrency check (DESIGN.md §11): the only mutable state
+# workers share is atomics and per-index result slots, and detlint
+# DL005 keeps locks out of the tree. The ci.yml `sanitizers` job runs this script; the
+# `tsan` CMake preset builds the same TSan tree for local use.
 #
 #   scripts/check_sanitizers.sh [build-dir-prefix]
 #
@@ -53,9 +54,13 @@ TSAN_OPTIONS=halt_on_error=1 "${prefix}-tsan/tests/test_tx_migration"
 TSAN_OPTIONS=halt_on_error=1 "${prefix}-tsan/tests/test_diff_model"
 TSAN_OPTIONS=halt_on_error=1 "${prefix}-tsan/tests/test_property"
 
-echo "==> TSan parallel sweep (--jobs 4, four threads sharing the job counter)"
-TSAN_OPTIONS=halt_on_error=1 \
-    "${prefix}-tsan/bench/bench_fig7_main" --csv --accesses=50000 --jobs=4 \
-    > "${prefix}-tsan/fig7_tsan.csv"
+echo "==> TSan parallel sweep (--jobs 4 on a pseudo-terminal: job counter and progress meter)"
+# script -e returns the sweep's exit status, so a TSan report still
+# fails the step. The shell that script starts expands FIG7 and OUT.
+# shellcheck disable=SC2016
+TSAN_OPTIONS=halt_on_error=1 FIG7="${prefix}-tsan/bench/bench_fig7_main" \
+    OUT="${prefix}-tsan/fig7_tsan.csv" \
+    script -qec '"${FIG7}" --csv --accesses=50000 --jobs=4 > "${OUT}"' \
+    /dev/null
 
 echo "==> sanitizers clean"

@@ -24,29 +24,41 @@ to_unit(std::uint64_t h)
     return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
+/**
+ * fatal() with a FaultConfig message, after "<source>: " when the
+ * values came from a file.
+ */
+template <typename... Args>
+[[noreturn]] void
+reject(std::string_view source, const Args&... args)
+{
+    fatal(source, source.empty() ? "" : ": ", "FaultConfig: ", args...);
+}
+
 void
-check_rate(double value, const char* name)
+check_rate(std::string_view source, double value, const char* name)
 {
     if (value < 0.0 || value > 1.0)
-        fatal("FaultConfig: ", name, " must be in [0,1], got ", value);
+        reject(source, name, " must be in [0,1], got ", value);
 }
 
 /** A degraded latency or copy time must stay far inside SimTimeNs. */
 void
-check_factor(double value, const char* name)
+check_factor(std::string_view source, double value, const char* name)
 {
     if (value < 1.0)
-        fatal("FaultConfig: ", name, " must be >= 1, got ", value);
+        reject(source, name, " must be >= 1, got ", value);
     if (value > 1e6)
-        fatal("FaultConfig: ", name, " must be at most 1e6, got ", value);
+        reject(source, name, " must be at most 1e6, got ", value);
 }
 
 void
-check_window(SimTimeNs period, SimTimeNs duration, const char* name)
+check_window(std::string_view source, SimTimeNs period, SimTimeNs duration,
+             const char* name)
 {
     if (period > 0 && duration > period) {
-        fatal("FaultConfig: ", name, " duration ", duration,
-              " exceeds its period ", period);
+        reject(source, name, " duration ", duration,
+               " exceeds its period ", period);
     }
 }
 
@@ -56,13 +68,13 @@ check_window(SimTimeNs period, SimTimeNs duration, const char* name)
  * keys of parse_fault_config().
  */
 void
-check_has_period(bool set, SimTimeNs period, const char* key,
-                 const char* period_key)
+check_has_period(std::string_view source, bool set, SimTimeNs period,
+                 const char* key, const char* period_key)
 {
     if (set && period == 0) {
-        fatal("FaultConfig: fault.", key, " is set but fault.", period_key,
-              " is 0; the window never opens, so the setting would be "
-              "ignored");
+        reject(source, "fault.", key, " is set but fault.", period_key,
+               " is 0; the window never opens, so the setting would be "
+               "ignored");
     }
 }
 
@@ -78,52 +90,54 @@ FaultConfig::any_enabled() const
 }
 
 void
-FaultConfig::validate() const
+FaultConfig::validate(std::string_view source) const
 {
-    check_rate(pinned_fraction, "pinned_fraction");
-    check_rate(transient_rate, "transient_rate");
-    check_rate(contended_rate, "contended_rate");
-    check_rate(sample_drop_rate, "sample_drop_rate");
-    check_rate(pressure_fraction, "pressure_fraction");
+    check_rate(source, pinned_fraction, "pinned_fraction");
+    check_rate(source, transient_rate, "transient_rate");
+    check_rate(source, contended_rate, "contended_rate");
+    check_rate(source, sample_drop_rate, "sample_drop_rate");
+    check_rate(source, pressure_fraction, "pressure_fraction");
     if (degrade_tier < 0 || degrade_tier >= kTierCount)
-        fatal("FaultConfig: degrade_tier must be 0 or 1, got ", degrade_tier);
-    check_factor(degrade_latency_factor, "degrade_latency_factor");
-    check_factor(degrade_bandwidth_factor, "degrade_bandwidth_factor");
-    check_rate(write_storm_rate, "write_storm_rate");
-    check_has_period(degrade_latency_factor != 1.0, degrade_period_ns,
+        reject(source, "degrade_tier must be 0 or 1, got ", degrade_tier);
+    check_factor(source, degrade_latency_factor, "degrade_latency_factor");
+    check_factor(source, degrade_bandwidth_factor, "degrade_bandwidth_factor");
+    check_rate(source, write_storm_rate, "write_storm_rate");
+    check_has_period(source, degrade_latency_factor != 1.0, degrade_period_ns,
                      "degrade_latency_factor", "degrade_period_ms");
-    check_has_period(degrade_bandwidth_factor != 1.0, degrade_period_ns,
-                     "degrade_bandwidth_factor", "degrade_period_ms");
-    check_has_period(degrade_duration_ns > 0, degrade_period_ns,
+    check_has_period(source, degrade_bandwidth_factor != 1.0,
+                     degrade_period_ns, "degrade_bandwidth_factor",
+                     "degrade_period_ms");
+    check_has_period(source, degrade_duration_ns > 0, degrade_period_ns,
                      "degrade_duration_ms", "degrade_period_ms");
-    check_has_period(blackout_duration_ns > 0, blackout_period_ns,
+    check_has_period(source, blackout_duration_ns > 0, blackout_period_ns,
                      "blackout_duration_ms", "blackout_period_ms");
-    check_has_period(pressure_fraction > 0.0, pressure_period_ns,
+    check_has_period(source, pressure_fraction > 0.0, pressure_period_ns,
                      "pressure_fraction", "pressure_period_ms");
-    check_has_period(pressure_duration_ns > 0, pressure_period_ns,
+    check_has_period(source, pressure_duration_ns > 0, pressure_period_ns,
                      "pressure_duration_ms", "pressure_period_ms");
-    check_has_period(write_storm_rate > 0.0, write_storm_period_ns,
+    check_has_period(source, write_storm_rate > 0.0, write_storm_period_ns,
                      "write_storm_rate", "write_storm_period_ms");
-    check_has_period(write_storm_duration_ns > 0, write_storm_period_ns,
-                     "write_storm_duration_ms", "write_storm_period_ms");
-    check_window(degrade_period_ns, degrade_duration_ns, "degrade");
-    check_window(blackout_period_ns, blackout_duration_ns, "blackout");
-    check_window(pressure_period_ns, pressure_duration_ns, "pressure");
-    check_window(write_storm_period_ns, write_storm_duration_ns,
+    check_has_period(source, write_storm_duration_ns > 0,
+                     write_storm_period_ns, "write_storm_duration_ms",
+                     "write_storm_period_ms");
+    check_window(source, degrade_period_ns, degrade_duration_ns, "degrade");
+    check_window(source, blackout_period_ns, blackout_duration_ns, "blackout");
+    check_window(source, pressure_period_ns, pressure_duration_ns, "pressure");
+    check_window(source, write_storm_period_ns, write_storm_duration_ns,
                  "write_storm");
     if (degrade_period_ns > 0 && degrade_duration_ns == 0)
-        fatal("FaultConfig: degrade window enabled with zero duration");
+        reject(source, "degrade window enabled with zero duration");
     if (blackout_period_ns > 0 && blackout_duration_ns == 0)
-        fatal("FaultConfig: blackout window enabled with zero duration");
+        reject(source, "blackout window enabled with zero duration");
     if (pressure_period_ns > 0 &&
         (pressure_duration_ns == 0 || pressure_fraction == 0.0)) {
-        fatal("FaultConfig: pressure window enabled with zero duration ",
-              "or zero pressure_fraction");
+        reject(source, "pressure window enabled with zero duration ",
+               "or zero pressure_fraction");
     }
     if (write_storm_period_ns > 0 &&
         (write_storm_duration_ns == 0 || write_storm_rate == 0.0)) {
-        fatal("FaultConfig: write_storm window enabled with zero duration ",
-              "or zero write_storm_rate");
+        reject(source, "write_storm window enabled with zero duration ",
+               "or zero write_storm_rate");
     }
 }
 
@@ -184,7 +198,7 @@ parse_fault_config(const KvConfig& config)
     get("fault.write_storm_rate", fc.write_storm_rate);
     get_ms("fault.write_storm_period_ms", fc.write_storm_period_ns);
     get_ms("fault.write_storm_duration_ms", fc.write_storm_duration_ns);
-    fc.validate();
+    fc.validate(config.source());
     return fc;
 }
 

@@ -112,9 +112,11 @@ struct FaultConfig {
 
     /**
      * fatal() on out-of-range rates, factors (below 1 or above 1e6), or
-     * windows, and on a window setting whose class has no period.
+     * windows, and on a window setting whose class has no period. A
+     * non-empty @p source, the file the values came from, starts the
+     * message.
      */
-    void validate() const;
+    void validate(std::string_view source = {}) const;
 };
 
 /**

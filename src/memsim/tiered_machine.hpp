@@ -405,12 +405,6 @@ class TieredMachine
     /** True once transactional mode is installed. */
     bool tx_enabled() const { return tx_ != nullptr; }
 
-    /** Engine configuration in force, or nullptr when off. */
-    const TxConfig* tx_config() const
-    {
-        return tx_ != nullptr ? &tx_->config : nullptr;
-    }
-
     /** Install the resolution callback (one at a time). */
     void set_tx_handler(TxResolveHandler handler)
     {

@@ -109,9 +109,6 @@ class Policy
         return *machine_;
     }
 
-    /** True once init() ran. */
-    bool attached() const { return machine_ != nullptr; }
-
     /** The attached telemetry bundle, or nullptr when telemetry is off. */
     telemetry::Telemetry* telemetry() { return telemetry_; }
 

@@ -1,10 +1,7 @@
 #include "sim/engine.hpp"
 
 #include "util/logging.hpp"
-
-#if ARTMEM_CHECK_INVARIANTS
 #include "verify/invariant_checker.hpp"
-#endif
 
 namespace artmem::sim {
 
@@ -69,16 +66,7 @@ run_simulation(workloads::AccessGenerator& gen, policies::Policy& policy,
     memsim::PebsSampler sampler(config.pebs);
     std::uint64_t pebs_suppressed = 0;
 
-#if ARTMEM_CHECK_INVARIANTS
     verify::InvariantChecker checker;
-    const bool check_invariants = config.check_invariants;
-#else
-    const bool check_invariants = false;
-    if (config.check_invariants) {
-        warn("run_simulation: check_invariants requested but this binary ",
-             "was built with ARTMEM_CHECK_INVARIANTS=OFF; auditing skipped");
-    }
-#endif
 
     std::vector<PageId> batch(config.batch_size);
     std::vector<memsim::PebsSample> drained;
@@ -178,17 +166,13 @@ run_simulation(workloads::AccessGenerator& gen, policies::Policy& policy,
                     .str());
         }
         interval_start_accesses = result.accesses;
-#if ARTMEM_CHECK_INVARIANTS
-        if (check_invariants) {
+        if (config.check_invariants) {
             telemetry::PhaseTimer audit_timer(profiler,
                                               telemetry::Phase::kAudit);
             if (checker.audit(machine, policy, pebs_suppressed) == 0)
                 warn("run_simulation: invariant audit examined no state");
             result.invariant_audits = checker.audits();
         }
-#else
-        (void)check_invariants;
-#endif
     };
 
     while (true) {

@@ -66,8 +66,7 @@ struct EngineConfig {
     /**
      * Audit simulator invariants (residency, LRU partition, EMA mass,
      * fault accounting, Q-table bounds; see verify/invariant_checker.hpp)
-     * after every decision interval. Requires a build with
-     * ARTMEM_CHECK_INVARIANTS=ON (the default); a violation throws
+     * after every decision interval. A violation throws
      * verify::InvariantViolation out of run_simulation().
      */
     bool check_invariants = false;

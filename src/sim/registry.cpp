@@ -19,13 +19,6 @@ policy_names()
             "multiclock", "memtis",     "tiering08", "artmem"};
 }
 
-std::vector<std::string_view>
-baseline_names()
-{
-    return {"memtis",     "autotiering", "tpp",      "autonuma",
-            "multiclock", "nimble",      "tiering08"};
-}
-
 std::unique_ptr<policies::Policy>
 make_policy(std::string_view name, std::uint64_t seed)
 {

@@ -18,9 +18,6 @@ namespace artmem::sim {
 /** All policy names, baselines first, ArtMem last. */
 std::vector<std::string_view> policy_names();
 
-/** The seven baseline systems of Table 1 (no static, no artmem). */
-std::vector<std::string_view> baseline_names();
-
 /**
  * Build a policy by name with default configuration: "static",
  * "autonuma", "tpp", "autotiering", "nimble", "multiclock", "memtis",

@@ -10,9 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
-
 namespace artmem::sweep {
 
 namespace {
@@ -21,8 +18,9 @@ namespace {
  * Worker-shared "k/N jobs done" + ETA reporter. Writes to stderr only
  * (and only when stderr is a terminal), so it can never feed the result
  * vector and cannot break bit-identity. The ETA wall clock is likewise
- * reporting-only; everything cross-thread sits behind mutex_ so the
- * Clang capability analysis can vouch for the progress path.
+ * reporting-only. The atomic count is the only state workers write;
+ * the final N/N line and its newline come from finish(), called once
+ * after the workers join, so no worker's late update can land after it.
  */
 class ProgressMeter
 {
@@ -34,30 +32,42 @@ class ProgressMeter
     }
 
     void
-    job_done() ARTMEM_EXCLUDES(mutex_)
+    job_done()
     {
         if (!enabled_)
             return;
-        MutexLock lock(mutex_);
-        ++done_;
-        const double elapsed =
-            std::chrono::duration<double>(Clock::now() - start_).count();
-        const double eta = elapsed / static_cast<double>(done_) *
-                           static_cast<double>(total_ - done_);
-        std::fprintf(stderr, "\rsweep: %zu/%zu jobs done, eta %.1fs%s",
-                     done_, total_, eta, done_ == total_ ? "\n" : "");
-        std::fflush(stderr);
+        const std::size_t done = ++done_;
+        if (done < total_)
+            print(done, "");
+    }
+
+    void
+    finish() const
+    {
+        if (enabled_)
+            print(total_, "\n");
     }
 
   private:
     // lint:allow(DL001) ETA on stderr only; never feeds results
     using Clock = std::chrono::steady_clock;
 
+    void
+    print(std::size_t done, const char* end) const
+    {
+        const double elapsed =
+            std::chrono::duration<double>(Clock::now() - start_).count();
+        const double eta = elapsed / static_cast<double>(done) *
+                           static_cast<double>(total_ - done);
+        std::fprintf(stderr, "\rsweep: %zu/%zu jobs done, eta %.1fs%s",
+                     done, total_, eta, end);
+        std::fflush(stderr);
+    }
+
     const bool enabled_;
     const std::size_t total_;
     const Clock::time_point start_;
-    Mutex mutex_;
-    std::size_t done_ ARTMEM_GUARDED_BY(mutex_) = 0;
+    std::atomic<std::size_t> done_{0};
 };
 
 }  // namespace
@@ -116,6 +126,7 @@ SweepRunner::run_indexed(std::size_t n,
             helpers.emplace_back(take_jobs);
         take_jobs();
     }  // The helpers join here, which publishes every slot they wrote.
+    progress.finish();
 
     for (const auto& error : errors) {
         if (error)

@@ -100,7 +100,6 @@ class TraceSink
                   std::uint64_t dur_ns, std::string args = "{}");
 
     std::size_t event_count() const { return events_.size(); }
-    std::uint32_t categories() const { return categories_; }
 
     /**
      * One JSON object per line, in emission order. @p job >= 0 adds a

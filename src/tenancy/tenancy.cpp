@@ -47,31 +47,40 @@ parse_weights(std::string_view text)
     return out;
 }
 
+/**
+ * fatal() with a tenancy message, after "<source>: " when the values
+ * came from a file.
+ */
+template <typename... Args>
+[[noreturn]] void
+reject(std::string_view source, const Args&... args)
+{
+    fatal(source, source.empty() ? "" : ": ", "tenancy: ", args...);
+}
+
 }  // namespace
 
 void
-TenancyConfig::validate() const
+TenancyConfig::validate(std::string_view source) const
 {
     if (tenants > 65535)
-        fatal("tenancy: ", tenants, " tenants exceed the 16-bit "
-              "ownership map");
+        reject(source, tenants, " tenants exceed the 16-bit ownership map");
     if (!enabled()) {
         // Knobs without --tenants > 1 are silent no-ops waiting to
         // mislead an experiment; refuse them outright.
         TenancyConfig defaults;
         defaults.tenants = tenants;
         if (*this != defaults)
-            fatal("tenancy: quota/mix/admission knobs require "
-                  "tenants > 1");
+            reject(source, "quota/mix/admission knobs require tenants > 1");
         return;
     }
     if (quantum == 0)
-        fatal("tenancy: quantum must be positive");
+        reject(source, "quantum must be positive");
     if (quota_share < 0.0 || quota_share > 1.0)
-        fatal("tenancy: quota share ", quota_share, " outside [0, 1]");
+        reject(source, "quota share ", quota_share, " outside [0, 1]");
     const auto names = admission_names();
     if (std::find(names.begin(), names.end(), admission) == names.end())
-        fatal("tenancy: unknown admission policy '", admission, "'");
+        reject(source, "unknown admission policy '", admission, "'");
 }
 
 TenancyConfig
@@ -103,7 +112,7 @@ parse_tenancy_config(const KvConfig& config)
         config.get_double("tenancy.admission_target", tc.admission_target);
     tc.admission_max =
         config.get_uint("tenancy.admission_max", tc.admission_max);
-    tc.validate();
+    tc.validate(config.source());
     return tc;
 }
 

@@ -60,8 +60,12 @@ struct TenancyConfig {
     /** True when the run is actually multi-tenant. */
     bool enabled() const { return tenants > 1; }
 
-    /** fatal() on out-of-range values or knobs without tenants > 1. */
-    void validate() const;
+    /**
+     * fatal() on out-of-range values or knobs without tenants > 1. A
+     * non-empty @p source, the file the values came from, starts the
+     * message.
+     */
+    void validate(std::string_view source = {}) const;
 
     /** Field-wise; validate() compares with the defaults. */
     bool operator==(const TenancyConfig&) const = default;

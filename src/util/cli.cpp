@@ -10,7 +10,6 @@ CliArgs
 CliArgs::parse(int argc, char** argv)
 {
     CliArgs args;
-    args.program_ = argc > 0 ? argv[0] : "";
     for (int i = 1; i < argc; ++i) {
         std::string tok = argv[i];
         if (tok.rfind("--", 0) != 0) {

@@ -68,11 +68,7 @@ class CliArgs
         std::initializer_list<std::span<const std::string_view>> known,
         std::string_view hint) const;
 
-    /** Program name (argv[0]). */
-    const std::string& program() const { return program_; }
-
   private:
-    std::string program_;
     std::map<std::string, std::string> flags_;
     std::vector<std::string> positional_;
 };

@@ -1,26 +1,6 @@
 #include "util/logging.hpp"
 
-namespace artmem {
-
-namespace {
-
-LogLevel g_level = LogLevel::kInfo;
-
-}  // namespace
-
-LogLevel
-log_level()
-{
-    return g_level;
-}
-
-void
-set_log_level(LogLevel level)
-{
-    g_level = level;
-}
-
-namespace detail {
+namespace artmem::detail {
 
 void
 emit(std::string_view tag, std::string_view msg)
@@ -28,6 +8,4 @@ emit(std::string_view tag, std::string_view msg)
     std::cerr << "[" << tag << "] " << msg << "\n";
 }
 
-}  // namespace detail
-
-}  // namespace artmem
+}  // namespace artmem::detail

@@ -1,8 +1,8 @@
 /**
  * @file
  * Minimal logging and error-exit helpers, in the spirit of gem5's
- * inform()/warn()/fatal()/panic() split: fatal() is a user error
- * (bad configuration), panic() is an internal invariant violation.
+ * warn()/fatal()/panic() split: fatal() is a user error (bad
+ * configuration), panic() is an internal invariant violation.
  */
 #ifndef ARTMEM_UTIL_LOGGING_HPP
 #define ARTMEM_UTIL_LOGGING_HPP
@@ -13,15 +13,6 @@
 #include <string_view>
 
 namespace artmem {
-
-/** Verbosity levels for inform-style messages. */
-enum class LogLevel { kQuiet = 0, kInfo = 1, kDebug = 2 };
-
-/** Global verbosity; benches and examples may raise/lower it. */
-LogLevel log_level();
-
-/** Set the global verbosity. */
-void set_log_level(LogLevel level);
 
 namespace detail {
 
@@ -37,24 +28,6 @@ format_args(Args&&... args)
 }
 
 }  // namespace detail
-
-/** Status message for the user; printed at kInfo and above. */
-template <typename... Args>
-void
-inform(Args&&... args)
-{
-    if (log_level() >= LogLevel::kInfo)
-        detail::emit("info", detail::format_args(std::forward<Args>(args)...));
-}
-
-/** Debug-level message; printed only at kDebug. */
-template <typename... Args>
-void
-debug(Args&&... args)
-{
-    if (log_level() >= LogLevel::kDebug)
-        detail::emit("debug", detail::format_args(std::forward<Args>(args)...));
-}
 
 /** Warn about suspicious but survivable conditions; always printed. */
 template <typename... Args>

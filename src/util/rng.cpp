@@ -25,24 +25,10 @@ Rng::seed(std::uint64_t seed_value)
         s = splitmix64(sm);
 }
 
-std::uint64_t
-Rng::next_range(std::uint64_t lo, std::uint64_t hi)
-{
-    if (lo > hi)
-        panic("Rng::next_range: lo > hi");
-    return lo + next_below(hi - lo + 1);
-}
-
 void
 Rng::panic_bound_zero()
 {
     panic("Rng::next_below called with bound 0");
-}
-
-Rng
-Rng::fork()
-{
-    return Rng(next());
 }
 
 }  // namespace artmem

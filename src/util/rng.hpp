@@ -94,9 +94,6 @@ class Rng
             (static_cast<uint128>(next()) * bound) >> 64);
     }
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::uint64_t next_range(std::uint64_t lo, std::uint64_t hi);
-
     /** Uniform double in [0, 1). */
     double
     next_double()
@@ -106,9 +103,6 @@ class Rng
 
     /** Bernoulli draw with probability p. */
     bool next_bool(double p) { return next_double() < p; }
-
-    /** Fork a statistically independent child generator. */
-    Rng fork();
 
   private:
     static std::uint64_t

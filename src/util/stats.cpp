@@ -79,17 +79,6 @@ pearson(std::span<const double> x, std::span<const double> y)
 }
 
 double
-mean(std::span<const double> xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double x : xs)
-        sum += x;
-    return sum / static_cast<double>(xs.size());
-}
-
-double
 geomean(std::span<const double> xs)
 {
     if (xs.empty())

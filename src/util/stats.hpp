@@ -50,9 +50,6 @@ class OnlineStats
  */
 double pearson(std::span<const double> x, std::span<const double> y);
 
-/** Arithmetic mean (0 if empty). */
-double mean(std::span<const double> xs);
-
 /** Geometric mean; all inputs must be positive (0 if empty). */
 double geomean(std::span<const double> xs);
 

@@ -43,9 +43,6 @@ class Table
     /** Append an integer cell. */
     Table& cell(std::uint64_t value);
 
-    /** Number of data rows. */
-    std::size_t row_count() const { return rows_.size(); }
-
     /**
      * Print in @p format: aligned with a separator rule under the
      * header, or CSV (comma-separated, no quoting of commas needed

@@ -36,10 +36,9 @@
  * is caught at the interval it happens instead of as a benchmark delta.
  *
  * The checks are O(pages); check_ema() allocates one bit per page to
- * find a page the hot index holds twice. The engine hook is compiled
- * in only under -DARTMEM_CHECK_INVARIANTS=ON (the default) and still
- * gated by a runtime flag (EngineConfig::check_invariants, CLI
- * --check-invariants).
+ * find a page the hot index holds twice. The engine hook is always
+ * compiled in and gated by a runtime flag
+ * (EngineConfig::check_invariants, CLI --check-invariants).
  */
 #ifndef ARTMEM_VERIFY_INVARIANT_CHECKER_HPP
 #define ARTMEM_VERIFY_INVARIANT_CHECKER_HPP

@@ -10,8 +10,9 @@
 # Cases: trace_page_past_footprint, trace_huge_footprint,
 # qtables_truncated, accesses_hex, accesses_signed, fault_config_nan,
 # fault_config_inf, fault_config_huge_factor, fault_config_no_period,
-# tx_write_ratio_nan, fault_seed_alone, accesses_with_masim_config,
-# masim_config_missing_equals, tenant_config_unknown_key, one flag each
+# fault_config_bad_fraction, tx_write_ratio_nan, fault_seed_alone,
+# accesses_with_masim_config, masim_config_missing_equals,
+# tenant_config_unknown_key, tenant_config_zero_quantum, one flag each
 # that sweep, run, train, trace-record and trace-run do not read
 # (<command>_<flag>), and example_unknown_flag.
 set -u
@@ -116,6 +117,13 @@ fault_config_no_period)
         "${artmem}" run --workload=s2 --policy=artmem --ratio=1:4 \
         --accesses=200000 --fault-config="${config}"
     ;;
+# An out-of-range value names the file it came from, not only the field.
+fault_config_bad_fraction)
+    config="${dir}/pinned_two.cfg"
+    printf 'fault.pinned_fraction = 2\n' > "${config}"
+    expect_exit1 "${config}: FaultConfig: pinned_fraction must be in [0,1], got 2" \
+        "${artmem}" run --accesses=1000 --fault-config="${config}"
+    ;;
 tx_write_ratio_nan)
     expect_exit1 "flag --tx-write-ratio must be finite, got 'nan'" \
         "${artmem}" run --accesses=100000 --tx-migration --tx-write-ratio=nan
@@ -146,6 +154,12 @@ tenant_config_unknown_key)
     config="${dir}/tenant_typo.cfg"
     printf 'tenancy.tenants = 4\ntenancy.quotta = 0.25\n' > "${config}"
     expect_exit1 "${config}: unknown key 'tenancy.quotta'" \
+        "${artmem}" run --accesses=1000 --tenant-config="${config}"
+    ;;
+tenant_config_zero_quantum)
+    config="${dir}/tenant_zero_quantum.cfg"
+    printf 'tenancy.tenants = 4\ntenancy.quantum = 0\n' > "${config}"
+    expect_exit1 "${config}: tenancy: quantum must be positive" \
         "${artmem}" run --accesses=1000 --tenant-config="${config}"
     ;;
 # A flag the subcommand does not read used to be dropped silently: the

@@ -1,17 +1,11 @@
-// detlint fixture: capability-annotated wrappers — must produce no
-// findings. Mirrors the util/sync.hpp pattern without including it
-// (fixtures are standalone).
-struct Mutex {
-    void lock();
-    void unlock();
-};
+// detlint fixture: the state threads may share — must produce no
+// findings. An atomic job counter and one result slot per job index,
+// the sweep runner's pattern, with no lock anywhere.
+#include <atomic>
+#include <cstddef>
+#include <vector>
 
-struct CondVar {
-    void notify_one();
-};
-
-struct FixtureAnnotatedPrimitives {
-    Mutex mutex;
-    CondVar cv;
-    int guarded = 0;
+struct FixtureSharedState {
+    std::atomic<std::size_t> next_job{0};
+    std::vector<double> result_slots;
 };

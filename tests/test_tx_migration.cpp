@@ -125,7 +125,6 @@ TEST(TxOff, MachineBehavesAtomically)
     TieredMachine m(small_machine(4, 12));
     m.prefault_range(0, 12);
     EXPECT_FALSE(m.tx_enabled());
-    EXPECT_EQ(m.tx_config(), nullptr);
     // Migration completes inside the call, no window, no pending state.
     const auto r = m.migrate(0, Tier::kSlow);
     EXPECT_TRUE(r.ok());

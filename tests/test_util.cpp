@@ -71,28 +71,6 @@ TEST(Rng, NextDoubleInUnitInterval)
     }
 }
 
-TEST(Rng, NextRangeInclusive)
-{
-    Rng rng(5);
-    bool saw_lo = false, saw_hi = false;
-    for (int i = 0; i < 1000; ++i) {
-        const auto v = rng.next_range(3, 5);
-        EXPECT_GE(v, 3u);
-        EXPECT_LE(v, 5u);
-        saw_lo |= v == 3;
-        saw_hi |= v == 5;
-    }
-    EXPECT_TRUE(saw_lo);
-    EXPECT_TRUE(saw_hi);
-}
-
-TEST(Rng, ForkIsIndependent)
-{
-    Rng parent(11);
-    Rng child = parent.fork();
-    EXPECT_NE(parent.next(), child.next());
-}
-
 TEST(ByteLiterals, ScaleCorrectly)
 {
     EXPECT_EQ(1_KiB, 1024ull);
@@ -205,7 +183,6 @@ TEST(Stats, GeomeanAndMean)
 {
     std::vector<double> xs{1.0, 4.0, 16.0};
     EXPECT_NEAR(geomean(xs), 4.0, 1e-12);
-    EXPECT_NEAR(mean(xs), 7.0, 1e-12);
     EXPECT_DOUBLE_EQ(geomean({}), 0.0);
 }
 
@@ -216,7 +193,6 @@ TEST(Table, AlignsAndCounts)
     t.row().cell("b").cell(std::uint64_t{42});
     std::ostringstream os;
     t.emit(os, Table::Format::kTable);
-    EXPECT_EQ(t.row_count(), 2u);
     const std::string out = os.str();
     EXPECT_NE(out.find("alpha"), std::string::npos);
     EXPECT_NE(out.find("1.50"), std::string::npos);

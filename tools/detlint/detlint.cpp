@@ -33,8 +33,9 @@ const std::vector<RuleInfo> kCatalog = {
      "the returned status of a [[nodiscard]]-annotated API is dropped "
      "on the floor; consume it or cast to (void) with a suppression"},
     {"DL005", "raw std synchronization primitive",
-     "std::mutex has no capability attribute, so Clang thread-safety "
-     "analysis cannot track it; use artmem::Mutex (util/sync.hpp)"},
+     "only atomics and per-index result slots cross threads; no lock "
+     "is sanctioned, since state behind one is shared in scheduling "
+     "order"},
     {"DL006", "shared mutable static",
      "writable static state is shared across sweep worker threads and "
      "across runs; make it const/constexpr or move it into the job"},
@@ -277,7 +278,7 @@ regex_rules()
         // DL003 — hash-order iteration sources.
         add("DL003", R"(std::unordered_(map|set|multimap|multiset)\b)",
             "std::unordered_* container");
-        // DL005 — raw std sync primitives (use util/sync.hpp).
+        // DL005 — raw std sync primitives (threads share atomics only).
         add("DL005",
             R"(std::(recursive_mutex|shared_mutex|timed_mutex|recursive_timed_mutex|shared_timed_mutex|mutex)\b)",
             "raw std mutex type");
