@@ -226,9 +226,10 @@ BM_WorkloadFill(benchmark::State& state, const char* workload)
     // kernels"): a fresh 2M-access generator at 2 MiB pages and seed 42,
     // drained in batches of 512, the engine's batch size. Construction
     // is not timed. A fill that went back to a per-access phase test
-    // and weight scan (s2), or to dividing each level down from the
-    // leaf (btree), shows here. Gated in BENCH_hotpath.json;
-    // items_per_second is accesses per second.
+    // and weight scan (s2), to dividing each level down from the leaf
+    // (btree), or to scanning the Zipf table's boundaries (ycsb), shows
+    // here. Gated in BENCH_hotpath.json; items_per_second is accesses
+    // per second.
     constexpr std::size_t kBatch = 512;
     constexpr std::uint64_t kAccesses = 2000000;
     std::vector<PageId> batch(kBatch);
@@ -247,6 +248,8 @@ BM_WorkloadFill(benchmark::State& state, const char* workload)
 }
 BENCHMARK_CAPTURE(BM_WorkloadFill, s2, "s2")->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_WorkloadFill, btree, "btree")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_WorkloadFill, ycsb, "ycsb")
     ->Unit(benchmark::kMillisecond);
 
 void
@@ -426,7 +429,7 @@ main(int argc, char** argv)
 {
     // --quick (scripts/check_perf.sh): restrict the run to the gated
     // benchmarks — the end-to-end throughput runs, the faulted batch
-    // loop, the s2 and btree fill kernels and the sparse ArtMem
+    // loop, the s2, btree and ycsb fill kernels and the sparse ArtMem
     // decision interval — at a short minimum time, mirroring the
     // fig-harness --quick convention. Expanded into native
     // google-benchmark flags so the library still does all the timing.

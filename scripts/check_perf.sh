@@ -5,7 +5,7 @@
 # BM_AccessBatchFaulted, BM_WorkloadFill and BM_MigrationPlanningSparse
 # at one short google-benchmark repetition) and compares items/sec per
 # entry — simulated accesses for the throughput runs, the faulted batch
-# loop and the s2 and btree fill kernels, decision intervals for the
+# loop and the s2, btree and ycsb fill kernels, decision intervals for the
 # sparse ArtMem case — against the committed baseline in
 # BENCH_hotpath.json. The tolerance is deliberately generous (a 30% drop
 # fails): CI machines are noisy, and this gate exists to catch real

@@ -172,7 +172,7 @@ ZipfianGenerator::build_table()
 
     bool ok = true;
     std::uint64_t lo = 0;  // the last boundary found
-    cells_.reserve(target + 1);
+    cells_.reserve(target + kWindow);
     for (std::uint64_t r = 0; r < target; ++r) {
         // Start from the closed form's inverse: rank 0 ends where
         // u * zeta(n) reaches 1, rank r >= 1 where n * base^alpha
@@ -214,10 +214,13 @@ ZipfianGenerator::build_table()
     }
 
     // A table reaching rank n-1 answers every draw; one stopping short
-    // leaves draws past its last boundary to the closed form.
-    closed_from_ = ranks == n_ - 1 ? n_ : ranks;
+    // leaves the draws from its last boundary's cell on to the closed
+    // form.
+    closed_from_k_ = ranks == n_ - 1
+                         ? kDraws
+                         : std::uint64_t{cells_[ranks - 1]} << kCellShift;
     const std::uint64_t span = ranks == n_ - 1 ? kDraws : lo;
-    cells_.push_back(std::numeric_limits<std::uint32_t>::max());
+    cells_.resize(ranks + kWindow, std::numeric_limits<std::uint32_t>::max());
 
     // About two guide buckets per rank, so a bucket holds a handful of
     // boundaries even where the tail packs them densest.
@@ -234,11 +237,18 @@ ZipfianGenerator::build_table()
         guide_[g] = static_cast<std::uint16_t>(r);
     }
 
+    // lookup() counts over kWindow cells from its bucket's guide rank,
+    // which is exact only while no bucket holds kWindow boundaries.
+    for (std::size_t g = 0; g < guide_.size() && ok; ++g) {
+        const std::uint64_t end = g + 1 < guide_.size() ? guide_[g + 1] : ranks;
+        ok = end - guide_[g] < kWindow;
+    }
+
     // The closed form answers a draw in a boundary's own cell, so the
     // table's answer is checked on the first draw past each boundary's
     // cell, where it must count that boundary, and on a seeded random
     // spray under its span. tests/test_diff_model.cpp additionally
-    // cross-checks millions of live draws.
+    // cross-checks millions of live draws and every boundary's cell.
     for (std::uint64_t i = 0; i < ranks && ok; ++i) {
         const std::uint64_t k = (std::uint64_t{cells_[i]} + 1) << kCellShift;
         ok = k >= kDraws || lookup(k) == rank_of(unit(k));
@@ -252,7 +262,7 @@ ZipfianGenerator::build_table()
     if (!ok) {
         cells_ = {};
         guide_ = {};
-        closed_from_ = 0;
+        closed_from_k_ = 0;
     }
 }
 

@@ -13,16 +13,19 @@
  * 53-bit integer k behind Rng::next_double() (u = k * 2^-53 exactly).
  * Boundary r of the table is the smallest k whose closed-form rank
  * exceeds r, so the rank of k is the number of boundaries <= k: one
- * guide-array load and a short scan over the boundaries' top 32 bits.
- * A draw that shares those bits with a boundary could fall on either
- * side of it, so the closed form answers it. Building the table costs
- * about as much as 7 closed-form draws per rank, so the generator pays
- * the closed form per draw until the draws the table would have served
- * add up to that cost, then builds it (ski rental). The build checks
- * every boundary and a seeded random spray against the closed form and
- * drops the table on any mismatch. Table and closed form return the same
- * rank for every draw, enforced by tests/test_diff_model.cpp, so
- * neither the table nor the moment it is built changes any output.
+ * guide-array load and a branch-free three-step count over the top 32
+ * bits of the eight boundaries from the guide's rank on. The count is
+ * exact while no guide bucket holds more than 7 boundaries; a shape
+ * past that keeps no table. A draw that shares those bits with a
+ * boundary could fall on either side of it, so the closed form answers
+ * it. Building the table costs about as much as 7 closed-form draws per
+ * rank, so the generator pays the closed form per draw until the draws
+ * the table would have served add up to that cost, then builds it (ski
+ * rental). The build checks every boundary and a seeded random spray
+ * against the closed form and drops the table on any mismatch. Table
+ * and closed form return the same rank for every draw, enforced by
+ * tests/test_diff_model.cpp, so neither the table nor the moment it is
+ * built changes any output.
  */
 #ifndef ARTMEM_UTIL_ZIPF_HPP
 #define ARTMEM_UTIL_ZIPF_HPP
@@ -75,7 +78,7 @@ class ZipfianGenerator
     std::size_t
     table_ranks() const
     {
-        return cells_.empty() ? 0 : cells_.size() - 1;
+        return cells_.empty() ? 0 : cells_.size() - kWindow;
     }
 
     /**
@@ -86,8 +89,18 @@ class ZipfianGenerator
     std::uint64_t table_price() const { return price_; }
 
   private:
+    /** Tests probe lookup() at the boundaries' cells. */
+    friend struct ZipfTestPeer;
+
     /** A draw's cell is its top 32 bits: k >> kCellShift. */
     static constexpr int kCellShift = 21;
+
+    /**
+     * Cells one lookup() counts over, from the guide's rank on. A guide
+     * bucket may hold at most kWindow - 1 boundaries, and cells_ ends in
+     * kWindow sentinels, so the count never reads past it.
+     */
+    static constexpr std::size_t kWindow = 8;
 
     static double zeta(std::uint64_t n, double theta);
 
@@ -108,19 +121,26 @@ class ZipfianGenerator
 
     /**
      * Table draw: the guide gives the rank at the left edge of k's
-     * bucket, and the scan counts the boundaries in cells below k's.
-     * The last entry of cells_ is a sentinel no cell exceeds. The closed
-     * form answers a draw in a boundary's own cell, and one past the
-     * last boundary of a table that stops short of rank n-1.
+     * bucket, and a binary count over the kWindow cells from there adds
+     * the boundaries in cells below k's. The bucket holds fewer than
+     * kWindow boundaries, so cells_[r + 7] is never below k's cell and
+     * three halving steps land r on the first boundary not below it.
+     * The last kWindow entries of cells_ are sentinels no cell exceeds.
+     * The closed form answers a draw in a boundary's own cell, and
+     * every draw from the last boundary's cell on in a table that stops
+     * short of rank n-1; that test reads only k, so such a draw does
+     * not wait on the count's loads.
      */
     std::uint64_t
     lookup(std::uint64_t k) const
     {
+        const std::uint32_t* c = cells_.data();
         std::uint64_t r = guide_[k >> guide_shift_];
         const auto cell = static_cast<std::uint32_t>(k >> kCellShift);
-        while (cells_[r] < cell)
-            ++r;
-        return cells_[r] == cell || r >= closed_from_ ? rank_of(unit(k)) : r;
+        r += 4 * std::uint64_t{c[r + 3] < cell};
+        r += 2 * std::uint64_t{c[r + 1] < cell};
+        r += std::uint64_t{c[r] < cell};
+        return k >= closed_from_k_ || c[r] == cell ? rank_of(unit(k)) : r;
     }
 
     std::uint64_t n_;
@@ -140,13 +160,16 @@ class ZipfianGenerator
     std::uint64_t price_ = 0;
     /** Closed-form draws left to pay before the table is built. */
     std::uint64_t rent_left_ = 0;
-    /** cells_[r]: the cell of the smallest k whose rank exceeds r. */
+    /**
+     * cells_[r]: the cell of the smallest k whose rank exceeds r, then
+     * kWindow sentinels.
+     */
     std::vector<std::uint32_t> cells_;
     /** guide_[g]: boundaries in cells below bucket g's first cell. */
     std::vector<std::uint16_t> guide_;
     int guide_shift_ = 0;
-    /** Table ranks at or above this are answered by the closed form. */
-    std::uint64_t closed_from_ = 0;
+    /** Draws k at or above this are answered by the closed form. */
+    std::uint64_t closed_from_k_ = 0;
 };
 
 }  // namespace artmem

@@ -31,12 +31,13 @@
  *
  * Plus four exact fast paths checked against the code they replaced:
  * the Zipf rank-table lookup must agree with the Gray et al. closed form
- * on every draw; AutoTiering's fast-page index must pick the same
- * exchange victim, leave the same cursor and charge the same scan cost
- * as the page-ring walk it replaced; ArtMem's hot-page index must
- * return the same promotion candidates, in the same order, as the slow
- * list walk it replaced; and the Masim and Btree batch kernels must
- * emit the per-access loops' streams, fill for fill.
+ * on every draw and at the edges of every boundary's cell; AutoTiering's
+ * fast-page index must pick the same exchange victim, leave the same
+ * cursor and charge the same scan cost as the page-ring walk it
+ * replaced; ArtMem's hot-page index must return the same promotion
+ * candidates, in the same order, as the slow list walk it replaced; and
+ * the Masim and Btree batch kernels must emit the per-access loops'
+ * streams, fill for fill.
  */
 #include <gtest/gtest.h>
 
@@ -139,6 +140,21 @@ struct MasimTestPeer {
 };
 
 }  // namespace workloads
+
+/** Reaches the Zipf rank table's lookup and its boundary cells. */
+struct ZipfTestPeer {
+    static constexpr int kCellShift = ZipfianGenerator::kCellShift;
+
+    static std::uint64_t lookup(const ZipfianGenerator& z, std::uint64_t k)
+    {
+        return z.lookup(k);
+    }
+    /** The cells of the table's boundaries, without the sentinels. */
+    static std::span<const std::uint32_t> cells(const ZipfianGenerator& z)
+    {
+        return {z.cells_.data(), z.table_ranks()};
+    }
+};
 
 namespace {
 
@@ -841,16 +857,25 @@ TEST(DiffModel, ZipfTableMatchesClosedFormOnEveryDraw)
     // ycsb_w, btree, cc, sssp and pr. Two identically seeded RNGs
     // consume the same uniform u: one feeds next(), which pays the
     // closed form until it builds the table, one the closed form
-    // directly.
+    // directly. The last two shapes put 8 and 18 boundaries in their
+    // densest guide bucket, past what lookup() counts over, so they
+    // may keep no table; they must still match draw for draw.
     const struct {
         std::uint64_t n;
         double theta;
+        bool keeps_table;
     } cases[] = {
-        {100, 0.99}, {4096, 0.99}, {4096, 0.5}, {1u << 20, 0.9},
+        {100, 0.99, true},       {4096, 0.99, true},
+        {4096, 0.5, true},       {1u << 20, 0.9, true},
         // ycsb, ycsb_w, btree, cc, sssp, pr.
-        {14745, 0.99}, {13107, 0.999}, {65536, 0.2}, {35328, 0.9},
-        {11468, 0.55}, {12800, 0.75},
+        {14745, 0.99, true},     {13107, 0.999, true},
+        {65536, 0.2, true},      {35328, 0.9, true},
+        {11468, 0.55, true},     {12800, 0.75, true},
+        {1u << 20, 0.5, false},  {1u << 20, 0.2, false},
     };
+    constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+    constexpr std::uint64_t kCell = std::uint64_t{1}
+                                    << ZipfTestPeer::kCellShift;
     for (const auto& c : cases) {
         SCOPED_TRACE(testing::Message()
                      << "n=" << c.n << " theta=" << c.theta);
@@ -864,7 +889,25 @@ TEST(DiffModel, ZipfTableMatchesClosedFormOnEveryDraw)
             ASSERT_EQ(got, want) << "draw " << i << " u=" << u;
         }
         // The table was built partway through and served the rest.
-        ASSERT_GT(zipf.table_ranks(), 0u);
+        if (c.keeps_table) {
+            ASSERT_GT(zipf.table_ranks(), 0u);
+        }
+        // A random stream lands in a boundary's own cell about 3.4
+        // times per million draws, so probe each boundary's cell
+        // directly: its first and last draw and the draw on either
+        // side, where the count must include or exclude the boundary.
+        const auto cells = ZipfTestPeer::cells(zipf);
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            const std::uint64_t first = std::uint64_t{cells[i]} * kCell;
+            const std::uint64_t last = first + kCell - 1;
+            for (const std::uint64_t k : {first - 1, first, last, last + 1}) {
+                if (k >= kDraws)
+                    continue;  // first - 1 wrapped, or last + 1 is 2^53.
+                ASSERT_EQ(ZipfTestPeer::lookup(zipf, k),
+                          zipf.rank_of(static_cast<double>(k) * 0x1.0p-53))
+                    << "boundary " << i << " k=" << k;
+            }
+        }
     }
 }
 

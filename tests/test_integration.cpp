@@ -22,24 +22,17 @@ namespace {
 
 constexpr Bytes kPage = 2ull << 20;
 
+/** A config shipped in the source tree's configs/, by file name. */
 std::string
 repo_config(const std::string& name)
 {
-    // Tests run from build/tests (ctest) or build; search upward.
-    for (auto dir = std::filesystem::current_path();
-         dir != dir.root_path(); dir = dir.parent_path()) {
-        const auto candidate = dir / "configs" / name;
-        if (std::filesystem::exists(candidate))
-            return candidate.string();
-    }
-    return "";
+    return (std::filesystem::path(ARTMEM_CONFIG_DIR) / name).string();
 }
 
 TEST(ShippedConfigs, ParseAndMatchBuiltInPatterns)
 {
     const auto path = repo_config("s1.cfg");
-    if (path.empty())
-        GTEST_SKIP() << "configs/ not found from test cwd";
+    ASSERT_TRUE(std::filesystem::exists(path)) << path;
     const auto spec =
         workloads::Masim::parse_spec(KvConfig::load(path));
     EXPECT_EQ(spec.name, "s1");
@@ -53,8 +46,7 @@ TEST(ShippedConfigs, AllFourPatternsRun)
     for (const char* name : {"s1.cfg", "s2.cfg", "s3.cfg", "s4.cfg",
                              "mixed_demo.cfg"}) {
         const auto path = repo_config(name);
-        if (path.empty())
-            GTEST_SKIP() << "configs/ not found from test cwd";
+        ASSERT_TRUE(std::filesystem::exists(path)) << path;
         auto spec = workloads::Masim::parse_spec(KvConfig::load(path));
         // Shrink for test speed.
         for (auto& phase : spec.phases)
@@ -241,8 +233,7 @@ TEST(ShippedConfigs, AllPassTheStrictKeyValidation)
     for (const char* name : {"s1.cfg", "s2.cfg", "s3.cfg", "s4.cfg",
                              "mixed_demo.cfg"}) {
         const auto path = repo_config(name);
-        if (path.empty())
-            GTEST_SKIP() << "configs/ not found from test cwd";
+        ASSERT_TRUE(std::filesystem::exists(path)) << path;
         const auto spec =
             workloads::Masim::parse_spec(KvConfig::load(path));
         EXPECT_FALSE(spec.phases.empty()) << name;
