@@ -370,9 +370,11 @@ BM_SimThroughputTenants(benchmark::State& state, std::uint32_t tenants)
     // off-state contract — the run takes the plain single-tenant path
     // and every tenancy hook is a never-taken null-pointer branch, so
     // it is gated at the same floor as the plain ycsb run. tenants=16
-    // is the same aggregate access budget interleaved across 16
-    // kTenant-seeded ycsb streams with quotas and static admission: the
-    // attribution + ledger cost of a real multi-tenant run.
+    // is the same aggregate access budget interleaved across 16 ycsb
+    // streams, each seeded by tenancy::tenant_seed(), with quotas and
+    // static admission: the attribution + ledger cost of a real
+    // multi-tenant run. The 16 streams share one Zipf shape, so they
+    // pay one 128k-draw rent and read one rank table.
     sim::RunSpec spec;
     spec.workload = "ycsb";
     spec.policy = "artmem";

@@ -6,6 +6,7 @@
 #include "tenancy/admission.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
+#include "util/zipf.hpp"
 #include "workloads/factory.hpp"
 
 namespace artmem::tenancy {
@@ -74,6 +75,17 @@ TenancyConfig::validate(std::string_view source) const
             reject(source, "quota/mix/admission knobs require tenants > 1");
         return;
     }
+    // A list entry past the tenant count never runs, so the list would
+    // misstate the run: refuse it like a knob without tenants. Values
+    // from a file are named by key, the others by flag.
+    const bool file = !source.empty();
+    if (mix.size() > tenants)
+        reject(source, file ? "tenancy.mix" : "--tenant-mix", " lists ",
+               mix.size(), " workloads for ", tenants, " tenants");
+    if (weights.size() > tenants)
+        reject(source, file ? "tenancy.weights" : "--tenant-weights",
+               " lists ", weights.size(), " weights for ", tenants,
+               " tenants");
     if (quantum == 0)
         reject(source, "quantum must be positive");
     if (quota_share < 0.0 || quota_share > 1.0)
@@ -156,6 +168,9 @@ make_tenant_set(const TenancyConfig& config, std::string_view base_workload,
         fatal("make_tenant_set: tenancy is disabled (tenants <= 1)");
     const std::uint64_t per_tenant =
         std::max<std::uint64_t>(1, total_accesses / config.tenants);
+    // Tenants that draw from one Zipf shape share it for the run; each
+    // generator keeps its shape alive after the registry goes.
+    ZipfShapes shapes;
     std::vector<std::unique_ptr<workloads::AccessGenerator>> generators;
     std::vector<std::size_t> weights;
     generators.reserve(config.tenants);
@@ -166,7 +181,7 @@ make_tenant_set(const TenancyConfig& config, std::string_view base_workload,
                                : std::string_view(
                                      config.mix[i % config.mix.size()]);
         generators.push_back(workloads::make_workload(
-            name, page_size, per_tenant, tenant_seed(base_seed, i)));
+            name, page_size, per_tenant, tenant_seed(base_seed, i), &shapes));
         weights.push_back(config.weights.empty()
                               ? 1
                               : config.weights[i % config.weights.size()]);

@@ -61,9 +61,10 @@ struct TenancyConfig {
     bool enabled() const { return tenants > 1; }
 
     /**
-     * fatal() on out-of-range values or knobs without tenants > 1. A
-     * non-empty @p source, the file the values came from, starts the
-     * message.
+     * fatal() on out-of-range values, knobs without tenants > 1, or a
+     * mix or weights list longer than tenants. A non-empty @p source,
+     * the file the values came from, starts the message, which then
+     * names a list by its key; otherwise by its flag.
      */
     void validate(std::string_view source = {}) const;
 
@@ -111,7 +112,11 @@ std::uint64_t tenant_seed(std::uint64_t base_seed, std::uint32_t tenant);
  * Build the N-tenant interleaved workload: tenant i runs
  * mix[i % size] (or @p base_workload when the mix is empty) with seed
  * tenant_seed(base_seed, i) and an access budget of
- * @p total_accesses / tenants.
+ * @p total_accesses / tenants. The tenants' generators are made through
+ * one ZipfShapes registry local to this call, so tenants that draw from
+ * the same Zipf shape sum its zeta once and pay one rent toward one
+ * rank table (DESIGN.md §9, §13); every rank they draw is the one a
+ * private generator would draw.
  */
 std::unique_ptr<TenantSet> make_tenant_set(const TenancyConfig& config,
                                            std::string_view base_workload,

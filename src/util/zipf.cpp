@@ -22,7 +22,7 @@ constexpr int kMaxGuideBits = 15;
 
 /**
  * Cost of the build per rank, in closed-form draws of the same
- * generator. Measured at 3.5-8.3 on the (n, theta) the workloads build,
+ * shape. Measured at 3.5-8.3 on the (n, theta) the workloads build,
  * varying with the host's load: 4.1-4.5 pow() calls (the inverse's
  * start, the search's evaluations with both side checks, and the table
  * check past the boundary's cell), and a search whose steps each wait
@@ -50,7 +50,7 @@ spray_probes(double covered_u)
 }  // namespace
 
 double
-ZipfianGenerator::zeta(std::uint64_t n, double theta)
+ZipfShape::zeta(std::uint64_t n, double theta)
 {
     double sum = 0.0;
     // Direct summation; n is bounded in our use (region/item counts).
@@ -59,8 +59,7 @@ ZipfianGenerator::zeta(std::uint64_t n, double theta)
     return sum;
 }
 
-ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta)
-    : n_(n), theta_(theta)
+ZipfShape::ZipfShape(std::uint64_t n, double theta) : n_(n), theta_(theta)
 {
     if (n == 0)
         fatal("ZipfianGenerator requires at least one item");
@@ -98,7 +97,7 @@ ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta)
 }
 
 std::uint64_t
-ZipfianGenerator::rank_of(double u) const
+ZipfShape::rank_of(double u) const
 {
     const double uz = u * zetan_;
     if (uz < 1.0)
@@ -111,7 +110,7 @@ ZipfianGenerator::rank_of(double u) const
 }
 
 std::uint64_t
-ZipfianGenerator::rent(std::uint64_t k)
+ZipfShape::rent(std::uint64_t k)
 {
     const std::uint64_t r = rank_of(unit(k));
     if (r < rent_below_ && --rent_left_ == 0)
@@ -120,7 +119,7 @@ ZipfianGenerator::rent(std::uint64_t k)
 }
 
 void
-ZipfianGenerator::build_table()
+ZipfShape::build_table()
 {
     const std::uint64_t target = std::min(n_ - 1, kMaxTableRanks);
     rent_below_ = 0;  // Built once; a dropped table is not retried.
@@ -216,9 +215,10 @@ ZipfianGenerator::build_table()
     // A table reaching rank n-1 answers every draw; one stopping short
     // leaves the draws from its last boundary's cell on to the closed
     // form.
-    closed_from_k_ = ranks == n_ - 1
-                         ? kDraws
-                         : std::uint64_t{cells_[ranks - 1]} << kCellShift;
+    Table t;
+    t.closed_from_k = ranks == n_ - 1
+                          ? kDraws
+                          : std::uint64_t{cells_[ranks - 1]} << kCellShift;
     const std::uint64_t span = ranks == n_ - 1 ? kDraws : lo;
     cells_.resize(ranks + kWindow, std::numeric_limits<std::uint32_t>::max());
 
@@ -226,12 +226,12 @@ ZipfianGenerator::build_table()
     // boundaries even where the tail packs them densest.
     const int guide_bits =
         std::min(kMaxGuideBits, static_cast<int>(std::bit_width(ranks)) + 1);
-    guide_shift_ = 53 - guide_bits;
+    t.guide_shift = 53 - guide_bits;
     guide_.resize(std::size_t{1} << guide_bits);
     std::uint64_t r = 0;
     for (std::size_t g = 0; g < guide_.size(); ++g) {
         const std::uint64_t first_cell = std::uint64_t{g}
-                                         << (guide_shift_ - kCellShift);
+                                         << (t.guide_shift - kCellShift);
         while (cells_[r] < first_cell)
             ++r;
         guide_[g] = static_cast<std::uint16_t>(r);
@@ -249,21 +249,50 @@ ZipfianGenerator::build_table()
     // cell, where it must count that boundary, and on a seeded random
     // spray under its span. tests/test_diff_model.cpp additionally
     // cross-checks millions of live draws and every boundary's cell.
+    t.cells = cells_.data();
+    t.guide = guide_.data();
     for (std::uint64_t i = 0; i < ranks && ok; ++i) {
         const std::uint64_t k = (std::uint64_t{cells_[i]} + 1) << kCellShift;
-        ok = k >= kDraws || lookup(k) == rank_of(unit(k));
+        ok = k >= kDraws || lookup(t, k) == rank_of(unit(k));
     }
     Rng probe(0x5a1fb00c0ffee123ull);
     const std::uint64_t probes = spray_probes(unit(span));
     for (std::uint64_t i = 0; i < probes && ok; ++i) {
         const std::uint64_t k = probe.next_below(span);
-        ok = lookup(k) == rank_of(unit(k));
+        ok = lookup(t, k) == rank_of(unit(k));
     }
-    if (!ok) {
+    if (ok) {
+        table_ = t;
+    } else {
         cells_ = {};
         guide_ = {};
-        closed_from_k_ = 0;
     }
+}
+
+std::shared_ptr<ZipfShape>
+ZipfShapes::get(std::uint64_t n, double theta)
+{
+    for (const auto& shape : shapes_) {
+        if (shape->item_count() == n && shape->theta() == theta)
+            return shape;
+    }
+    return shapes_.emplace_back(std::make_shared<ZipfShape>(n, theta));
+}
+
+ZipfianGenerator::ZipfianGenerator(std::uint64_t n, double theta,
+                                   ZipfShapes* shapes)
+    : shape_(shapes != nullptr ? shapes->get(n, theta)
+                               : std::make_shared<ZipfShape>(n, theta)),
+      table_(shape_->table_)
+{
+}
+
+std::uint64_t
+ZipfianGenerator::rent(std::uint64_t k)
+{
+    const std::uint64_t r = shape_->rent(k);
+    table_ = shape_->table_;
+    return r;
 }
 
 }  // namespace artmem

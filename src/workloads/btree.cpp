@@ -7,7 +7,8 @@
 
 namespace artmem::workloads {
 
-Btree::Btree(const Params& params, Bytes page_size, std::uint64_t seed)
+Btree::Btree(const Params& params, Bytes page_size, std::uint64_t seed,
+             ZipfShapes* shapes)
     : params_(params), rng_(seed)
 {
     if (params_.fanout < 2)
@@ -56,7 +57,7 @@ Btree::Btree(const Params& params, Bytes page_size, std::uint64_t seed)
         std::min<std::uint64_t>(leaf_count_, 1u << 16);
     block_size_ = (leaf_count_ + leaf_blocks - 1) / leaf_blocks;
     const double theta = std::clamp(params_.key_theta, 1e-9, 0.999);
-    zipf_ = std::make_unique<ZipfianGenerator>(leaf_blocks, theta);
+    zipf_ = std::make_unique<ZipfianGenerator>(leaf_blocks, theta, shapes);
 }
 
 std::size_t

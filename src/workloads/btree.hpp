@@ -40,9 +40,12 @@ class Btree final : public AccessGenerator
 
     /**
      * Fatal unless fanout, node_size and page_size are powers of two:
-     * every level's page is then a shift of the leaf index.
+     * every level's page is then a shift of the leaf index. @p shapes
+     * is the run's Zipf shapes, shared with other streams of the same
+     * (n, theta); none gives a private shape.
      */
-    Btree(const Params& params, Bytes page_size, std::uint64_t seed);
+    Btree(const Params& params, Bytes page_size, std::uint64_t seed,
+          ZipfShapes* shapes = nullptr);
 
     std::string_view name() const override { return "btree"; }
     Bytes footprint() const override { return params_.footprint; }

@@ -35,7 +35,8 @@ is_masim_config(std::string_view name)
 
 std::unique_ptr<AccessGenerator>
 make_workload(std::string_view name, Bytes page_size,
-              std::uint64_t total_accesses, std::uint64_t seed)
+              std::uint64_t total_accesses, std::uint64_t seed,
+              ZipfShapes* shapes)
 {
     if (is_masim_config(name)) {
         return std::make_unique<Masim>(
@@ -45,7 +46,7 @@ make_workload(std::string_view name, Bytes page_size,
     if (name == "ycsb") {
         Ycsb::Params p;
         p.total_accesses = total_accesses;
-        return std::make_unique<Ycsb>(p, page_size, seed);
+        return std::make_unique<Ycsb>(p, page_size, seed, shapes);
     }
     if (name == "ycsb_w") {
         // Write-heavy YCSB mix (workload-A-like): hotter skew and more
@@ -56,19 +57,19 @@ make_workload(std::string_view name, Bytes page_size,
         p.zipf_theta = 0.999;
         p.initial_fill = 0.8;
         p.label = "ycsb_w";
-        return std::make_unique<Ycsb>(p, page_size, seed);
+        return std::make_unique<Ycsb>(p, page_size, seed, shapes);
     }
     if (name == "cc") {
         return std::make_unique<GraphWorkload>(
-            GraphWorkload::cc(total_accesses), page_size, seed);
+            GraphWorkload::cc(total_accesses), page_size, seed, shapes);
     }
     if (name == "sssp") {
         return std::make_unique<GraphWorkload>(
-            GraphWorkload::sssp(total_accesses), page_size, seed);
+            GraphWorkload::sssp(total_accesses), page_size, seed, shapes);
     }
     if (name == "pr") {
         return std::make_unique<GraphWorkload>(
-            GraphWorkload::pr(total_accesses), page_size, seed);
+            GraphWorkload::pr(total_accesses), page_size, seed, shapes);
     }
     if (name == "xsbench") {
         return std::make_unique<Masim>(xsbench_spec(total_accesses),
@@ -81,7 +82,7 @@ make_workload(std::string_view name, Bytes page_size,
     if (name == "btree") {
         Btree::Params p;
         p.total_accesses = total_accesses;
-        return std::make_unique<Btree>(p, page_size, seed);
+        return std::make_unique<Btree>(p, page_size, seed, shapes);
     }
     if (name == "liblinear") {
         return std::make_unique<Masim>(liblinear_spec(total_accesses),

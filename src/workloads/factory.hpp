@@ -13,6 +13,10 @@
 
 #include "workloads/generator.hpp"
 
+namespace artmem {
+class ZipfShapes;
+}
+
 namespace artmem::workloads {
 
 /** All workload names the factory understands. */
@@ -34,11 +38,15 @@ bool is_masim_config(std::string_view name);
  * @param page_size      Machine page size.
  * @param total_accesses Access budget; a MASIM config ignores it.
  * @param seed           RNG seed.
+ * @param shapes         The run's Zipf shapes, for the workloads that
+ *                       draw from one (ycsb, ycsb_w, btree, cc, sssp,
+ *                       pr); none gives each generator a private shape.
  */
 std::unique_ptr<AccessGenerator> make_workload(std::string_view name,
                                                Bytes page_size,
                                                std::uint64_t total_accesses,
-                                               std::uint64_t seed);
+                                               std::uint64_t seed,
+                                               ZipfShapes* shapes = nullptr);
 
 }  // namespace artmem::workloads
 

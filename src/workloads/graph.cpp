@@ -7,7 +7,7 @@
 namespace artmem::workloads {
 
 GraphWorkload::GraphWorkload(const Params& params, Bytes page_size,
-                             std::uint64_t seed)
+                             std::uint64_t seed, ZipfShapes* shapes)
     : params_(params), page_size_(page_size), rng_(seed)
 {
     if (params_.footprint == 0 || page_size_ == 0)
@@ -22,7 +22,8 @@ GraphWorkload::GraphWorkload(const Params& params, Bytes page_size,
                   1, static_cast<PageId>(static_cast<double>(page_count_) *
                                          params_.frontier_window))
             : page_count_;
-    zipf_ = std::make_unique<ZipfianGenerator>(domain, params_.gather_theta);
+    zipf_ = std::make_unique<ZipfianGenerator>(domain, params_.gather_theta,
+                                               shapes);
 }
 
 GraphWorkload::Params
@@ -87,7 +88,7 @@ GraphWorkload::gather_target()
         PageId offset = static_cast<PageId>(rank);
         if (params_.scramble) {
             std::uint64_t h = rank * 0x9e3779b97f4a7c15ull;
-            offset = static_cast<PageId>(h % zipf_->item_count());
+            offset = static_cast<PageId>(h % zipf_->shape().item_count());
         }
         return (base + offset) % page_count_;
     }

@@ -53,7 +53,12 @@ class GraphWorkload final : public AccessGenerator
         int frontier_phases = 0;
     };
 
-    GraphWorkload(const Params& params, Bytes page_size, std::uint64_t seed);
+    /**
+     * @param shapes The run's Zipf shapes, shared with other streams of
+     *               the same (n, theta); none gives a private shape.
+     */
+    GraphWorkload(const Params& params, Bytes page_size, std::uint64_t seed,
+                  ZipfShapes* shapes = nullptr);
 
     /** Connected Components preset (paper: 69 GiB footprint). */
     static Params cc(std::uint64_t total_accesses);

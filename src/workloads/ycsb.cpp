@@ -14,7 +14,8 @@ constexpr int kPhases = 5;
 
 }  // namespace
 
-Ycsb::Ycsb(const Params& params, Bytes page_size, std::uint64_t seed)
+Ycsb::Ycsb(const Params& params, Bytes page_size, std::uint64_t seed,
+           ZipfShapes* shapes)
     : params_(params), page_size_(page_size), rng_(seed)
 {
     if (params_.footprint == 0 || page_size_ == 0)
@@ -27,7 +28,7 @@ Ycsb::Ycsb(const Params& params, Bytes page_size, std::uint64_t seed)
         1, static_cast<PageId>(static_cast<double>(arena_pages_) *
                                params_.initial_fill));
     zipf_ = std::make_unique<ZipfianGenerator>(populated_pages_,
-                                               params_.zipf_theta);
+                                               params_.zipf_theta, shapes);
 }
 
 char

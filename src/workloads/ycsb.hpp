@@ -39,7 +39,12 @@ class Ycsb final : public AccessGenerator
         std::string label = "ycsb";
     };
 
-    Ycsb(const Params& params, Bytes page_size, std::uint64_t seed);
+    /**
+     * @param shapes The run's Zipf shapes, shared with other streams of
+     *               the same (n, theta); none gives a private shape.
+     */
+    Ycsb(const Params& params, Bytes page_size, std::uint64_t seed,
+         ZipfShapes* shapes = nullptr);
 
     std::string_view name() const override { return params_.label; }
     Bytes footprint() const override { return params_.footprint; }

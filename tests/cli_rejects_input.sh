@@ -12,7 +12,9 @@
 # fault_config_inf, fault_config_huge_factor, fault_config_no_period,
 # fault_config_bad_fraction, tx_write_ratio_nan, fault_seed_alone,
 # accesses_with_masim_config, masim_config_missing_equals,
-# tenant_config_unknown_key, tenant_config_zero_quantum, one flag each
+# tenant_config_unknown_key, tenant_config_zero_quantum,
+# tenant_mix_past_tenants, tenant_weights_past_tenants,
+# tenant_config_mix_past_tenants, one flag each
 # that sweep, run, train, trace-record and trace-run do not read
 # (<command>_<flag>), and example_unknown_flag.
 set -u
@@ -160,6 +162,24 @@ tenant_config_zero_quantum)
     config="${dir}/tenant_zero_quantum.cfg"
     printf 'tenancy.tenants = 4\ntenancy.quantum = 0\n' > "${config}"
     expect_exit1 "${config}: tenancy: quantum must be positive" \
+        "${artmem}" run --accesses=1000 --tenant-config="${config}"
+    ;;
+# A list entry past the tenant count used to be dropped silently: with
+# two tenants, btree never ran.
+tenant_mix_past_tenants)
+    expect_exit1 "tenancy: --tenant-mix lists 3 workloads for 2 tenants" \
+        "${artmem}" run --accesses=1000 --tenants=2 \
+        --tenant-mix=s2,ycsb,btree
+    ;;
+tenant_weights_past_tenants)
+    expect_exit1 "tenancy: --tenant-weights lists 3 weights for 2 tenants" \
+        "${artmem}" run --accesses=1000 --tenants=2 --tenant-weights=1,2,3
+    ;;
+tenant_config_mix_past_tenants)
+    config="${dir}/tenant_long_mix.cfg"
+    printf 'tenancy.tenants = 2\ntenancy.mix = s2,ycsb,btree\n' > "${config}"
+    expect_exit1 \
+        "${config}: tenancy: tenancy.mix lists 3 workloads for 2 tenants" \
         "${artmem}" run --accesses=1000 --tenant-config="${config}"
     ;;
 # A flag the subcommand does not read used to be dropped silently: the

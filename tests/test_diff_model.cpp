@@ -31,7 +31,9 @@
  *
  * Plus four exact fast paths checked against the code they replaced:
  * the Zipf rank-table lookup must agree with the Gray et al. closed form
- * on every draw and at the edges of every boundary's cell; AutoTiering's
+ * on every draw and at the edges of every boundary's cell, and streams
+ * sharing one Zipf shape must draw what private generators draw, down
+ * to a whole TenantSet's pages; AutoTiering's
  * fast-page index must pick the same exchange victim, leave the same
  * cursor and charge the same scan cost as the page-ring walk it
  * replaced; ArtMem's hot-page index must return the same promotion
@@ -62,11 +64,14 @@
 #include "policies/autotiering.hpp"
 #include "stats/ema_bins.hpp"
 #include "tenancy/admission.hpp"
+#include "tenancy/tenancy.hpp"
+#include "tenancy/tenant_set.hpp"
 #include "util/config.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/btree.hpp"
+#include "workloads/factory.hpp"
 #include "workloads/masim.hpp"
 #include "workloads/patterns.hpp"
 
@@ -141,18 +146,18 @@ struct MasimTestPeer {
 
 }  // namespace workloads
 
-/** Reaches the Zipf rank table's lookup and its boundary cells. */
+/** Reaches a generator's table lookup and its boundary cells. */
 struct ZipfTestPeer {
-    static constexpr int kCellShift = ZipfianGenerator::kCellShift;
+    static constexpr int kCellShift = ZipfShape::kCellShift;
 
     static std::uint64_t lookup(const ZipfianGenerator& z, std::uint64_t k)
     {
-        return z.lookup(k);
+        return z.shape_->lookup(z.table_, k);
     }
     /** The cells of the table's boundaries, without the sentinels. */
     static std::span<const std::uint32_t> cells(const ZipfianGenerator& z)
     {
-        return {z.cells_.data(), z.table_ranks()};
+        return {z.table_.cells, z.table_ranks()};
     }
 };
 
@@ -884,7 +889,7 @@ TEST(DiffModel, ZipfTableMatchesClosedFormOnEveryDraw)
         Rng oracle(91);
         for (int i = 0; i < 2000000; ++i) {
             const double u = oracle.next_double();
-            const std::uint64_t want = zipf.rank_of(u);
+            const std::uint64_t want = zipf.shape().rank_of(u);
             const std::uint64_t got = zipf.next(fast);
             ASSERT_EQ(got, want) << "draw " << i << " u=" << u;
         }
@@ -904,7 +909,8 @@ TEST(DiffModel, ZipfTableMatchesClosedFormOnEveryDraw)
                 if (k >= kDraws)
                     continue;  // first - 1 wrapped, or last + 1 is 2^53.
                 ASSERT_EQ(ZipfTestPeer::lookup(zipf, k),
-                          zipf.rank_of(static_cast<double>(k) * 0x1.0p-53))
+                          zipf.shape().rank_of(static_cast<double>(k) *
+                                               0x1.0p-53))
                     << "boundary " << i << " k=" << k;
             }
         }
@@ -916,13 +922,197 @@ TEST(DiffModel, ZipfTableNotBuiltBeforeItsPriceIsPaid)
     // ycsb's shape: every draw is one the table would serve, so the
     // table appears on exactly the draw that pays its price.
     ZipfianGenerator zipf(14745, 0.99);
-    ASSERT_GT(zipf.table_price(), 0u);
+    const std::uint64_t price = zipf.shape().table_price();
+    ASSERT_GT(price, 0u);
     Rng rng(7);
-    for (std::uint64_t i = 0; i + 1 < zipf.table_price(); ++i)
+    for (std::uint64_t i = 0; i + 1 < price; ++i)
         (void)zipf.next(rng);
     EXPECT_EQ(zipf.table_ranks(), 0u);
     (void)zipf.next(rng);
     EXPECT_EQ(zipf.table_ranks(), 14744u);
+}
+
+// ---------------------------------------------------------------------
+// Zipf shapes shared through a registry vs private generators.
+// ---------------------------------------------------------------------
+
+/** Draws per turn when several handles on one shape take turns. */
+constexpr int kZipfTurn = 256;
+
+TEST(DiffModel, ZipfSharedShapeDrawsThePrivateRanks)
+{
+    // ycsb, btree and cc's shapes. Handles on one registry, seeded
+    // apart, draw in alternating turns while a private generator per
+    // handle, seeded alike, draws the same stream alone. Together the
+    // handles pay the shape's price partway through; each private
+    // generator pays its own, or never does.
+    const struct {
+        std::uint64_t n;
+        double theta;
+        int handles;
+        int turns_each;
+    } cases[] = {
+        {14745, 0.99, 4, 160},
+        {65536, 0.2, 4, 480},
+        {35328, 0.9, 2, 320},
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(testing::Message()
+                     << "n=" << c.n << " theta=" << c.theta);
+        ZipfShapes shapes;
+        std::vector<ZipfianGenerator> shared;
+        std::vector<ZipfianGenerator> alone;
+        std::vector<Rng> shared_rng;
+        std::vector<Rng> alone_rng;
+        for (int h = 0; h < c.handles; ++h) {
+            shared.emplace_back(c.n, c.theta, &shapes);
+            alone.emplace_back(c.n, c.theta);
+            shared_rng.emplace_back(1000 + h);
+            alone_rng.emplace_back(1000 + h);
+        }
+        for (int turn = 0; turn < c.turns_each * c.handles; ++turn) {
+            const auto h = static_cast<std::size_t>(turn % c.handles);
+            for (int i = 0; i < kZipfTurn; ++i) {
+                ASSERT_EQ(shared[h].next(shared_rng[h]),
+                          alone[h].next(alone_rng[h]))
+                    << "handle " << h << " turn " << turn << " draw " << i;
+            }
+        }
+        // One shape, whose table every handle now reads.
+        const ZipfShape& shape = shared[0].shape();
+        ASSERT_GT(shape.table_ranks(), 0u);
+        for (const auto& g : shared) {
+            EXPECT_EQ(&g.shape(), &shape);
+            EXPECT_EQ(g.table_ranks(), shape.table_ranks());
+            EXPECT_EQ(ZipfTestPeer::cells(g).data(),
+                      ZipfTestPeer::cells(shared[0]).data());
+        }
+        for (const auto& g : alone)
+            EXPECT_NE(&g.shape(), &shape);
+    }
+}
+
+TEST(DiffModel, ZipfSharedShapeBuildsOnceAtItsPrice)
+{
+    // ycsb's shape, where every draw is one the table would serve, and
+    // btree's, where only draws below rank 2^14 are. Twin Rngs replay
+    // each handle's draws through the closed form to count the ones
+    // that pay, so the build must land on exactly the draw that brings
+    // the handles' summed payments to table_price().
+    const struct {
+        std::uint64_t n;
+        double theta;
+        std::uint64_t table_below;
+    } cases[] = {
+        {14745, 0.99, 14745},
+        {65536, 0.2, 1u << 14},
+    };
+    for (const auto& c : cases) {
+        SCOPED_TRACE(testing::Message()
+                     << "n=" << c.n << " theta=" << c.theta);
+        ZipfShapes shapes;
+        ZipfianGenerator handles[] = {{c.n, c.theta, &shapes},
+                                      {c.n, c.theta, &shapes},
+                                      {c.n, c.theta, &shapes}};
+        Rng rng[] = {Rng(5), Rng(6), Rng(7)};
+        Rng twin[] = {Rng(5), Rng(6), Rng(7)};
+        const ZipfShape& shape = handles[0].shape();
+        const std::uint64_t price = shape.table_price();
+        ASSERT_GT(price, 0u);
+        std::uint64_t paid = 0;
+        const std::uint32_t* built = nullptr;
+        // Turns until the build, then one more for each handle.
+        int turns_after_build = 0;
+        for (int turn = 0; turns_after_build < 3; ++turn) {
+            ASSERT_LT(turn, 10000) << "no table built";
+            const std::size_t h = static_cast<std::size_t>(turn % 3);
+            turns_after_build += built != nullptr;
+            for (int i = 0; i < kZipfTurn; ++i) {
+                const std::uint64_t want =
+                    shape.rank_of(twin[h].next_double());
+                const bool had_table = shape.table_ranks() > 0;
+                ASSERT_EQ(handles[h].next(rng[h]), want);
+                if (had_table)
+                    continue;
+                paid += want < c.table_below;
+                // Built on the draw that completes the price, not before.
+                ASSERT_EQ(shape.table_ranks() > 0, paid == price)
+                    << "paid " << paid << " of " << price;
+                if (paid == price)
+                    built = ZipfTestPeer::cells(handles[h]).data();
+            }
+        }
+        // The build's handle adopted the table on that draw and the
+        // others on their next one; nothing rebuilt it.
+        for (const auto& g : handles)
+            EXPECT_EQ(ZipfTestPeer::cells(g).data(), built);
+    }
+}
+
+TEST(DiffModel, ZipfHandleMadeAfterTheBuildReadsTheTable)
+{
+    ZipfShapes shapes;
+    ZipfianGenerator first(14745, 0.99, &shapes);
+    Rng rng(11);
+    for (std::uint64_t i = 0; i < first.shape().table_price(); ++i)
+        (void)first.next(rng);
+    ASSERT_EQ(first.table_ranks(), 14744u);
+
+    // A later handle of the shape reads the table from its first draw.
+    ZipfianGenerator later(14745, 0.99, &shapes);
+    EXPECT_EQ(&later.shape(), &first.shape());
+    EXPECT_EQ(later.table_ranks(), 14744u);
+    ZipfianGenerator alone(14745, 0.99);
+    EXPECT_EQ(alone.table_ranks(), 0u);
+    Rng a(12);
+    Rng b(12);
+    for (int i = 0; i < 200000; ++i)
+        ASSERT_EQ(later.next(a), alone.next(b)) << "draw " << i;
+
+    // Another (n, theta) gets a shape of its own.
+    ZipfianGenerator other(14745, 0.999, &shapes);
+    EXPECT_NE(&other.shape(), &first.shape());
+    EXPECT_EQ(other.table_ranks(), 0u);
+}
+
+TEST(DiffModel, TenantSetSharingZipfShapesEmitsThePrivateStream)
+{
+    // perfbench's tenants16 mix at its 8M accesses and seed 42: the
+    // four ycsb tenants buy one table early and the four btree tenants
+    // one late. The reference builds each tenant exactly as
+    // make_tenant_set() does, but without a registry.
+    tenancy::TenancyConfig config;
+    config.tenants = 16;
+    config.mix = {"s2", "ycsb", "s3", "btree"};
+    constexpr Bytes kPage = 2ull << 20;
+    constexpr std::uint64_t kAccesses = 8000000;
+    constexpr std::uint64_t kSeed = 42;
+    auto shared = tenancy::make_tenant_set(config, "s2", kPage, kAccesses,
+                                           kSeed);
+    std::vector<std::unique_ptr<workloads::AccessGenerator>> alone;
+    for (std::uint32_t i = 0; i < config.tenants; ++i) {
+        alone.push_back(workloads::make_workload(
+            config.mix[i % config.mix.size()], kPage,
+            kAccesses / config.tenants, tenancy::tenant_seed(kSeed, i)));
+    }
+    tenancy::TenantSet reference(std::move(alone),
+                                 std::vector<std::size_t>(config.tenants, 1),
+                                 kPage, config.quantum, config.phase_stride);
+    ASSERT_EQ(shared->total_accesses(), reference.total_accesses());
+    ASSERT_EQ(shared->footprint(), reference.footprint());
+    std::vector<PageId> got(4096);
+    std::vector<PageId> want(4096);
+    std::uint64_t emitted = 0;
+    while (true) {
+        const std::size_t n = shared->fill(got);
+        ASSERT_EQ(n, reference.fill(want)) << "after " << emitted;
+        if (n == 0)
+            break;
+        for (std::size_t i = 0; i < n; ++i)
+            ASSERT_EQ(got[i], want[i]) << "access " << emitted + i;
+        emitted += n;
+    }
+    EXPECT_EQ(emitted, reference.total_accesses());
 }
 
 // ---------------------------------------------------------------------

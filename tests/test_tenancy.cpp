@@ -347,6 +347,31 @@ TEST(TenancyConfigParse, KnobsWithoutTenantsAreFatal)
     EXPECT_FALSE(ok.enabled());
 }
 
+TEST(TenancyConfigParse, ListsLongerThanTenantsAreFatal)
+{
+    // Tenant i runs mix[i % size], so entries past the tenant count
+    // never run. Lists from a file are named by key, others by flag.
+    TenancyConfig tc;
+    tc.tenants = 2;
+    tc.mix = {"s2", "ycsb"};
+    tc.weights = {1, 2};
+    tc.validate();
+    tc.mix.push_back("btree");
+    EXPECT_EXIT(tc.validate(), ::testing::ExitedWithCode(1),
+                "--tenant-mix lists 3 workloads for 2 tenants");
+    EXPECT_EXIT(tc.validate("mix.cfg"), ::testing::ExitedWithCode(1),
+                "mix.cfg: tenancy: tenancy.mix lists 3 workloads for 2 "
+                "tenants");
+    tc.mix.pop_back();
+    tc.weights.push_back(3);
+    EXPECT_EXIT(tc.validate(), ::testing::ExitedWithCode(1),
+                "--tenant-weights lists 3 weights for 2 tenants");
+    EXPECT_EXIT((void)tenancy::parse_tenancy_config(KvConfig::parse(
+                    "tenancy.tenants = 2\ntenancy.weights = 1,2,3\n")),
+                ::testing::ExitedWithCode(1),
+                "tenancy.weights lists 3 weights for 2 tenants");
+}
+
 sim::RunSpec
 tenant_run_spec()
 {
