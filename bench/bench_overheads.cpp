@@ -181,23 +181,25 @@ BM_MigrationPlanningSparse(benchmark::State& state)
 }
 BENCHMARK(BM_MigrationPlanningSparse);
 
+/**
+ * The batch loop alone (DESIGN.md §9): 16,384 prefaulted 2 MiB pages at
+ * 1:4, fed uniform page ids in batches of 512, through
+ * access_batch_faulted() under the @p scenario fault scenario, or
+ * through access_batch() with no injector when @p scenario is null. The
+ * simulated clock runs on across iterations. items_per_second is
+ * accesses per second.
+ */
 void
-BM_AccessBatchFaulted(benchmark::State& state)
+run_access_batch(benchmark::State& state, const char* scenario)
 {
-    // The faulted batch loop alone (DESIGN.md §9): 16,384 prefaulted
-    // 2 MiB pages at 1:4 under the degrade scenario, fed uniform page
-    // ids in batches of 512. The simulated clock runs on across
-    // iterations, so the timed loop crosses degrade window edges. A loop
-    // that asked the injector for its answers on every access instead
-    // of once per window edge shows here. Gated in BENCH_hotpath.json;
-    // items_per_second is accesses per second.
     constexpr std::size_t kPages = 16384;
     constexpr std::size_t kBatch = 512;
     constexpr Bytes kPage = 2ull << 20;
     memsim::TieredMachine machine(
         sim::make_machine_config(kPages * kPage, sim::RatioSpec{1, 4}, kPage));
     machine.prefault_range(0, kPages);
-    machine.install_faults(memsim::make_fault_scenario("degrade", 1));
+    if (scenario != nullptr)
+        machine.install_faults(memsim::make_fault_scenario(scenario, 1));
     memsim::PebsSampler sampler({.period = 10, .buffer_capacity = 1 << 12});
     Rng rng(13);
     std::vector<PageId> pages(64 * kBatch);
@@ -207,8 +209,12 @@ BM_AccessBatchFaulted(benchmark::State& state)
     std::uint64_t suppressed = 0;
     std::size_t next = 0;
     for (auto _ : state) {
-        machine.access_batch_faulted(pages.data() + next, kBatch, sampler,
-                                     suppressed);
+        if (scenario != nullptr) {
+            machine.access_batch_faulted(pages.data() + next, kBatch,
+                                         sampler, suppressed);
+        } else {
+            machine.access_batch(pages.data() + next, kBatch, sampler);
+        }
         next = (next + kBatch) % pages.size();
         sink.clear();
         sampler.drain(sink, kBatch);
@@ -216,6 +222,27 @@ BM_AccessBatchFaulted(benchmark::State& state)
     benchmark::DoNotOptimize(machine.now());
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(kBatch));
+}
+
+void
+BM_AccessBatch(benchmark::State& state)
+{
+    // The plain batch loop, with no injector: every access is a plain
+    // one, so each batch is one run. A loop that went back to adding
+    // each access's latency to the clock and counting the sampler down
+    // in memory shows here. Gated in BENCH_hotpath.json.
+    run_access_batch(state, nullptr);
+}
+BENCHMARK(BM_AccessBatch);
+
+void
+BM_AccessBatchFaulted(benchmark::State& state)
+{
+    // The faulted batch loop under the degrade scenario: the timed loop
+    // crosses degrade window edges. A loop that asked the injector for
+    // its answers on every access instead of once per window edge
+    // shows here. Gated in BENCH_hotpath.json.
+    run_access_batch(state, "degrade");
 }
 BENCHMARK(BM_AccessBatchFaulted);
 
@@ -430,15 +457,15 @@ int
 main(int argc, char** argv)
 {
     // --quick (scripts/check_perf.sh): restrict the run to the gated
-    // benchmarks — the end-to-end throughput runs, the faulted batch
-    // loop, the s2, btree and ycsb fill kernels and the sparse ArtMem
-    // decision interval — at a short minimum time, mirroring the
+    // benchmarks — the end-to-end throughput runs, the plain and faulted
+    // batch loops, the s2, btree and ycsb fill kernels and the sparse
+    // ArtMem decision interval — at a short minimum time, mirroring the
     // fig-harness --quick convention. Expanded into native
     // google-benchmark flags so the library still does all the timing.
     std::vector<char*> args;
     // lint:allow(DL006) argv storage google-benchmark mutates in place
     static char filter[] =
-        "--benchmark_filter=BM_SimThroughput|BM_AccessBatchFaulted|"
+        "--benchmark_filter=BM_SimThroughput|BM_AccessBatch|"
         "BM_WorkloadFill|BM_MigrationPlanningSparse";
     // lint:allow(DL006) argv storage google-benchmark mutates in place
     static char min_time[] = "--benchmark_min_time=0.01";

@@ -2,18 +2,19 @@
 # Perf-regression smoke for the batched hot path (DESIGN.md §9).
 #
 # Runs the gated benchmarks (bench_overheads --quick: BM_SimThroughput,
-# BM_AccessBatchFaulted, BM_WorkloadFill and BM_MigrationPlanningSparse
-# at one short google-benchmark repetition) and compares items/sec per
-# entry — simulated accesses for the throughput runs, the faulted batch
-# loop and the s2, btree and ycsb fill kernels, decision intervals for the
-# sparse ArtMem case — against the committed baseline in
+# BM_AccessBatch, BM_AccessBatchFaulted, BM_WorkloadFill and
+# BM_MigrationPlanningSparse at one short google-benchmark repetition)
+# and compares items/sec per entry — simulated accesses for the
+# throughput runs, the plain and faulted batch loops and the s2, btree
+# and ycsb fill kernels, decision intervals for the sparse ArtMem case —
+# against the committed baseline in
 # BENCH_hotpath.json. The tolerance is deliberately generous (a 30% drop
 # fails): CI machines are noisy, and this gate exists to catch real
 # regressions — an accidental O(n) slip or a de-inlined hot function —
 # without flaking on scheduler jitter.
 #
-# bench_overheads --quick filters on the "BM_SimThroughput" and
-# "BM_WorkloadFill" prefixes, on BM_AccessBatchFaulted and on
+# bench_overheads --quick filters on the "BM_SimThroughput",
+# "BM_AccessBatch" and "BM_WorkloadFill" prefixes and on
 # BM_MigrationPlanningSparse, so every BM_SimThroughput* entry in the
 # baseline (the tx-off and tenancy variants included) is gated here with
 # no extra plumbing.

@@ -51,11 +51,7 @@ class PebsSampler
     {
         if (--countdown_ == 0) {
             countdown_ = period_;
-            ++recorded_;
-            if (buffer_.size() < capacity_)
-                buffer_.push_back(PebsSample{page, tier});
-            else
-                ++dropped_;
+            record(page, tier);
         }
     }
 
@@ -72,6 +68,21 @@ class PebsSampler
     std::uint64_t dropped() const { return dropped_; }
 
   private:
+    /** TieredMachine's batch loop counts the period down in a register
+     *  and calls record() when its countdown reaches zero. */
+    friend class TieredMachine;
+
+    /** Store a due sample, or count it dropped when the buffer is full. */
+    void
+    record(PageId page, Tier tier)
+    {
+        ++recorded_;
+        if (buffer_.size() < capacity_)
+            buffer_.push_back(PebsSample{page, tier});
+        else
+            ++dropped_;
+    }
+
     std::vector<PebsSample> buffer_;  ///< Pending records, oldest first.
     std::size_t capacity_;
     std::uint32_t period_;

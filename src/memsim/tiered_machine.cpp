@@ -147,99 +147,153 @@ TieredMachine::access(PageId page)
     return tier;
 }
 
-template <bool kFaulted>
 void
 TieredMachine::batch_loop(const PageId* pages, std::size_t n,
                           PebsSampler& sampler,
                           std::uint64_t* pebs_suppressed)
 {
-    // Hoisted per-batch invariants: the flags base pointer, the two
-    // tier latencies, and — shadowed in locals — the clock and the
-    // per-tier access counters. The locals are flushed back before any
-    // code that can observe machine state runs (trap handlers may
-    // re-enter via migrate()/exchange()), which keeps every
-    // intermediate state bit-identical to per-access access() calls.
+    FaultInjector* const faults =
+        pebs_suppressed != nullptr ? faults_.get() : nullptr;
+    // The injector's per-access answers, asked for again only once the
+    // clock reaches the next window edge (the default view's edge, 0,
+    // asks at once). Without an injector the view is the base
+    // latencies, quiet, with no edge.
+    FaultView view;
+    if (faults == nullptr)
+        view = {{latency_[0], latency_[1]}, true, FaultView::kNever};
     std::uint8_t* const flags = flags_.data();
-    const SimTimeNs lat[kTierCount] = {latency_[0], latency_[1]};
-    SimTimeNs now = now_;
-    std::uint64_t acc[kTierCount] = {0, 0};
-    // kFaulted: the injector's per-access answers, held in a local and
-    // asked for again only once the clock reaches the next window edge.
-    // The answers are pure functions of simulated time and the clock
-    // never moves back, so the view reads exactly what per-access
-    // effective_latency() / sample_suppressed() calls would.
-    [[maybe_unused]] FaultView view;
-    [[maybe_unused]] const auto refresh_view = [&] {
-        if (now >= view.until) [[unlikely]]
-            view = faults_->view(latency_, now);
-    };
-    const auto flush = [&] {
-        now_ = now;
-        totals_.accesses[0] += acc[0];
-        totals_.accesses[1] += acc[1];
-    };
-    for (std::size_t i = 0; i < n; ++i) {
-        const PageId page = pages[i];
-        std::uint8_t f = flags[page];
-        if (!(f & kAllocatedBit)) [[unlikely]] {
-            // allocate() touches only used_ and flags_, neither of
-            // which is shadowed, so no flush is needed.
-            allocate(page);
-            f = flags[page];
-        }
-        const int t = f & kTierBit;  // kTierBit == 0x1: 0 fast, 1 slow
-        const Tier tier = t != 0 ? Tier::kSlow : Tier::kFast;
-        flags[page] = static_cast<std::uint8_t>(f | kAccessedBit);
-        if constexpr (kFaulted) {
-            refresh_view();
-            now += view.latency[t];
-        } else {
-            now += lat[t];
-        }
-        ++acc[t];
-        if (tenants_ != nullptr) [[unlikely]]
-            tenants_->note_access(page, t);
-        if (f & kTxAccessMask) [[unlikely]] {
-            // tx_on_access touches only used_/flags_/tx_ state and the
-            // tx counters — nothing shadowed in locals — and returns
-            // any time charge, so no flush is needed.
-            now += tx_on_access(page, now);
-        }
-        if (f & kTrapBit) [[unlikely]] {
-            flags[page] &= static_cast<std::uint8_t>(~kTrapBit);
-            now += config_.hint_fault_cost_ns;
-            ++totals_.hint_faults;
-            if (fault_handler_) {
-                flush();
-                acc[0] = acc[1] = 0;
-                fault_handler_(page, tier);
-                now = now_;
+    std::size_t i = 0;
+    while (i < n) {
+        if (faults != nullptr && now_ >= view.until)
+            view = faults->view(latency_, now_);
+        // A run takes plain accesses only: allocated, not tx-flagged, no
+        // armed trap. They read no machine state that the run holds in
+        // locals, so the clock, the tier counts and the sampler's
+        // countdown are settled once, when the run ends.
+        const SimTimeNs lat[kTierCount] = {view.latency[0],
+                                           view.latency[1]};
+        const std::size_t end = i + run_length(view, n - i);
+        const std::size_t first = i;
+        std::uint64_t slow = 0;
+        std::uint32_t countdown = sampler.countdown_;
+        TenantLedger* const ledger = tenants_.get();
+        if (view.sample_quiet) {
+            for (; i < end; ++i) {
+                const PageId page = pages[i];
+                const std::uint8_t f = flags[page];
+                if ((f ^ kAllocatedBit) & kRunStopMask) [[unlikely]]
+                    break;
+                flags[page] = static_cast<std::uint8_t>(f | kAccessedBit);
+                const int t = f & kTierBit;  // kTierBit == 0x1: 0 fast
+                slow += static_cast<std::uint64_t>(t);
+                if (ledger != nullptr)
+                    ledger->note_access(page, t);
+                if (--countdown == 0) [[unlikely]] {
+                    countdown = sampler.period_;
+                    sampler.record(page, static_cast<Tier>(t));
+                }
             }
-        }
-        if constexpr (kFaulted) {
-            // Same draw order as the engine's scalar loop: the
-            // suppression draw happens after the access, at the
-            // post-access (and post-trap) timestamp. A quiet view
-            // skips only calls that would draw, count and trace
-            // nothing.
-            refresh_view();
-            if (!view.sample_quiet && faults_->sample_suppressed(now))
-                [[unlikely]]
-                ++*pebs_suppressed;
-            else
-                sampler.observe(page, tier);
+            now_ += (i - first - slow) * lat[0] + slow * lat[1];
         } else {
-            sampler.observe(page, tier);
+            // A blackout or a drop rate: each access's suppression call
+            // needs its own post-access time, so the clock stays in a
+            // local and the calls keep the scalar sequence's order.
+            SimTimeNs now = now_;
+            for (; i < end; ++i) {
+                const PageId page = pages[i];
+                const std::uint8_t f = flags[page];
+                if ((f ^ kAllocatedBit) & kRunStopMask) [[unlikely]]
+                    break;
+                flags[page] = static_cast<std::uint8_t>(f | kAccessedBit);
+                const int t = f & kTierBit;
+                slow += static_cast<std::uint64_t>(t);
+                now += lat[t];
+                if (ledger != nullptr)
+                    ledger->note_access(page, t);
+                if (faults->sample_suppressed(now)) {
+                    ++*pebs_suppressed;
+                } else if (--countdown == 0) [[unlikely]] {
+                    countdown = sampler.period_;
+                    sampler.record(page, static_cast<Tier>(t));
+                }
+            }
+            now_ = now;
+        }
+        totals_.accesses[0] += i - first - slow;
+        totals_.accesses[1] += slow;
+        sampler.countdown_ = countdown;
+        if (i < n)
+            access_one(pages[i++], sampler, view, pebs_suppressed);
+    }
+}
+
+std::size_t
+TieredMachine::run_length(const FaultView& view, std::size_t left) const
+{
+    // Every access of the run, the post-access suppression point of the
+    // last one included, must happen before the view's next edge: at
+    // most (until - 1 - now_) / max latency accesses. A zero latency
+    // never moves the clock.
+    if (view.until == FaultView::kNever)
+        return left;
+    const SimTimeNs step = std::max(view.latency[0], view.latency[1]);
+    if (step == 0)
+        return left;
+    const SimTimeNs room = view.until > now_ ? view.until - 1 - now_ : 0;
+    return room / step < left ? static_cast<std::size_t>(room / step)
+                              : left;
+}
+
+void
+TieredMachine::access_one(PageId page, PebsSampler& sampler, FaultView& view,
+                          std::uint64_t* pebs_suppressed)
+{
+    // The scalar access() + sampling sequence on the member clock, so
+    // allocate()'s pressure window, tx_on_access()'s write storm and
+    // the trap handler all see the exact time.
+    FaultInjector* const faults =
+        pebs_suppressed != nullptr ? faults_.get() : nullptr;
+    if (faults != nullptr && now_ >= view.until)
+        view = faults->view(latency_, now_);
+    if (!(flags_[page] & kAllocatedBit))
+        allocate(page);
+    const std::uint8_t f = flags_[page];
+    const int t = f & kTierBit;
+    const Tier tier = static_cast<Tier>(t);
+    flags_[page] = static_cast<std::uint8_t>(f | kAccessedBit);
+    now_ += view.latency[t];
+    ++totals_.accesses[t];
+    if (tenants_ != nullptr)
+        tenants_->note_access(page, t);
+    if (f & kTxAccessMask)
+        now_ += tx_on_access(page, now_);
+    if (f & kTrapBit) {
+        flags_[page] &= static_cast<std::uint8_t>(~kTrapBit);
+        now_ += config_.hint_fault_cost_ns;
+        ++totals_.hint_faults;
+        if (fault_handler_)
+            fault_handler_(page, tier);
+    }
+    if (faults != nullptr) {
+        // Same draw order as the scalar loop: the suppression draw
+        // happens after the access, at the post-access (and post-trap)
+        // timestamp. A quiet view skips only calls that would draw,
+        // count and trace nothing.
+        if (now_ >= view.until)
+            view = faults->view(latency_, now_);
+        if (!view.sample_quiet && faults->sample_suppressed(now_)) {
+            ++*pebs_suppressed;
+            return;
         }
     }
-    flush();
+    sampler.observe(page, tier);
 }
 
 void
 TieredMachine::access_batch(const PageId* pages, std::size_t n,
                             PebsSampler& sampler)
 {
-    batch_loop<false>(pages, n, sampler, nullptr);
+    batch_loop(pages, n, sampler, nullptr);
 }
 
 void
@@ -249,7 +303,7 @@ TieredMachine::access_batch_faulted(const PageId* pages, std::size_t n,
 {
     if (faults_ == nullptr)
         panic("access_batch_faulted without an installed fault injector");
-    batch_loop<true>(pages, n, sampler, &pebs_suppressed);
+    batch_loop(pages, n, sampler, &pebs_suppressed);
 }
 
 Tier
@@ -690,8 +744,7 @@ TieredMachine::tx_abort_page(PageId page, SimTimeNs now)
         }
     }
     // Half the copy's device time is wasted; only its contention share
-    // reaches application time, returned to the caller because the
-    // access loops hold the clock in a local.
+    // reaches application time, returned for the caller to charge.
     const SimTimeNs wasted = entry.busy_ns / 2;
     totals_.aborted_migration_ns += wasted;
     ++totals_.tx_aborted;

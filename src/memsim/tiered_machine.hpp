@@ -207,14 +207,18 @@ class TieredMachine
 
     /**
      * Perform @p n accesses through one fused dispatch loop, feeding
-     * each one to @p sampler (the engine's per-access sequence).
+     * each one to @p sampler (the engine's per-access sequence). Under
+     * an installed fault injector the latencies stay the base ones and
+     * no sample is suppressed; first-touch placement and the tx engine
+     * still read its pressure and write-storm windows.
      *
-     * Semantically exactly n calls to access() + PebsSampler::observe():
-     * the clock and the per-tier access counters are accumulated in
-     * locals and flushed before any trap handler runs (the handler may
-     * re-enter the machine), so every observable intermediate state —
-     * including the timestamps fault handlers and samplers see — is
-     * bit-identical to the scalar loop. tests/test_diff_model.cpp
+     * Semantically exactly n calls to access() + PebsSampler::observe()
+     * at the base latencies. Runs of plain accesses settle the clock,
+     * the per-tier access counters and the sampler's countdown once per
+     * run; a first touch, a tx-flagged page or an armed trap takes the
+     * one-access path on the member clock. So every timestamp that
+     * allocate(), the tx engine, a trap handler or the sampler sees is
+     * bit-identical to the scalar loop's. tests/test_diff_model.cpp
      * drives both paths in lockstep to enforce this.
      */
     void access_batch(const PageId* pages, std::size_t n,
@@ -225,7 +229,8 @@ class TieredMachine
      * per access, latency is the injector's effective latency, and the
      * sample is dropped (counted in @p pebs_suppressed) when the
      * injector suppresses it — same call order as the scalar loop,
-     * so the injector's draw stream is unchanged. Requires an
+     * so the injector's draw stream is unchanged. A run ends before its
+     * clock could reach the next degrade or blackout edge. Requires an
      * installed fault injector.
      */
     void access_batch_faulted(const PageId* pages, std::size_t n,
@@ -607,13 +612,30 @@ class TieredMachine
     static constexpr std::uint8_t kTxExchangeBit = 0x80; // tx is an exchange
     /** Access-path filter: only these bits need per-access tx work. */
     static constexpr std::uint8_t kTxAccessMask = kInFlightBit | kDualBit;
+    /** Bits that end a batch loop run, tested as `(f ^ kAllocatedBit) &
+     *  kRunStopMask`: a first touch, a tx-flagged page or an armed trap. */
+    static constexpr std::uint8_t kRunStopMask =
+        kAllocatedBit | kTxAccessMask | kTrapBit;
 
     void allocate(PageId page);
 
-    /** Shared fused loop behind the two access_batch() overloads. */
-    template <bool kFaulted>
+    /**
+     * The loop behind access_batch() (@p pebs_suppressed null: the
+     * injector is ignored) and access_batch_faulted(). It alternates
+     * runs of plain accesses, whose clock is settled once per run as
+     * fast * latency[0] + slow * latency[1] (or, under a blackout or a
+     * drop rate, kept in a local for the per-access suppression call),
+     * with access_one() for the access that ended the run.
+     */
     void batch_loop(const PageId* pages, std::size_t n,
                     PebsSampler& sampler, std::uint64_t* pebs_suppressed);
+    /** Accesses, at most @p left, that a run under @p view may take
+     *  before its clock could reach the view's next edge. */
+    std::size_t run_length(const FaultView& view, std::size_t left) const;
+    /** One access + sample in the scalar sequence on the member clock,
+     *  asking the injector for a new @p view at an edge. */
+    void access_one(PageId page, PebsSampler& sampler, FaultView& view,
+                    std::uint64_t* pebs_suppressed);
     SimTimeNs migration_cost(Tier src, Tier dst) const;
     void account_migration(Tier src, Tier dst);
     /** Count and trace a refused or aborted migration; returns
@@ -626,8 +648,7 @@ class TieredMachine
     bool tx_reclaim_slot(Tier tier);
     void tx_reclaim_page(PageId page);
     /** Per-access tx hook for flagged pages; returns the application
-     *  time to charge (abort contention), so batch_loop can keep the
-     *  clock in a local. */
+     *  time to charge (abort contention) for the caller to add. */
     SimTimeNs tx_on_access(PageId page, SimTimeNs now);
     SimTimeNs tx_abort_page(PageId page, SimTimeNs now);
     void tx_drop_secondary(PageId page, SimTimeNs now);

@@ -4,10 +4,11 @@
  *
  * The engine's inner loop was rewritten from one-access-at-a-time calls
  * into TieredMachine::access_batch() / access_batch_faulted(), which
- * shadow the clock and per-tier counters in locals. The overhaul's
- * contract is *bit-identity*: every observable state — simulated time,
- * counters, per-page flags, the PEBS sample stream, and the fault
- * injector's draw schedule — must match the old scalar semantics
+ * settle the clock, the per-tier counters and the sampler's countdown
+ * once per run of plain accesses. The overhaul's contract is
+ * *bit-identity*: every observable state — simulated time, counters,
+ * per-page flags, per-tenant accounts, the PEBS sample stream, and the
+ * fault injector's draw schedule — must match the old scalar semantics
  * exactly. This file enforces the contract three ways:
  *
  *  1. Lockstep oracle: two identically configured machines run the
@@ -18,6 +19,8 @@
  *     abort storm with the transactional engine installed, and
  *     microsecond windows whose edges fall inside most batches, with
  *     trap storms and a re-entrant promotion fault handler thrown in.
+ *     Each case runs sampler periods of 1, 7 and 1000, with and without
+ *     a tenant ledger whose fast quotas bind.
  *
  *  2. Naive model: an independent single-stepping reference model of
  *     TieredMachine (separate plain arrays instead of packed flags, its
@@ -234,6 +237,32 @@ expect_counters_equal(const TieredMachine::Counters& a,
     EXPECT_EQ(a.tx_dual_drops, b.tx_dual_drops);
     EXPECT_EQ(a.tx_dual_reclaims, b.tx_dual_reclaims);
     EXPECT_EQ(a.failed_tx_busy, b.failed_tx_busy);
+    EXPECT_EQ(a.failed_quota, b.failed_quota);
+    EXPECT_EQ(a.failed_admission, b.failed_admission);
+}
+
+void
+expect_tenants_equal(const TieredMachine& a, const TieredMachine& b)
+{
+    const memsim::TenantLedger* la = a.tenants();
+    const memsim::TenantLedger* lb = b.tenants();
+    ASSERT_EQ(la == nullptr, lb == nullptr);
+    if (la == nullptr)
+        return;
+    ASSERT_EQ(la->tenant_count(), lb->tenant_count());
+    for (std::uint32_t t = 0; t < la->tenant_count(); ++t) {
+        SCOPED_TRACE(testing::Message() << "tenant " << t);
+        const auto& ta = la->totals(t);
+        const auto& tb = lb->totals(t);
+        EXPECT_EQ(ta.accesses[0], tb.accesses[0]);
+        EXPECT_EQ(ta.accesses[1], tb.accesses[1]);
+        EXPECT_EQ(ta.over_quota_allocs, tb.over_quota_allocs);
+        EXPECT_EQ(ta.quota_denied, tb.quota_denied);
+        EXPECT_EQ(la->used_pages(t, Tier::kFast),
+                  lb->used_pages(t, Tier::kFast));
+        EXPECT_EQ(la->used_pages(t, Tier::kSlow),
+                  lb->used_pages(t, Tier::kSlow));
+    }
 }
 
 void
@@ -308,10 +337,12 @@ struct TxEvent {
 /**
  * Every window class at microsecond scale, so that a typical batch of
  * the lockstep run (1-257 accesses of 92-969 ns) crosses several
- * degrade and blackout edges, and so do the trap handler's migrations
- * and the tx engine's abort charges. The write storm only bites with
- * tx installed. @p drop_rate 0 leaves the sample path quiet outside
- * blackouts, so the batch loop skips the suppression call there.
+ * degrade, blackout and pressure edges, and so do the trap handler's
+ * migrations and the tx engine's abort charges. A first touch inside a
+ * batch must see the pressure window of its own time, not the batch's
+ * start. The write storm only bites with tx installed. @p drop_rate 0
+ * leaves the sample path quiet outside blackouts, so the batch loop
+ * skips the suppression call there.
  */
 FaultConfig
 microsecond_windows(double drop_rate = 0.05)
@@ -329,6 +360,9 @@ microsecond_windows(double drop_rate = 0.05)
     fc.write_storm_rate = 0.5;
     fc.write_storm_period_ns = 13000;
     fc.write_storm_duration_ns = 4000;
+    fc.pressure_fraction = 0.5;
+    fc.pressure_period_ns = 5000;
+    fc.pressure_duration_ns = 2000;
     return fc;
 }
 
@@ -337,24 +371,90 @@ struct LockstepTotals {
     std::uint64_t suppressed = 0;
     std::uint64_t tx_opened = 0;
     std::uint64_t tx_aborted = 0;
+    std::uint64_t pebs_dropped = 0;
+    std::uint64_t over_quota_allocs = 0;
 };
+
+/** The sampler and the tenant ledger a lockstep run installs. */
+struct LockstepInput {
+    PebsSampler::Config sampler;
+    /** Owner spans of the ledger installed on both machines; 0 for
+     *  none. */
+    std::uint32_t tenants = 0;
+};
+
+/**
+ * The inputs every lockstep case runs. Period 1 with a 4-record buffer
+ * drops most samples; period 1000 is longer than any batch, so the
+ * countdown the batch loop holds in a register is carried across runs,
+ * batches and trap handlers. A ledger splits the pages into equal owner
+ * spans, each with a small fast quota.
+ */
+std::vector<LockstepInput>
+lockstep_inputs()
+{
+    return {
+        {{.period = 7, .buffer_capacity = 1 << 8}, 0},
+        {{.period = 1, .buffer_capacity = 4}, 0},
+        {{.period = 1000, .buffer_capacity = 4}, 0},
+        {{.period = 7, .buffer_capacity = 1 << 8}, 2},
+        {{.period = 1, .buffer_capacity = 4}, 3},
+        {{.period = 1000, .buffer_capacity = 4}, 4},
+    };
+}
+
+/** Slow slots of a lockstep machine with a ledger: kPages - 848 = 176
+ *  pages must be placed fast. */
+constexpr std::size_t kLedgerSlowPages = 848;
+
+/**
+ * The ledger for @p input: equal owner spans and fast quotas of 16-39
+ * pages. The quotas sum to less than the 176 pages that must be placed
+ * fast, so once the slow tier fills, first touches of tenants at quota
+ * are allocated over it.
+ */
+std::unique_ptr<memsim::TenantLedger>
+lockstep_ledger(const LockstepInput& input, Rng& rng)
+{
+    auto ledger =
+        std::make_unique<memsim::TenantLedger>(input.tenants, kPages);
+    for (std::uint32_t t = 0; t < input.tenants; ++t) {
+        const std::size_t first = kPages * t / input.tenants;
+        const std::size_t last = kPages * (t + 1) / input.tenants;
+        ledger->set_owner_span(static_cast<PageId>(first), last - first, t);
+        ledger->set_quota(t, 16 + rng.next_below(24));
+    }
+    return ledger;
+}
 
 /**
  * Drives the scalar oracle and the batched machine in lockstep under
  * one fault config (with the transactional engine installed on both
- * when @p tx), interleaving migrations, exchanges, trap arming,
- * accessed-bit scans and tx polls between intervals, and comparing
- * complete state at every interval boundary. Adds the batched
- * machine's totals to @p totals.
+ * when @p tx) and one sampler and ledger @p input, interleaving
+ * migrations, exchanges, trap arming, accessed-bit scans and tx polls
+ * between intervals, and comparing complete state, per tenant too, at
+ * every interval boundary. Adds the batched machine's totals to
+ * @p totals.
  */
 void
 run_lockstep(const FaultConfig& faults, bool tx, std::string_view label,
-             std::uint64_t seed, LockstepTotals& totals)
+             std::uint64_t seed, const LockstepInput& input,
+             LockstepTotals& totals)
 {
-    TieredMachine scalar(small_machine());
-    TieredMachine batched(small_machine());
+    MachineConfig machine_cfg = small_machine();
+    if (input.tenants > 0)
+        machine_cfg.tiers[1].capacity =
+            kLedgerSlowPages * machine_cfg.page_size;
+    TieredMachine scalar(machine_cfg);
+    TieredMachine batched(machine_cfg);
     scalar.install_faults(faults);
     batched.install_faults(faults);
+    if (input.tenants > 0) {
+        Rng quotas(derive_seed(seed, 4));
+        Rng same_quotas(derive_seed(seed, 4));
+        scalar.install_tenants(lockstep_ledger(input, quotas));
+        batched.install_tenants(lockstep_ledger(input, same_quotas));
+    }
     std::vector<TxEvent> scalar_tx;
     std::vector<TxEvent> batched_tx;
     if (tx) {
@@ -375,8 +475,9 @@ run_lockstep(const FaultConfig& faults, bool tx, std::string_view label,
     }
 
     // Re-entrant handler, as AutoNUMA-style policies install: promote
-    // the faulting page on the spot. Inside access_batch() this forces
-    // the local clock/counter flush-and-reload protocol.
+    // the faulting page on the spot. Inside access_batch() the access
+    // takes the one-access path, after its run has settled the clock,
+    // the counters and the sampler's countdown.
     std::vector<TrapEvent> scalar_traps;
     std::vector<TrapEvent> batched_traps;
     scalar.set_fault_handler([&](PageId page, Tier tier) {
@@ -390,11 +491,8 @@ run_lockstep(const FaultConfig& faults, bool tx, std::string_view label,
             (void)batched.migrate(page, Tier::kFast);
     });
 
-    // Small buffer so overflow drops are exercised too.
-    const PebsSampler::Config sampler_cfg{.period = 7,
-                                          .buffer_capacity = 1 << 8};
-    PebsSampler scalar_sampler(sampler_cfg);
-    PebsSampler batched_sampler(sampler_cfg);
+    PebsSampler scalar_sampler(input.sampler);
+    PebsSampler batched_sampler(input.sampler);
     std::uint64_t scalar_suppressed = 0;
     std::uint64_t batched_suppressed = 0;
 
@@ -407,7 +505,10 @@ run_lockstep(const FaultConfig& faults, bool tx, std::string_view label,
     for (int interval = 0; interval < 64; ++interval) {
         SCOPED_TRACE(testing::Message()
                      << "faults=" << label << " tx=" << tx
-                     << " seed=" << seed << " interval=" << interval);
+                     << " seed=" << seed
+                     << " period=" << input.sampler.period
+                     << " tenants=" << input.tenants
+                     << " interval=" << interval);
 
         // One interval: a few variable-sized batches of a hot/cold mix.
         for (int chunk = 0; chunk < 4; ++chunk) {
@@ -476,6 +577,7 @@ run_lockstep(const FaultConfig& faults, bool tx, std::string_view label,
         EXPECT_EQ(scalar_suppressed, batched_suppressed);
         ASSERT_EQ(scalar_traps, batched_traps);
         expect_machines_equal(scalar, batched);
+        expect_tenants_equal(scalar, batched);
         if (interval % 4 == 3)
             expect_counters_equal(scalar.take_window(),
                                   batched.take_window());
@@ -485,15 +587,31 @@ run_lockstep(const FaultConfig& faults, bool tx, std::string_view label,
     totals.suppressed += batched_suppressed;
     totals.tx_opened += batched.totals().tx_opened;
     totals.tx_aborted += batched.totals().tx_aborted;
+    totals.pebs_dropped += batched_sampler.dropped();
+    if (const memsim::TenantLedger* ledger = batched.tenants()) {
+        for (std::uint32_t t = 0; t < ledger->tenant_count(); ++t)
+            totals.over_quota_allocs += ledger->totals(t).over_quota_allocs;
+    }
+}
+
+/** Every lockstep input ran with teeth: drops and over-quota first
+ *  touches occurred. */
+void
+expect_inputs_had_teeth(const LockstepTotals& total)
+{
+    EXPECT_GT(total.pebs_dropped, 0u);
+    EXPECT_GT(total.over_quota_allocs, 0u);
 }
 
 TEST(DiffModel, BatchMatchesScalarOracleAcrossFaultScenarios)
 {
-    LockstepTotals unused;
+    LockstepTotals total;
     for (const auto scenario : memsim::fault_scenario_names())
         for (const std::uint64_t seed : {3ull, 17ull})
-            run_lockstep(memsim::make_fault_scenario(scenario, 7), false,
-                         scenario, seed, unused);
+            for (const LockstepInput& input : lockstep_inputs())
+                run_lockstep(memsim::make_fault_scenario(scenario, 7), false,
+                             scenario, seed, input, total);
+    expect_inputs_had_teeth(total);
 }
 
 TEST(DiffModel, BatchMatchesScalarOracleUnderAbortStormWithTx)
@@ -502,25 +620,30 @@ TEST(DiffModel, BatchMatchesScalarOracleUnderAbortStormWithTx)
     // transactions, polled at every interval boundary.
     LockstepTotals total;
     for (const std::uint64_t seed : {3ull, 17ull})
-        run_lockstep(memsim::make_fault_scenario("abort_storm", 7), true,
-                     "abort_storm", seed, total);
+        for (const LockstepInput& input : lockstep_inputs())
+            run_lockstep(memsim::make_fault_scenario("abort_storm", 7), true,
+                         "abort_storm", seed, input, total);
     EXPECT_GT(total.tx_opened, 0u);
     EXPECT_GT(total.tx_aborted, 0u) << "the storm never aborted anything";
+    expect_inputs_had_teeth(total);
 }
 
 TEST(DiffModel, BatchMatchesScalarOracleAcrossMicrosecondWindows)
 {
-    // Most batches cross degrade and blackout edges, so a batch loop
-    // that held the injector's answers past an edge diverges here.
+    // Most batches cross degrade, blackout and pressure edges, so a
+    // batch loop that held the injector's answers past an edge, or
+    // placed a first touch at a stale time, diverges here.
     for (const double drop_rate : {0.05, 0.0}) {
         LockstepTotals total;
         for (const std::uint64_t seed : {3ull, 17ull})
-            run_lockstep(microsecond_windows(drop_rate), true,
-                         drop_rate > 0.0 ? "us_windows" : "us_no_drop", seed,
-                         total);
+            for (const LockstepInput& input : lockstep_inputs())
+                run_lockstep(microsecond_windows(drop_rate), true,
+                             drop_rate > 0.0 ? "us_windows" : "us_no_drop",
+                             seed, input, total);
         EXPECT_GT(total.suppressed, 0u);
         EXPECT_GT(total.tx_opened, 0u);
         EXPECT_GT(total.tx_aborted, 0u);
+        expect_inputs_had_teeth(total);
     }
 }
 
